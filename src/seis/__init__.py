@@ -38,13 +38,10 @@ from .linalg import (
     CcaResult,
     TruncatedSubspace,
     cca,
-    cca_oracle,
     row_cosines,
     spatial_subspace,
-    thin_svd,
-    truncate_99,
 )
-from .matricize import CenteredMatrix, center_rows, dematricize, matricize
+from .matricize import center_rows, matricize
 from .metrics import SeisScores, equivariance_score, invariance_score, seis
 from .tensor_io import (
     Manifest,
@@ -64,7 +61,6 @@ from .transforms import (
     apply_affine,
     make_stream,
     permute_spatial,
-    random_baseline,
     sample_params,
 )
 
@@ -74,7 +70,6 @@ __all__ = [
     "AffineParams",
     "CONDITION_ORDER",
     "CcaResult",
-    "CenteredMatrix",
     "ConditionKind",
     "ConditionSummary",
     "DEFAULT_DIMS",
@@ -99,9 +94,7 @@ __all__ = [
     "ValidationError",
     "apply_affine",
     "cca",
-    "cca_oracle",
     "center_rows",
-    "dematricize",
     "equivariance_score",
     "gen_synthetic_activations",
     "invariance_score",
@@ -110,7 +103,6 @@ __all__ = [
     "make_stream",
     "matricize",
     "permute_spatial",
-    "random_baseline",
     "read_tensor",
     "row_cosines",
     "run_condition",
@@ -118,8 +110,6 @@ __all__ = [
     "sample_params",
     "seis",
     "spatial_subspace",
-    "thin_svd",
-    "truncate_99",
     "validate_tensor",
     "write_results",
     "write_tensor",

@@ -92,14 +92,18 @@ def _load_config_file(path):
     return doc
 
 
-def _merged(args, key, fallback):
-    """Flag value if given, else config-file value, else the default."""
+def _merged(args, key, fallback, kinds=(str,)):
+    """Flag value if given, else config-file value of one of `kinds`, else the default."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if args.config_doc is not None and key in args.config_doc:
-        return args.config_doc[key]
-    return fallback
+    if args.config_doc is None or key not in args.config_doc:
+        return fallback
+    value = args.config_doc[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise ValidationError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+    return value
 
 
 def cmd_score(args) -> int:
@@ -117,15 +121,17 @@ def cmd_synth(args) -> int:
     args.config_doc = _load_config_file(args.config) if args.config else None
     cfg = HarnessConfig(
         dims=_parse_dims(_merged(args, "dims", "%d,%d,%d,%d" % DEFAULT_DIMS)),
-        trials=int(_merged(args, "trials", DEFAULT_TRIALS)),
-        master_seed=int(_merged(args, "seed", 0)),
-        conditions=_parse_conditions(_merged(args, "conditions", CONDITION_ORDER)),
-        smoothness=float(_merged(args, "smoothness", DEFAULT_SMOOTHNESS)),
+        trials=_merged(args, "trials", DEFAULT_TRIALS, (int,)),
+        master_seed=_merged(args, "seed", 0, (int,)),
+        conditions=_parse_conditions(_merged(args, "conditions", CONDITION_ORDER, (str, list))),
+        smoothness=float(_merged(args, "smoothness", DEFAULT_SMOOTHNESS, (int, float))),
     )
     out = _merged(args, "out", None)
     fmt = _merged(args, "format", "csv")
     if out is None:
         raise ValidationError("synth requires --out (or 'out' in the config file)")
+    if fmt not in ("csv", "json"):
+        raise ValidationError(f"unknown result format {fmt!r}, expected 'csv' or 'json'")
     _check_out_path(out)
     summaries, rows = run_validation_suite(cfg)
     write_results(rows, out, format=fmt)

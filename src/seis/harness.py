@@ -62,8 +62,8 @@ class HarnessConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.master_seed < 2**64):
             raise ValidationError(f"master seed must be a uint64, got {self.master_seed}")
-        if not (self.smoothness > 0.0):
-            raise ValidationError(f"smoothness must be positive, got {self.smoothness}")
+        if not (0.0 < self.smoothness < np.inf):
+            raise ValidationError(f"smoothness must be positive and finite, got {self.smoothness}")
         object.__setattr__(
             self, "conditions", tuple(ConditionKind(c) for c in self.conditions)
         )

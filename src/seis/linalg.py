@@ -1,4 +1,4 @@
-"""Thin SVD, variance truncation, and a numerically stable CCA.
+"""Principal-subspace truncation and a numerically stable CCA.
 
 Raw CCA on high-dimensional activations is notoriously fragile: sample
 covariances come out ill-conditioned and generalized eigensolvers fail to
@@ -6,8 +6,8 @@ converge. The implementation here therefore keeps the classic stable
 recipe: truncate each side to the subspace holding 99% of its squared
 singular spectrum, whiten both covariance blocks with symmetric inverse
 square roots (plus a tiny relative ridge), and read the canonical system
-off the SVD of the whitened cross covariance. A brute-force generalized
-eigenproblem oracle is included for cross-checking; it shares nothing with
+off the SVD of the whitened cross covariance. The tests cross-check it
+against a brute-force generalized eigenproblem that shares nothing with
 the whitening path beyond covariance formation.
 """
 
@@ -19,7 +19,6 @@ from .errors import (
     DegenerateRankError,
     DegenerateSampleError,
     NumericalError,
-    OracleError,
     ShapeError,
     ValidationError,
 )
@@ -27,8 +26,8 @@ from .errors import (
 # Fraction of the squared singular spectrum the retained subspace must cover.
 VARIANCE_THRESHOLD = 0.99
 
-# Singular values below RANK_FLOOR * sigma_max are numerically zero and are
-# dropped before the variance budget, so noise directions never consume it.
+# Singular values below RANK_FLOOR * sigma_max are dropped before the
+# variance budget (see spatial_subspace for what the Gram route resolves).
 RANK_FLOOR = 1e-12
 
 # Relative ridge added to each covariance diagonal before inversion.
@@ -73,21 +72,6 @@ class CcaResult:
     r: int
 
 
-def thin_svd(m):
-    """Thin SVD via LAPACK: returns (U, S, V) with V holding right vectors as columns.
-
-    U @ diag(S) @ V.T reconstructs the input to a relative Frobenius error
-    of a few machine epsilons.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix contains non-finite entries")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return u, s, vt.T
-
-
 def row_cosines(a, b) -> np.ndarray:
     """Absolute cosine similarity between matching rows of two matrices.
 
@@ -114,79 +98,49 @@ def row_cosines(a, b) -> np.ndarray:
     return np.minimum(cos, 1.0)
 
 
-def _variance_truncate(u, s, centered) -> TruncatedSubspace:
-    """Shared truncation core: rank floor, 99% budget, projection."""
+def _truncation_rank(s):
+    """(kept mask, k, retained variance) of a non-increasing spectrum: the
+    rank floor, then the fewest leading values holding 99% of sigma^2."""
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateRankError("all singular values are zero")
-    kept = int(np.count_nonzero(s >= RANK_FLOOR * s[0]))
-    s = s[:kept]
-    power = s**2
+    kept = s >= RANK_FLOOR * s[0]
+    power = s[kept] ** 2
     frac = np.cumsum(power) / np.sum(power)
     k = int(np.searchsorted(frac, VARIANCE_THRESHOLD) + 1)
-    basis = np.ascontiguousarray(u[:, :k])
-    return TruncatedSubspace(
-        basis=basis,
-        singular_values=s[:k].copy(),
-        projected=basis.T @ centered,
-        retained_variance=float(frac[k - 1]),
-        k=k,
-    )
-
-
-def truncate_99(u, s, centered) -> TruncatedSubspace:
-    """Keep the smallest leading set of directions covering 99% of sigma^2.
-
-    u, s come from thin_svd of `centered`; k is the smallest index whose
-    cumulative squared singular mass reaches the threshold, computed after
-    numerically-zero singular values are dropped.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    centered = np.asarray(centered, dtype=np.float64)
-    if u.ndim != 2 or s.ndim != 1 or u.shape[1] != s.size:
-        raise ShapeError(f"inconsistent factor shapes: u {u.shape}, s {s.shape}")
-    if u.shape[0] != centered.shape[0]:
-        raise ShapeError(
-            f"basis rows {u.shape[0]} do not match matrix rows {centered.shape[0]}"
-        )
-    if np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
-        raise ValidationError("singular values must be non-negative and non-increasing")
-    return _variance_truncate(u, s, centered)
+    return kept, k, float(frac[k - 1])
 
 
 def spatial_subspace(centered) -> TruncatedSubspace:
     """Truncated principal subspace of a centered matrix, via the Gram route.
 
-    Identical in content to thin_svd + truncate_99 but computed from the
-    smaller Gram matrix, which is several times faster on the wide
-    matrices the scoring pipeline produces. The Gram route is less
-    accurate only for directions far below the rank floor, and those never
-    enter the retained subspace.
+    Faster than a thin SVD on the wide matrices the pipeline produces, but
+    it resolves singular values only down to about sqrt(eps) * sigma_max
+    (~1e-8), far above RANK_FLOOR; the noise directions below that carry
+    ~1e-16 of sigma^2 and never enter the 99% subspace. A non-finite entry
+    always reaches the Gram diagonal, so the finite check looks there.
     """
     centered = np.asarray(centered, dtype=np.float64)
     if centered.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={centered.ndim}")
-    if not np.all(np.isfinite(centered)):
-        raise ValidationError("matrix contains non-finite entries")
     d, n = centered.shape
-    if d <= n:
-        gram = centered @ centered.T
-        lam, u = np.linalg.eigh(gram)
-        lam = lam[::-1]
-        u = u[:, ::-1]
-        s = np.sqrt(np.clip(lam, 0.0, None))
-    else:
-        gram = centered.T @ centered
-        lam, v = np.linalg.eigh(gram)
-        lam = lam[::-1]
-        v = v[:, ::-1]
-        s = np.sqrt(np.clip(lam, 0.0, None))
-        if s.size == 0 or s[0] <= 0.0:
-            raise DegenerateRankError("all singular values are zero")
-        kept = s >= RANK_FLOOR * s[0]
-        s = s[kept]
-        u = (centered @ v[:, kept]) / s
-    return _variance_truncate(u, s, centered)
+    tall = d > n
+    gram = centered.T @ centered if tall else centered @ centered.T
+    if not np.all(np.isfinite(gram)):
+        raise ValidationError("matrix contains non-finite entries or its Gram matrix overflows")
+    lam, vecs = np.linalg.eigh(gram)
+    s = np.sqrt(np.clip(lam[::-1], 0.0, None))
+    vecs = vecs[:, ::-1]
+    kept, k, retained = _truncation_rank(s)
+    if tall:
+        vecs = (centered @ vecs[:, kept]) / s[kept]
+    basis = np.ascontiguousarray(vecs[:, :k])
+    return TruncatedSubspace(
+        basis=basis,
+        singular_values=s[:k].copy(),
+        projected=basis.T @ centered,
+        retained_variance=retained,
+        k=k,
+    )
 
 
 def _sym_inv_sqrt(c):
@@ -272,32 +226,3 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
         variates_right=np.ascontiguousarray(q[order]),
         r=r,
     )
-
-
-def cca_oracle(left: TruncatedSubspace, right: TruncatedSubspace) -> np.ndarray:
-    """Reference canonical correlations via the generalized eigenproblem.
-
-    Brute force and test-oriented: explicit inverses, dense eigen-solve,
-    no regularization. rho_i^2 are the eigenvalues of
-    Cxx^-1 Cxy Cyy^-1 Cyx, sorted descending. Intended for small, well
-    conditioned instances; on a singular covariance it raises OracleError
-    and the caller should regenerate the instance.
-    """
-    x = np.asarray(left.projected, dtype=np.float64)
-    y = np.asarray(right.projected, dtype=np.float64)
-    kx = x.shape[0]
-    cov = np.cov(x, y)
-    cxx = cov[:kx, :kx]
-    cxy = cov[:kx, kx:]
-    cyx = cov[kx:, :kx]
-    cyy = cov[kx:, kx:]
-    try:
-        m = np.linalg.inv(cxx) @ cxy @ np.linalg.inv(cyy) @ cyx
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(f"singular covariance: {exc}") from exc
-    lam = np.linalg.eigvals(m)
-    if np.max(np.abs(lam.imag)) > 1e-6:
-        raise OracleError("eigenvalues are not numerically real")
-    rho = np.sqrt(np.clip(lam.real, 0.0, None))
-    rho = np.sort(rho)[::-1]
-    return rho[: min(kx, y.shape[0])]

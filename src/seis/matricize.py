@@ -9,17 +9,10 @@ spatial cell (y, x) lands in row y*w + x, observation (batch i, channel j)
 in column i*c + j.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DegenerateSampleError, ShapeError
 from .tensor_io import validate_tensor
-
-
-class CenteredMatrix(NamedTuple):
-    data: np.ndarray       # (d, n), every row sums to ~0
-    row_means: np.ndarray  # (d,)
 
 
 def matricize(z) -> np.ndarray:
@@ -29,16 +22,7 @@ def matricize(z) -> np.ndarray:
     return z.reshape(b * c, h * w).T.copy()
 
 
-def dematricize(a, dims) -> np.ndarray:
-    """Invert matricize; exact inverse for matching source dims."""
-    b, c, h, w = dims
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (h * w, b * c):
-        raise ShapeError(f"matrix shape {a.shape} does not match dims {tuple(dims)}")
-    return np.ascontiguousarray(a.T).reshape(b, c, h, w)
-
-
-def center_rows(a) -> CenteredMatrix:
+def center_rows(a) -> np.ndarray:
     """Subtract each row's mean over the observations.
 
     Centering happens here, before any SVD, so the truncated basis is a
@@ -52,5 +36,4 @@ def center_rows(a) -> CenteredMatrix:
         raise DegenerateSampleError(
             f"centering needs at least 2 observations, got {a.shape[1]}"
         )
-    means = a.mean(axis=1)
-    return CenteredMatrix(data=a - means[:, None], row_means=means)
+    return a - a.mean(axis=1)[:, None]

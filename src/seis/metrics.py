@@ -22,7 +22,6 @@ from .errors import (
 )
 from .linalg import CcaResult, cca, row_cosines, spatial_subspace
 from .matricize import center_rows, matricize
-from .tensor_io import validate_tensor
 
 # The cosine/mean-correlation identity is exact for centered variates; if
 # it ever drifts past this, something upstream broke.
@@ -97,8 +96,7 @@ def invariance_score(c: CcaResult, left_basis, right_basis) -> float:
 
 def _side_subspace(side, z):
     try:
-        centered = center_rows(matricize(z))
-        return spatial_subspace(centered.data)
+        return spatial_subspace(center_rows(matricize(z)))
     except (DegenerateRankError, DegenerateSampleError) as exc:
         raise type(exc)(f"{side} tensor: {exc}") from exc
 
@@ -106,17 +104,16 @@ def _side_subspace(side, z):
 def seis(z_ref, z_alt) -> SeisScores:
     """Score a pair of equally-shaped activation tensors.
 
-    Pipeline: matricize both tensors spatially, center each row over the
-    observations, truncate to the 99%-variance spatial subspace, run CCA
-    between the projected coordinates, then aggregate the equivariance and
-    invariance scores. Deterministic for fixed inputs.
+    Pipeline: matricize both tensors spatially (which validates them),
+    center each row over the observations, truncate to the 99%-variance
+    spatial subspace, run CCA between the projected coordinates, then
+    aggregate the equivariance and invariance scores. Deterministic for
+    fixed inputs.
     """
-    zr = validate_tensor(z_ref)
-    za = validate_tensor(z_alt)
-    if zr.shape != za.shape:
-        raise ShapeError(f"tensor dims differ: {zr.shape} vs {za.shape}")
-    left = _side_subspace("reference", zr)
-    right = _side_subspace("alternate", za)
+    if np.shape(z_ref) != np.shape(z_alt):
+        raise ShapeError(f"tensor dims differ: {np.shape(z_ref)} vs {np.shape(z_alt)}")
+    left = _side_subspace("reference", z_ref)
+    right = _side_subspace("alternate", z_alt)
     c = cca(left, right)
     return SeisScores(
         s_equiv=equivariance_score(c),

@@ -201,11 +201,3 @@ def permute_spatial(z, perm) -> np.ndarray:
     out = np.empty_like(flat)
     out[:, :, perm] = flat
     return out.reshape(b, c, h, w)
-
-
-def random_baseline(dims, rng: np.random.Generator) -> np.ndarray:
-    """Tensor of i.i.d. standard normal entries (a no-shared-structure null)."""
-    dims = tuple(int(v) for v in dims)
-    if len(dims) != 4 or min(dims) < 1:
-        raise ShapeError(f"dims must be four positive integers, got {dims}")
-    return rng.standard_normal(dims)

@@ -2,7 +2,8 @@
 
 write_npy_independent is a from-scratch NPY v1.0 emitter used as the
 oracle for the reader: it never touches numpy's own format module, so a
-bug there cannot hide in both routes.
+bug there cannot hide in both routes. cca_oracle plays the same role for
+the whitened CCA.
 """
 
 import struct
@@ -10,6 +11,7 @@ import struct
 import numpy as np
 from scipy import ndimage
 
+from seis.errors import OracleError, ShapeError
 from seis.linalg import TruncatedSubspace, spatial_subspace
 from seis.matricize import center_rows, matricize
 
@@ -37,6 +39,15 @@ def write_npy_independent(path, arr, fortran_order=False, descr="<f8"):
         fh.write(payload)
 
 
+def dematricize(a, dims) -> np.ndarray:
+    """Invert matricize; exact inverse for matching source dims."""
+    b, c, h, w = dims
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != (h * w, b * c):
+        raise ShapeError(f"matrix shape {a.shape} does not match dims {tuple(dims)}")
+    return np.ascontiguousarray(a.T).reshape(b, c, h, w)
+
+
 def smooth_tensor(dims, sigma=1.5, seed=0):
     """Standardized smooth Gaussian field, independent of the harness code."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
@@ -48,12 +59,12 @@ def smooth_tensor(dims, sigma=1.5, seed=0):
 
 
 def subspace_of_tensor(z) -> TruncatedSubspace:
-    return spatial_subspace(center_rows(matricize(z)).data)
+    return spatial_subspace(center_rows(matricize(z)))
 
 
 def subspace_of_matrix(m) -> TruncatedSubspace:
     """Truncated subspace of a raw matrix after row centering."""
-    return spatial_subspace(center_rows(np.asarray(m, dtype=np.float64)).data)
+    return spatial_subspace(center_rows(np.asarray(m, dtype=np.float64)))
 
 
 def replace_projected(sub: TruncatedSubspace, projected) -> TruncatedSubspace:
@@ -65,3 +76,32 @@ def replace_projected(sub: TruncatedSubspace, projected) -> TruncatedSubspace:
         retained_variance=sub.retained_variance,
         k=sub.k,
     )
+
+
+def cca_oracle(left: TruncatedSubspace, right: TruncatedSubspace) -> np.ndarray:
+    """Reference canonical correlations via the generalized eigenproblem.
+
+    Brute force and test-oriented: explicit inverses, dense eigen-solve,
+    no regularization. rho_i^2 are the eigenvalues of
+    Cxx^-1 Cxy Cyy^-1 Cyx, sorted descending. Intended for small, well
+    conditioned instances; on a singular covariance it raises OracleError
+    and the caller should regenerate the instance.
+    """
+    x = np.asarray(left.projected, dtype=np.float64)
+    y = np.asarray(right.projected, dtype=np.float64)
+    kx = x.shape[0]
+    cov = np.cov(x, y)
+    cxx = cov[:kx, :kx]
+    cxy = cov[:kx, kx:]
+    cyx = cov[kx:, :kx]
+    cyy = cov[kx:, kx:]
+    try:
+        m = np.linalg.inv(cxx) @ cxy @ np.linalg.inv(cyy) @ cyx
+    except np.linalg.LinAlgError as exc:
+        raise OracleError(f"singular covariance: {exc}") from exc
+    lam = np.linalg.eigvals(m)
+    if np.max(np.abs(lam.imag)) > 1e-6:
+        raise OracleError("eigenvalues are not numerically real")
+    rho = np.sqrt(np.clip(lam.real, 0.0, None))
+    rho = np.sort(rho)[::-1]
+    return rho[: min(kx, y.shape[0])]

@@ -113,6 +113,24 @@ class TestSynth:
         assert len(lines) == 1 + 2
         assert lines[1].split(",")[3] == "9"  # seed from config
 
+    @pytest.mark.parametrize("key,value", [
+        ("trials", "abc"),
+        ("seed", 1.5),
+        ("dims", [4, 8, 10, 10]),
+        ("smoothness", None),
+        ("conditions", 5),
+        ("out", 5),
+        ("format", True),
+    ])
+    def test_config_value_of_wrong_type_is_fatal(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "rows.csv"
+        cfg_path.write_text(json.dumps({"out": str(out), key: value}))
+        assert run_cli("synth", "--config", str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert not out.exists()
+
     def test_missing_out_is_fatal(self, capsys):
         assert run_cli("synth", "--trials", "1", "--dims", "4,8,10,10",
                        "--conditions", "identity") == 1

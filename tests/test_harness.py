@@ -47,6 +47,8 @@ class TestConfig:
             HarnessConfig(dims=(1, 2, 3))
         with pytest.raises(ValidationError):
             HarnessConfig(smoothness=0.0)
+        with pytest.raises(ValidationError):
+            HarnessConfig(smoothness=float("inf"))
         with pytest.raises(ValueError):
             HarnessConfig(conditions=("sideways",))
 

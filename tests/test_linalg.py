@@ -9,95 +9,50 @@ from seis.errors import (
     ShapeError,
     ValidationError,
 )
-from seis.linalg import (
-    cca,
-    cca_oracle,
-    row_cosines,
-    spatial_subspace,
-    thin_svd,
-    truncate_99,
-)
+from seis.linalg import _truncation_rank, cca, row_cosines, spatial_subspace
 from seis.matricize import center_rows
 
-from helpers import replace_projected, subspace_of_matrix
+from helpers import cca_oracle, replace_projected, subspace_of_matrix
 
 
 def centered_noise(k, n, seed):
     rng = np.random.default_rng(seed)
-    return center_rows(rng.standard_normal((k, n))).data
-
-
-class TestThinSvd:
-    def test_diagonal(self):
-        u, s, v = thin_svd(np.diag([3.0, 2.0]))
-        assert np.allclose(s, [3.0, 2.0])
-        assert np.allclose(np.abs(u), np.eye(2), atol=1e-12)
-        assert np.allclose(np.abs(v), np.eye(2), atol=1e-12)
-
-    def test_zero_matrix(self):
-        _, s, _ = thin_svd(np.zeros((3, 4)))
-        assert np.array_equal(s, np.zeros(3))
-
-    def test_reconstruction_8x5(self):
-        m = np.random.default_rng(0).standard_normal((8, 5))
-        u, s, v = thin_svd(m)
-        err = np.linalg.norm(u @ np.diag(s) @ v.T - m)
-        assert err <= 1e-9 * np.linalg.norm(m)
-
-    @pytest.mark.parametrize("shape", [(16, 16), (64, 32), (32, 64), (256, 256)])
-    def test_reconstruction_and_orthonormality(self, shape):
-        m = np.random.default_rng(shape[0] + shape[1]).standard_normal(shape)
-        u, s, v = thin_svd(m)
-        assert np.linalg.norm(u @ np.diag(s) @ v.T - m) <= 1e-9 * np.linalg.norm(m)
-        k = min(shape)
-        assert np.allclose(u.T @ u, np.eye(k), atol=1e-10)
-        assert np.allclose(v.T @ v, np.eye(k), atol=1e-10)
-        assert np.all(np.diff(s) <= 0)
-
-    def test_nonfinite_rejected(self):
-        m = np.ones((3, 3))
-        m[1, 1] = np.nan
-        with pytest.raises(ValidationError):
-            thin_svd(m)
+    return center_rows(rng.standard_normal((k, n)))
 
 
 class TestTruncate99:
+    """The rank-floor-plus-99% rule, fed exact spectra."""
+
     def test_two_values_dominant(self):
         # 100 / 101 = 0.990099 >= 0.99, so one direction suffices
-        u = np.eye(2)
-        centered = np.zeros((2, 3))
-        sub = truncate_99(u, np.array([10.0, 1.0]), centered)
-        assert sub.k == 1
-        assert sub.retained_variance == pytest.approx(100.0 / 101.0, abs=1e-15)
+        _, k, retained = _truncation_rank(np.array([10.0, 1.0]))
+        assert k == 1
+        assert retained == pytest.approx(100.0 / 101.0, abs=1e-15)
 
     def test_two_equal_values(self):
-        sub = truncate_99(np.eye(2), np.array([1.0, 1.0]), np.zeros((2, 3)))
-        assert sub.k == 2
-        assert sub.retained_variance == 1.0
+        _, k, retained = _truncation_rank(np.array([1.0, 1.0]))
+        assert k == 2
+        assert retained == 1.0
 
     def test_rank_one(self):
-        sub = truncate_99(np.eye(1), np.array([5.0]), np.zeros((1, 3)))
-        assert sub.k == 1
-        assert sub.retained_variance == 1.0
+        _, k, retained = _truncation_rank(np.array([5.0]))
+        assert k == 1
+        assert retained == 1.0
 
     def test_floor_drops_noise_directions(self):
         s = np.array([5.0, 4.9e-12])  # second is below 1e-12 * 5.0
-        sub = truncate_99(np.eye(2), s, np.zeros((2, 3)))
-        assert sub.k == 1
-        assert sub.retained_variance == 1.0
+        kept, k, retained = _truncation_rank(s)
+        assert np.array_equal(kept, [True, False])
+        assert k == 1
+        assert retained == 1.0
 
     def test_all_zero_spectrum(self):
         with pytest.raises(DegenerateRankError):
-            truncate_99(np.eye(2), np.zeros(2), np.zeros((2, 3)))
-
-    def test_increasing_spectrum_rejected(self):
-        with pytest.raises(ValidationError):
-            truncate_99(np.eye(2), np.array([1.0, 2.0]), np.zeros((2, 3)))
+            _truncation_rank(np.zeros(2))
 
     def test_projection_contents(self):
         m = centered_noise(6, 40, seed=3)
-        u, s, _ = thin_svd(m)
-        sub = truncate_99(u, s, m)
+        sub = spatial_subspace(m)
         assert sub.projected.shape == (sub.k, 40)
         assert np.allclose(sub.projected, sub.basis.T @ m)
         assert np.allclose(sub.basis.T @ sub.basis, np.eye(sub.k), atol=1e-10)
@@ -106,8 +61,8 @@ class TestTruncate99:
     @pytest.mark.parametrize("seed", range(10))
     def test_threshold_is_tight(self, seed):
         m = centered_noise(12, 60, seed=seed)
-        u, s, _ = thin_svd(m)
-        sub = truncate_99(u, s, m)
+        sub = spatial_subspace(m)
+        s = np.linalg.svd(m, compute_uv=False)
         power = s**2
         frac = np.cumsum(power) / power.sum()
         assert frac[sub.k - 1] >= 0.99
@@ -119,19 +74,20 @@ class TestSpatialSubspace:
     @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (25, 25)])
     def test_matches_svd_route(self, shape):
         m = centered_noise(*shape, seed=shape[0])
-        u, s, _ = thin_svd(m)
-        via_svd = truncate_99(u, s, m)
+        # reference: LAPACK thin SVD with the same floor and 99% budget
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        power = s[s >= 1e-12 * s[0]] ** 2
+        frac = np.cumsum(power) / power.sum()
+        k = int(np.searchsorted(frac, 0.99) + 1)
         via_gram = spatial_subspace(m)
-        assert via_gram.k == via_svd.k
-        assert np.allclose(via_gram.singular_values, via_svd.singular_values,
-                           rtol=1e-9, atol=1e-12)
+        assert via_gram.k == k
+        assert np.allclose(via_gram.singular_values, s[:k], rtol=1e-9, atol=1e-12)
         # bases agree column-wise up to sign
-        sign = np.sign(np.sum(via_gram.basis * via_svd.basis, axis=0))
-        assert np.allclose(via_gram.basis * sign, via_svd.basis, atol=1e-8)
-        assert np.allclose(via_gram.projected * sign[:, None], via_svd.projected,
+        sign = np.sign(np.sum(via_gram.basis * u[:, :k], axis=0))
+        assert np.allclose(via_gram.basis * sign, u[:, :k], atol=1e-8)
+        assert np.allclose(via_gram.projected * sign[:, None], u[:, :k].T @ m,
                            atol=1e-8)
-        assert via_gram.retained_variance == pytest.approx(
-            via_svd.retained_variance, abs=1e-12)
+        assert via_gram.retained_variance == pytest.approx(frac[k - 1], abs=1e-12)
 
     def test_basis_orthonormal_tall(self):
         sub = spatial_subspace(centered_noise(80, 20, seed=1))
@@ -141,11 +97,14 @@ class TestSpatialSubspace:
         with pytest.raises(DegenerateRankError):
             spatial_subspace(np.zeros((5, 8)))
 
-    def test_nonfinite(self):
-        m = np.ones((3, 4))
-        m[0, 0] = np.inf
-        with pytest.raises(ValidationError):
-            spatial_subspace(m)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite(self, bad):
+        # one non-finite entry must reach the checked Gram on both routes
+        for shape in ((3, 4), (4, 3)):
+            m = np.ones(shape)
+            m[1, 2] = bad
+            with pytest.raises(ValidationError):
+                spatial_subspace(m)
 
 
 class TestCca:
@@ -274,7 +233,7 @@ class TestCcaOracle:
 
     def test_anticorrelated_pair(self):
         # correlation magnitude: a 1-D pair with q = -p still gives rho = 1
-        p = center_rows(np.random.default_rng(21).standard_normal((1, 60))).data
+        p = center_rows(np.random.default_rng(21).standard_normal((1, 60)))
         left = replace_projected(subspace_of_matrix(p), p)
         right = replace_projected(left, -p)
         rho = cca_oracle(left, right)
@@ -297,7 +256,7 @@ class TestCcaOracle:
                              - cca_oracle(left, right))) <= 1e-8
 
     def test_singular_covariance(self):
-        p = center_rows(np.random.default_rng(22).standard_normal((3, 40))).data
+        p = center_rows(np.random.default_rng(22).standard_normal((3, 40)))
         p[2] = p[1]  # exactly dependent rows -> singular covariance
         left = replace_projected(subspace_of_matrix(p[:2]), p)
         with pytest.raises(OracleError):

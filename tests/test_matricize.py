@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from seis.errors import DegenerateSampleError, ShapeError
-from seis.matricize import center_rows, dematricize, matricize
+from seis.matricize import center_rows, matricize
 from seis.transforms import permute_spatial
+
+from helpers import dematricize
 
 
 def rand_tensor(shape, seed=0):
@@ -51,25 +53,23 @@ class TestMatricize:
 
 class TestCenterRows:
     def test_simple_row(self):
-        centered, means = center_rows(np.array([[1.0, 2.0, 3.0]]))
+        centered = center_rows(np.array([[1.0, 2.0, 3.0]]))
         assert np.array_equal(centered, [[-1.0, 0.0, 1.0]])
-        assert means[0] == 2.0
 
     def test_constant_row_kept(self):
-        centered, means = center_rows(np.array([[5.0, 5.0, 5.0]]))
+        centered = center_rows(np.array([[5.0, 5.0, 5.0]]))
         assert np.array_equal(centered, [[0.0, 0.0, 0.0]])
-        assert means[0] == 5.0
 
     def test_random_rows_centered(self):
         # oracle: recompute the row means of the output
         a = np.random.default_rng(7).standard_normal((10, 100)) * 3 + 1
-        centered, _ = center_rows(a)
+        centered = center_rows(a)
         assert np.max(np.abs(centered.mean(axis=1))) <= 1e-12
 
     def test_idempotent(self):
         a = np.random.default_rng(8).standard_normal((6, 40))
-        once, _ = center_rows(a)
-        twice, _ = center_rows(once)
+        once = center_rows(a)
+        twice = center_rows(once)
         assert np.allclose(once, twice, atol=1e-15)
 
     def test_too_few_observations(self):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from seis.errors import DegenerateRankError, NumericalError, ShapeError
+from seis.errors import DegenerateRankError, NumericalError, ShapeError, ValidationError
 from seis.linalg import CcaResult, cca
-from seis.matricize import dematricize, matricize
+from seis.matricize import matricize
 from seis.metrics import equivariance_score, invariance_score, seis
 from seis.transforms import AffineParams, apply_affine, permute_spatial
 
-from helpers import smooth_tensor, subspace_of_tensor
+from helpers import dematricize, smooth_tensor, subspace_of_tensor
 
 DIMS = (6, 8, 12, 12)  # d=144, n=48
 
@@ -172,6 +172,13 @@ class TestSeisErrors:
         a = smooth_tensor((2, 2, 6, 6), seed=23)
         b = smooth_tensor((2, 2, 8, 8), seed=24)
         with pytest.raises(ShapeError, match=r"2, 2, 6, 6.*2, 2, 8, 8"):
+            seis(a, b)
+
+    def test_nonfinite_alternate_rejected(self):
+        a = smooth_tensor((2, 2, 4, 4), seed=26)
+        b = a.copy()
+        b[1, 0, 2, 3] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
             seis(a, b)
 
     def test_degenerate_side_is_named(self):

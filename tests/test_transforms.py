@@ -10,7 +10,6 @@ from seis.transforms import (
     apply_affine,
     make_stream,
     permute_spatial,
-    random_baseline,
     sample_params,
 )
 
@@ -189,30 +188,6 @@ class TestPermuteSpatial:
         z = rand_tensor((1, 1, 2, 2))
         with pytest.raises(ValidationError):
             permute_spatial(z, np.arange(3))
-
-
-class TestRandomBaseline:
-    def test_deterministic(self):
-        a = random_baseline((2, 3, 4, 5), make_stream(5, 1, 1))
-        b = random_baseline((2, 3, 4, 5), make_stream(5, 1, 1))
-        assert np.array_equal(a, b)
-
-    def test_seeds_differ(self):
-        a = random_baseline((2, 3, 4, 5), make_stream(5))
-        b = random_baseline((2, 3, 4, 5), make_stream(6))
-        assert np.any(a != b)
-
-    def test_law_of_large_numbers(self):
-        t = random_baseline((10, 10, 32, 32), make_stream(99))
-        assert t.size >= 10**5
-        assert -0.02 < t.mean() < 0.02
-        assert 0.98 < t.std() < 1.02
-
-    def test_bad_dims(self):
-        with pytest.raises(ShapeError):
-            random_baseline((2, 3, 4), make_stream(0))
-        with pytest.raises(ShapeError):
-            random_baseline((0, 3, 4, 5), make_stream(0))
 
 
 class TestMakeStream:
