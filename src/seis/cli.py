@@ -147,28 +147,18 @@ def cmd_synth(args) -> int:
 def cmd_layers(args) -> int:
     manifest = load_manifest(args.manifest)
     _check_out_path(args.out)
+    # relative tensor paths are relative to the manifest's own directory
+    base = Path(args.manifest).parent
     rows = []
     failures = 0
     for entry in manifest:
         try:
-            scores = seis(read_tensor(entry.ref_path), read_tensor(entry.alt_path))
+            scores = seis(read_tensor(base / entry.ref_path), read_tensor(base / entry.alt_path))
         except (SeisError, OSError) as exc:
             logger.warning("skipping entry %r: %s", entry.label, exc)
             failures += 1
             continue
-        rows.append(
-            ResultRow(
-                label=entry.label,
-                condition="manifest",
-                trial=0,
-                seed=0,
-                s_equiv=scores.s_equiv,
-                s_inv=scores.s_inv,
-                k_a=scores.k_a,
-                k_a_prime=scores.k_a_prime,
-                r=scores.r,
-            )
-        )
+        rows.append(ResultRow.of(entry.label, "manifest", 0, 0, scores))
     write_results(rows, args.out, format=args.format)
     if failures and not rows:
         logger.warning("all %d manifest entries failed", failures)

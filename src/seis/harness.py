@@ -10,13 +10,13 @@ the config, so two runs with the same master seed agree bit for bit.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
 
+from . import metrics
 from .errors import SeisError, ValidationError
-from .metrics import seis
 from .tensor_io import ResultRow
 from .transforms import (
     CONDITION_ORDER,
@@ -120,76 +120,60 @@ def make_alternate(cfg: HarnessConfig, ref: np.ndarray, kind, rng) -> np.ndarray
 
 
 def run_condition(cfg: HarnessConfig, kind) -> list:
-    """Run every trial of one condition and return one ResultRow per trial.
-
-    Trial t draws its reference from stream (seed, t, 0) and its alternate
-    material from stream (seed, t, 1), so trials are independent and can
-    be computed in any order without changing the rows.
-    """
-    kind = ConditionKind(kind)
-    n_obs = cfg.dims[0] * cfg.dims[1]
-    warned = False
-    rows = []
-    for trial in range(cfg.trials):
-        ref = gen_synthetic_activations(
-            cfg, make_stream(cfg.master_seed, trial, ROLE_REFERENCE)
-        )
-        alt = make_alternate(
-            cfg, ref, kind, make_stream(cfg.master_seed, trial, ROLE_ALTERNATE)
-        )
-        try:
-            scores = seis(ref, alt)
-        except SeisError as exc:
-            raise type(exc)(f"condition {kind.value}, trial {trial}: {exc}") from exc
-        if not warned and n_obs < CHANCE_HEADROOM * max(scores.k_a, scores.k_a_prime):
-            logger.warning(
-                "condition %s: %d observations for subspace size %d "
-                "(below %dx headroom); chance-level correlations may not be negligible",
-                kind.value,
-                n_obs,
-                max(scores.k_a, scores.k_a_prime),
-                CHANCE_HEADROOM,
-            )
-            warned = True
-        rows.append(
-            ResultRow(
-                label=SYNTHETIC_LABEL,
-                condition=kind.value,
-                trial=trial,
-                seed=cfg.master_seed,
-                s_equiv=scores.s_equiv,
-                s_inv=scores.s_inv,
-                k_a=scores.k_a,
-                k_a_prime=scores.k_a_prime,
-                r=scores.r,
-            )
-        )
-        logger.debug(
-            "condition %s trial %d: s_equiv=%.6f s_inv=%.6f",
-            kind.value,
-            trial,
-            scores.s_equiv,
-            scores.s_inv,
-        )
-    return rows
+    """Run every trial of one condition and return one ResultRow per trial."""
+    return run_validation_suite(replace(cfg, conditions=(kind,)))[1]
 
 
 def run_validation_suite(cfg: HarnessConfig):
     """Run all configured conditions; returns (summaries, rows).
 
-    Conditions execute and report in the canonical order identity,
-    translation, scaling, rotation, affine, random_baseline regardless of
-    the order they appear in the config.
+    Trial t draws its reference from stream (seed, t, 0) and each
+    condition's alternate material from a fresh stream (seed, t, 1), so
+    trials are independent and a row does not depend on which other
+    conditions run. Each trial's reference and its subspace are built once
+    and shared by all conditions. Conditions report in the canonical order
+    identity, translation, scaling, rotation, affine, random_baseline
+    regardless of the order they appear in the config.
     """
-    wanted = set(cfg.conditions)
+    kinds = [kind for kind in CONDITION_ORDER if kind in cfg.conditions]
+    n_obs = cfg.dims[0] * cfg.dims[1]
+    rows = {kind: [] for kind in kinds}
+    warned = set()
+    for trial in range(cfg.trials):
+        where = f"trial {trial}"
+        try:
+            ref = gen_synthetic_activations(
+                cfg, make_stream(cfg.master_seed, trial, ROLE_REFERENCE)
+            )
+            ref_side = metrics._side_subspace("reference", ref)
+            for kind in kinds:
+                where = f"condition {kind.value}, trial {trial}"
+                alt = make_alternate(
+                    cfg, ref, kind, make_stream(cfg.master_seed, trial, ROLE_ALTERNATE)
+                )
+                scores = metrics._score(ref_side, metrics._side_subspace("alternate", alt))
+                k_max = max(scores.k_a, scores.k_a_prime)
+                if kind not in warned and n_obs < CHANCE_HEADROOM * k_max:
+                    logger.warning(
+                        "condition %s: %d observations for subspace size %d (below %dx "
+                        "headroom); chance-level correlations may not be negligible",
+                        kind.value, n_obs, k_max, CHANCE_HEADROOM,
+                    )
+                    warned.add(kind)
+                logger.debug(
+                    "condition %s trial %d: s_equiv=%.6f s_inv=%.6f",
+                    kind.value, trial, scores.s_equiv, scores.s_inv,
+                )
+                rows[kind].append(
+                    ResultRow.of(SYNTHETIC_LABEL, kind.value, trial, cfg.master_seed, scores)
+                )
+        except SeisError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+
     summaries = []
-    all_rows = []
-    for kind in CONDITION_ORDER:
-        if kind not in wanted:
-            continue
-        rows = run_condition(cfg, kind)
-        eq = np.array([r.s_equiv for r in rows])
-        iv = np.array([r.s_inv for r in rows])
+    for kind in kinds:
+        eq = np.array([r.s_equiv for r in rows[kind]])
+        iv = np.array([r.s_inv for r in rows[kind]])
         summaries.append(
             ConditionSummary(
                 condition=kind,
@@ -197,15 +181,11 @@ def run_validation_suite(cfg: HarnessConfig):
                 std_equiv=float(eq.std()),
                 mean_inv=float(iv.mean()),
                 std_inv=float(iv.std()),
-                trials=len(rows),
+                trials=cfg.trials,
             )
         )
-        all_rows.extend(rows)
         logger.info(
             "condition %s: mean s_equiv=%.6f mean s_inv=%.6f over %d trials",
-            kind.value,
-            summaries[-1].mean_equiv,
-            summaries[-1].mean_inv,
-            len(rows),
+            kind.value, summaries[-1].mean_equiv, summaries[-1].mean_inv, cfg.trials,
         )
-    return summaries, all_rows
+    return summaries, [row for kind in kinds for row in rows[kind]]

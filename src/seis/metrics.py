@@ -101,6 +101,19 @@ def _side_subspace(side, z):
         raise type(exc)(f"{side} tensor: {exc}") from exc
 
 
+def _score(left, right) -> SeisScores:
+    """Scores between two sides' truncated subspaces (see seis)."""
+    c = cca(left, right)
+    return SeisScores(
+        s_equiv=equivariance_score(c),
+        s_inv=invariance_score(c, left.basis, right.basis),
+        r=c.r,
+        k_a=left.k,
+        k_a_prime=right.k,
+        correlations=c.correlations,
+    )
+
+
 def seis(z_ref, z_alt) -> SeisScores:
     """Score a pair of equally-shaped activation tensors.
 
@@ -112,14 +125,4 @@ def seis(z_ref, z_alt) -> SeisScores:
     """
     if np.shape(z_ref) != np.shape(z_alt):
         raise ShapeError(f"tensor dims differ: {np.shape(z_ref)} vs {np.shape(z_alt)}")
-    left = _side_subspace("reference", z_ref)
-    right = _side_subspace("alternate", z_alt)
-    c = cca(left, right)
-    return SeisScores(
-        s_equiv=equivariance_score(c),
-        s_inv=invariance_score(c, left.basis, right.basis),
-        r=c.r,
-        k_a=left.k,
-        k_a_prime=right.k,
-        correlations=c.correlations,
-    )
+    return _score(_side_subspace("reference", z_ref), _side_subspace("alternate", z_alt))

@@ -9,7 +9,9 @@ never sees mixed precisions or Fortran strides.
 
 import csv
 import json
-from dataclasses import dataclass, field
+import os
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -23,17 +25,7 @@ from .errors import (
 
 NPY_MAGIC = b"\x93NUMPY"
 
-RESULT_FIELDS = (
-    "label",
-    "condition",
-    "trial",
-    "seed",
-    "s_equiv",
-    "s_inv",
-    "k_a",
-    "k_a_prime",
-    "r",
-)
+SCORE_FIELDS = ("s_equiv", "s_inv")
 
 
 def validate_tensor(t) -> np.ndarray:
@@ -87,8 +79,22 @@ def write_tensor(t, path) -> None:
     read_tensor inverts this bit-exactly.
     """
     arr = np.ascontiguousarray(validate_tensor(t), dtype="<f8")
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         np.lib.format.write_array(fh, arr, version=(1, 0))
+
+
+@contextmanager
+def _replacing(path, mode, **kwargs):
+    """Write to a temporary file next to `path` that replaces `path` only once
+    the block completes; an interrupted write never leaves a truncated file."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @dataclass(frozen=True)
@@ -172,48 +178,39 @@ class ResultRow:
                 f"r={self.r} inconsistent with min(k_a={self.k_a}, k_a_prime={self.k_a_prime})"
             )
 
+    @classmethod
+    def of(cls, label, condition, trial, seed, scores) -> "ResultRow":
+        """Row for one scored pair; `scores` is a metrics.SeisScores."""
+        return cls(
+            label, condition, trial, seed,
+            scores.s_equiv, scores.s_inv, scores.k_a, scores.k_a_prime, scores.r,
+        )
 
-def _row_record(row: ResultRow) -> dict:
-    return {
-        "label": row.label,
-        "condition": row.condition,
-        "trial": row.trial,
-        "seed": row.seed,
-        "s_equiv": round(row.s_equiv, 6),
-        "s_inv": round(row.s_inv, 6),
-        "k_a": row.k_a,
-        "k_a_prime": row.k_a_prime,
-        "r": row.r,
-    }
+
+RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 def write_results(rows, path, format="csv") -> None:
     """Serialize result rows as CSV (header + 6-decimal floats) or JSON.
 
     Output is byte-deterministic for a given row list, which is what makes
-    repeated runs of the same seeded experiment directly diffable.
+    repeated runs of the same seeded experiment directly diffable. Scores
+    are rounded to 6 decimals in both formats.
     """
-    if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+    if format not in ("csv", "json"):
+        raise ValidationError(f"unknown result format {format!r}, expected 'csv' or 'json'")
+    with _replacing(path, "w", newline="", encoding="utf-8") as fh:
+        records = (asdict(row) for row in rows)
+        if format == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(RESULT_FIELDS)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.label,
-                        row.condition,
-                        row.trial,
-                        row.seed,
-                        f"{row.s_equiv:.6f}",
-                        f"{row.s_inv:.6f}",
-                        row.k_a,
-                        row.k_a_prime,
-                        row.r,
-                    ]
-                )
-    elif format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([_row_record(r) for r in rows], fh, indent=2)
+            for rec in records:
+                writer.writerow(f"{v:.6f}" if k in SCORE_FIELDS else v for k, v in rec.items())
+        else:
+            json.dump(
+                [{k: round(v, 6) if k in SCORE_FIELDS else v for k, v in rec.items()}
+                 for rec in records],
+                fh,
+                indent=2,
+            )
             fh.write("\n")
-    else:
-        raise ValidationError(f"unknown result format {format!r}, expected 'csv' or 'json'")

@@ -3,7 +3,9 @@
 Transforms act directly at the representation level: each (batch, channel)
 slice of a tensor is warped by the same affine map. Warping uses a single
 composed inverse map with bilinear interpolation, so a composite transform
-is resampled once rather than blurred by repeated interpolation.
+is resampled once rather than blurred by repeated interpolation. Every
+warp is a sparse linear operator on the flattened spatial axis, applied to
+all slices in one product.
 
 All randomness flows through named, counter-based Philox streams so a
 (master seed, trial, role) triple yields the same draws on any machine and
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ShapeError, ValidationError
 from .tensor_io import validate_tensor
@@ -136,7 +139,7 @@ def apply_affine(z, params: AffineParams) -> np.ndarray:
     to exact index remaps.
     """
     z = validate_tensor(z)
-    b, c, h, w = z.shape
+    h, w = z.shape[2:]
     if h < 2 or w < 2:
         raise ShapeError(f"warping needs h >= 2 and w >= 2, got ({h}, {w})")
     for name in ("tx", "ty", "scale", "angle_deg"):
@@ -154,32 +157,24 @@ def apply_affine(z, params: AffineParams) -> np.ndarray:
         cos_t, sin_t = float(round(cos_t)), float(round(sin_t))
 
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    ys, xs = np.meshgrid(
-        np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"
-    )
+    ys, xs = np.divmod(np.arange(h * w, dtype=np.float64), w)
     # invert: undo the translation, rotate back, unscale
     ux = xs - cx - params.tx * w
     uy = ys - cy - params.ty * h
     src_x = (cos_t * ux - sin_t * uy) / params.scale + cx
     src_y = (sin_t * ux + cos_t * uy) / params.scale + cy
 
-    x0 = np.floor(src_x).astype(np.intp)
-    y0 = np.floor(src_y).astype(np.intp)
-    fx = src_x - x0
-    fy = src_y - y0
-
-    flat = z.reshape(b * c, h, w)
-    out = np.zeros_like(flat)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            yy = y0 + dy
-            xx = x0 + dx
-            weight = (fy if dy else 1.0 - fy) * (fx if dx else 1.0 - fx)
-            inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            yc = np.clip(yy, 0, h - 1)
-            xc = np.clip(xx, 0, w - 1)
-            out += flat[:, yc, xc] * (weight * inside)
-    return out.reshape(b, c, h, w)
+    # one operator row per output cell; its corners (0,0) (0,1) (1,0) (1,1)
+    # come in ascending source index, the summation order of a
+    # corner-by-corner gather, and corners outside the grid are dropped
+    x0, y0 = np.floor(src_x)[:, None], np.floor(src_y)[:, None]
+    fx, fy = src_x[:, None] - x0, src_y[:, None] - y0
+    xx, yy = x0 + [0, 1, 0, 1], y0 + [0, 0, 1, 1]
+    weight = np.hstack([1.0 - fy, 1.0 - fy, fy, fy]) * np.hstack([1.0 - fx, fx, 1.0 - fx, fx])
+    inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+    cells, sources = np.nonzero(inside)[0], (yy * w + xx)[inside].astype(np.intp)
+    op = sparse.csr_array((weight[inside], (cells, sources)), shape=(h * w, h * w))
+    return _apply_spatial(z, op)
 
 
 def permute_spatial(z, perm) -> np.ndarray:
@@ -187,17 +182,20 @@ def permute_spatial(z, perm) -> np.ndarray:
 
     A permutation is the exactness probe for spatial transforms: it is a
     lossless linear operator on the feature axis, so equivariance scores
-    across it should be indistinguishable from the identity case.
+    across it should be indistinguishable from the identity case. Values
+    move unchanged, except that -0.0 comes out as +0.0.
     """
     z = validate_tensor(z)
-    b, c, h, w = z.shape
-    d = h * w
+    d = z.shape[2] * z.shape[3]
     perm = np.asarray(perm)
     if perm.shape != (d,) or perm.dtype.kind not in "iu":
         raise ValidationError(f"perm must be {d} integer indices")
     if not np.array_equal(np.sort(perm), np.arange(d)):
         raise ValidationError("perm is not a bijection on the spatial cells")
-    flat = z.reshape(b, c, d)
-    out = np.empty_like(flat)
-    out[:, :, perm] = flat
-    return out.reshape(b, c, h, w)
+    return _apply_spatial(z, sparse.csr_array((np.ones(d), (perm, np.arange(d))), shape=(d, d)))
+
+
+def _apply_spatial(z, op) -> np.ndarray:
+    """Apply a sparse (d, d) operator to the spatial axis of every slice."""
+    b, c, h, w = z.shape
+    return (op @ z.reshape(b * c, h * w).T).T.reshape(b, c, h, w)

@@ -3,9 +3,10 @@
 write_npy_independent is a from-scratch NPY v1.0 emitter used as the
 oracle for the reader: it never touches numpy's own format module, so a
 bug there cannot hide in both routes. cca_oracle plays the same role for
-the whitened CCA.
+the whitened CCA, and bilinear_gather_oracle for the sparse warp operator.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -105,3 +106,43 @@ def cca_oracle(left: TruncatedSubspace, right: TruncatedSubspace) -> np.ndarray:
     rho = np.sqrt(np.clip(lam.real, 0.0, None))
     rho = np.sort(rho)[::-1]
     return rho[: min(kx, y.shape[0])]
+
+
+def bilinear_gather_oracle(z, params) -> np.ndarray:
+    """apply_affine as an explicit corner-by-corner gather over the grid.
+
+    Same inverse map and right-angle snapping as apply_affine, but each
+    corner's clipped reads are weighted and accumulated in the order
+    (0,0), (0,1), (1,0), (1,1), with out-of-grid reads multiplied by zero.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    b, c, h, w = z.shape
+    angle = params.angle_deg % 360.0
+    theta = math.radians(angle)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    if angle % 90.0 == 0.0:
+        cos_t, sin_t = float(round(cos_t)), float(round(sin_t))
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ys, xs = np.meshgrid(
+        np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"
+    )
+    ux = xs - cx - params.tx * w
+    uy = ys - cy - params.ty * h
+    src_x = (cos_t * ux - sin_t * uy) / params.scale + cx
+    src_y = (sin_t * ux + cos_t * uy) / params.scale + cy
+    x0 = np.floor(src_x).astype(np.intp)
+    y0 = np.floor(src_y).astype(np.intp)
+    fx = src_x - x0
+    fy = src_y - y0
+    flat = z.reshape(b * c, h, w)
+    out = np.zeros_like(flat)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            yy = y0 + dy
+            xx = x0 + dx
+            weight = (fy if dy else 1.0 - fy) * (fx if dx else 1.0 - fx)
+            inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+            yc = np.clip(yy, 0, h - 1)
+            xc = np.clip(xx, 0, w - 1)
+            out += flat[:, yc, xc] * (weight * inside)
+    return out.reshape(b, c, h, w)

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +242,20 @@ class TestLayers:
         man = self.write_manifest(tmp_path, entries)
         assert run_cli("layers", "--manifest", str(man),
                        "--out", str(tmp_path / "rows.csv")) == 1
+
+    def test_relative_paths_resolve_against_manifest_dir(self, tmp_path, monkeypatch):
+        data = tmp_path / "m"
+        data.mkdir()
+        entries = self.make_pair_files(data, n=2)
+        for e in entries:
+            e["ref"], e["alt"] = Path(e["ref"]).name, Path(e["alt"]).name
+        self.write_manifest(data, entries)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("layers", "--manifest", "../m/manifest.json", "--out", "rows.csv") == 0
+        lines = (elsewhere / "rows.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["layer0", "layer1"]
 
     def test_empty_manifest_ok(self, tmp_path):
         man = self.write_manifest(tmp_path, [])

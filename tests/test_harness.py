@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import seis.harness as harness
+import seis.metrics as metrics
 from seis.errors import DegenerateRankError, ValidationError
 from seis.harness import (
     ConditionSummary,
@@ -123,10 +123,10 @@ class TestRunCondition:
         assert a == b
 
     def test_errors_annotated_with_condition_and_trial(self, monkeypatch):
-        def boom(ref, alt):
+        def boom(left, right):
             raise DegenerateRankError("synthetic failure")
 
-        monkeypatch.setattr(harness, "seis", boom)
+        monkeypatch.setattr(metrics, "_score", boom)
         with pytest.raises(DegenerateRankError, match="condition identity, trial 0"):
             run_condition(SMALL, ConditionKind.IDENTITY)
 
@@ -136,6 +136,15 @@ class TestRunCondition:
         with caplog.at_level("WARNING"):
             run_condition(cfg, ConditionKind.IDENTITY)
         assert any("chance-level" in rec.message for rec in caplog.records)
+
+    def test_headroom_warning_once_per_condition(self, caplog):
+        cfg = HarnessConfig(dims=(4, 8, 10, 10), trials=3, master_seed=1,
+                            conditions=("identity", "rotation"))
+        with caplog.at_level("WARNING"):
+            run_validation_suite(cfg)
+        warned = [rec.message.split(":")[0] for rec in caplog.records
+                  if "chance-level" in rec.message]
+        assert warned == ["condition identity", "condition rotation"]
 
 
 class TestRunSuite:
@@ -166,6 +175,14 @@ class TestRunSuite:
         cfg = HarnessConfig(dims=(4, 8, 10, 10), trials=2, master_seed=23,
                             conditions=("identity", "random_baseline"))
         assert run_validation_suite(cfg) == run_validation_suite(cfg)
+
+    def test_shared_reference_matches_single_condition_runs(self):
+        # every condition scores against one shared reference subspace per
+        # trial; a reference mutated by one condition or state carried from
+        # one condition to the next would break this equality
+        cfg = HarnessConfig(dims=(4, 8, 10, 10), trials=2, master_seed=25)
+        _, rows = run_validation_suite(cfg)
+        assert rows == [row for kind in CONDITION_ORDER for row in run_condition(cfg, kind)]
 
     def test_summary_stats_match_rows(self):
         cfg = HarnessConfig(dims=(4, 8, 10, 10), trials=4, master_seed=24,

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seis.metrics import seis
+from seis.transforms import permute_spatial
 
 # s_equiv is the mean canonical correlation, well conditioned even when
 # the correlations cluster, so it moves only by rounding.
@@ -70,3 +71,21 @@ def test_equivariance_ignores_shared_observation_permutation(pair, perm_seed):
 
     base = seis(ref, alt).s_equiv
     assert abs(seis(permute_obs(ref), permute_obs(alt)).s_equiv - base) <= EQUIV_TOL
+
+
+@PROPERTY
+@given(tensor_pairs(), seeds, st.booleans())
+def test_equivariance_ignores_orthogonal_spatial_mixing(pair, mix_seed, dense):
+    # an orthogonal map on one side's spatial axis rotates its principal
+    # subspace but leaves the projected coordinates, and so every canonical
+    # correlation, unchanged
+    ref, alt = pair
+    b, c, h, w = alt.shape
+    rng = np.random.default_rng(mix_seed)
+    if dense:
+        q, _ = np.linalg.qr(rng.standard_normal((h * w, h * w)))
+        mixed = (alt.reshape(b * c, h * w) @ q.T).reshape(alt.shape)
+    else:
+        mixed = permute_spatial(alt, rng.permutation(h * w))
+    base = seis(ref, alt).s_equiv
+    assert abs(seis(ref, mixed).s_equiv - base) <= EQUIV_TOL

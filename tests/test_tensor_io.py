@@ -234,6 +234,21 @@ class TestResults:
             assert float(s_iv) == pytest.approx(row.s_inv, abs=5e-7)
             assert (int(k_a), int(k_ap), int(r)) == (row.k_a, row.k_a_prime, row.r)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_interrupted_write_keeps_existing_file(self, tmp_path, fmt):
+        path = tmp_path / f"r.{fmt}"
+        write_results([make_row()], path, format=fmt)
+        before = path.read_bytes()
+
+        def rows():
+            yield make_row(label="new")
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_results(rows(), path, format=fmt)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValidationError):
             write_results([], tmp_path / "r.tsv", format="tsv")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seis.errors import ShapeError, ValidationError
 from seis.transforms import (
@@ -12,6 +14,8 @@ from seis.transforms import (
     permute_spatial,
     sample_params,
 )
+
+from helpers import bilinear_gather_oracle
 
 
 def rand_tensor(shape, seed=0):
@@ -163,6 +167,28 @@ class TestApplyAffine:
             apply_affine(z, AffineParams(scale=0.0))
 
 
+@st.composite
+def warp_cases(draw):
+    dims = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+            draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(dims)
+    params = AffineParams(
+        tx=draw(st.floats(-1.2, 1.2)),  # past +-1 the whole grid leaves the view
+        ty=draw(st.floats(-1.2, 1.2)),
+        scale=draw(st.floats(0.3, 3.0)),
+        angle_deg=draw(st.one_of(st.sampled_from([0.0, 90.0, 180.0, 270.0, -90.0]),
+                                 st.floats(-360.0, 720.0))),
+    )
+    return z, params
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(warp_cases())
+def test_apply_affine_matches_gather_oracle_bytes(case):
+    z, params = case
+    assert apply_affine(z, params).tobytes() == bilinear_gather_oracle(z, params).tobytes()
+
+
 class TestPermuteSpatial:
     def test_identity_perm(self):
         z = rand_tensor((2, 2, 3, 3), seed=11)
@@ -172,6 +198,12 @@ class TestPermuteSpatial:
         z = np.array([[[[1.0, 2.0]]]])
         out = permute_spatial(z, np.array([1, 0]))
         assert np.array_equal(out, [[[[2.0, 1.0]]]])
+
+    def test_signed_zero_comes_out_positive(self):
+        z = np.array([[[[-0.0, 1.0]]]])
+        out = permute_spatial(z, np.array([1, 0]))
+        assert np.array_equal(out, [[[[1.0, 0.0]]]])
+        assert not np.signbit(out[0, 0, 0, 1])
 
     def test_inverse_recovers(self):
         z = rand_tensor((2, 3, 4, 5), seed=12)
