@@ -30,6 +30,7 @@ from .harness import (
     make_alternate,
     run_validation_suite,
 )
+from .matricize import matricize
 from .metrics import seis
 from .tensor_io import ResultRow, load_manifest, read_tensor, write_results, write_tensor
 from .transforms import CONDITION_ORDER, ConditionKind, make_stream
@@ -182,10 +183,13 @@ def cmd_gen(args) -> int:
         if len(kind) != 1:
             raise ValidationError("--warp takes exactly one condition kind")
         warp_seed = args.warp_seed if args.warp_seed is not None else args.seed
-        alt = make_alternate(cfg, ref, kind[0], make_stream(warp_seed, 0, ROLE_ALTERNATE))
+        alt = make_alternate(
+            cfg, matricize(ref), kind[0], make_stream(warp_seed, 0, ROLE_ALTERNATE)
+        )
         out = Path(args.out)
         alt_path = out.with_name(out.stem + "_alt" + out.suffix)
-        write_tensor(alt, alt_path)
+        # the (b, c, h, w) tensor view of the (h*w, b*c) spatial matrix
+        write_tensor(alt.T.reshape(dims), alt_path)
         logger.info("wrote %s (%s warp)", alt_path, kind[0].value)
     return 0
 

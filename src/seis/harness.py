@@ -17,11 +17,12 @@ from scipy import ndimage
 
 from . import metrics
 from .errors import SeisError, ValidationError
+from .matricize import matricize
 from .tensor_io import ResultRow
 from .transforms import (
     CONDITION_ORDER,
     ConditionKind,
-    apply_affine,
+    affine_operator,
     make_stream,
     sample_params,
 )
@@ -95,28 +96,32 @@ def gen_synthetic_activations(cfg: HarnessConfig, rng: np.random.Generator) -> n
     """
     x = rng.standard_normal(cfg.dims)
     x = ndimage.gaussian_filter(x, sigma=(0.0, 0.0, cfg.smoothness, cfg.smoothness))
-    mean = x.mean(axis=(2, 3), keepdims=True)
-    std = x.std(axis=(2, 3), keepdims=True)
-    return (x - mean) / std
+    # in place, and bit-equal to (x - x.mean(...)) / x.std(...)
+    x -= x.mean(axis=(2, 3), keepdims=True)
+    x /= np.sqrt(np.mean(np.square(x), axis=(2, 3), keepdims=True))
+    return x
 
 
 def make_alternate(cfg: HarnessConfig, ref: np.ndarray, kind, rng) -> np.ndarray:
-    """Build the comparison tensor for one condition.
+    """Build the comparison matrix for one condition.
 
-    identity copies the reference bit-exactly; the geometric conditions
-    warp it with freshly sampled parameters; the random baseline draws an
-    independent field from the same smooth ensemble. Matching the null's
-    spectrum to the reference keeps both truncated subspaces at comparable
-    rank, so chance-level scores sit at the sqrt(k/n) floor instead of
-    being inflated by the near-full-rank spectrum a raw white-noise
-    alternate would retain.
+    ref is the reference's (h*w, b*c) spatial matrix (see matricize), and
+    the result is a new matrix of the same layout. identity copies the
+    reference bit-exactly; the geometric conditions warp it by the
+    affine_operator of freshly sampled parameters, one sparse product for
+    all slices; the random baseline draws an independent field from the
+    same smooth ensemble. Matching the null's spectrum to the reference
+    keeps both truncated subspaces at comparable rank, so chance-level
+    scores sit at the sqrt(k/n) floor instead of being inflated by the
+    near-full-rank spectrum a raw white-noise alternate would retain.
     """
     kind = ConditionKind(kind)
     if kind is ConditionKind.IDENTITY:
         return ref.copy()
     if kind is ConditionKind.RANDOM_BASELINE:
-        return gen_synthetic_activations(cfg, rng)
-    return apply_affine(ref, sample_params(kind, rng))
+        return matricize(gen_synthetic_activations(cfg, rng))
+    op = affine_operator(cfg.dims[2], cfg.dims[3], sample_params(kind, rng))
+    return ref.copy() if op is None else op @ ref
 
 
 def run_condition(cfg: HarnessConfig, kind) -> list:
@@ -130,10 +135,12 @@ def run_validation_suite(cfg: HarnessConfig):
     Trial t draws its reference from stream (seed, t, 0) and each
     condition's alternate material from a fresh stream (seed, t, 1), so
     trials are independent and a row does not depend on which other
-    conditions run. Each trial's reference and its subspace are built once
-    and shared by all conditions. Conditions report in the canonical order
-    identity, translation, scaling, rotation, affine, random_baseline
-    regardless of the order they appear in the config.
+    conditions run. Each trial's reference is matricized and its subspace
+    built once; every condition's alternate is made from that matrix, and
+    identity scores the reference subspace against itself. Conditions
+    report in the canonical order identity, translation, scaling,
+    rotation, affine, random_baseline regardless of the order they appear
+    in the config.
     """
     kinds = [kind for kind in CONDITION_ORDER if kind in cfg.conditions]
     n_obs = cfg.dims[0] * cfg.dims[1]
@@ -142,16 +149,19 @@ def run_validation_suite(cfg: HarnessConfig):
     for trial in range(cfg.trials):
         where = f"trial {trial}"
         try:
-            ref = gen_synthetic_activations(
+            ref = matricize(gen_synthetic_activations(
                 cfg, make_stream(cfg.master_seed, trial, ROLE_REFERENCE)
-            )
-            ref_side = metrics._side_subspace("reference", ref)
+            ))
+            ref_side = metrics._side_subspace("reference", ref.copy())
             for kind in kinds:
                 where = f"condition {kind.value}, trial {trial}"
-                alt = make_alternate(
-                    cfg, ref, kind, make_stream(cfg.master_seed, trial, ROLE_ALTERNATE)
-                )
-                scores = metrics._score(ref_side, metrics._side_subspace("alternate", alt))
+                alt_side = ref_side
+                if kind is not ConditionKind.IDENTITY:
+                    alt = make_alternate(
+                        cfg, ref, kind, make_stream(cfg.master_seed, trial, ROLE_ALTERNATE)
+                    )
+                    alt_side = metrics._side_subspace("alternate", alt)
+                scores = metrics._score(ref_side, alt_side)
                 k_max = max(scores.k_a, scores.k_a_prime)
                 if kind not in warned and n_obs < CHANCE_HEADROOM * k_max:
                     logger.warning(

@@ -27,13 +27,20 @@ def center_rows(a) -> np.ndarray:
 
     Centering happens here, before any SVD, so the truncated basis is a
     true principal subspace and the canonical variates downstream come out
-    centered. Idempotent. Requires at least two observations.
+    centered. Idempotent. Requires at least two observations. The input is
+    left untouched.
     """
-    a = np.asarray(a, dtype=np.float64)
+    return _center_in_place(np.array(a, dtype=np.float64))
+
+
+def _center_in_place(a: np.ndarray) -> np.ndarray:
+    """center_rows on a float64 matrix the caller owns, overwriting and
+    returning it; the result is bit-equal to center_rows(a)."""
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[1] < 2:
         raise DegenerateSampleError(
             f"centering needs at least 2 observations, got {a.shape[1]}"
         )
-    return a - a.mean(axis=1)[:, None]
+    a -= a.mean(axis=1)[:, None]
+    return a

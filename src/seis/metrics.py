@@ -21,7 +21,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import CcaResult, cca, row_cosines, spatial_subspace
-from .matricize import center_rows, matricize
+from .matricize import _center_in_place, matricize
 
 # The cosine/mean-correlation identity is exact for centered variates; if
 # it ever drifts past this, something upstream broke.
@@ -94,9 +94,11 @@ def invariance_score(c: CcaResult, left_basis, right_basis) -> float:
     return min(float(np.sum(c.correlations * cosines) / c.r), 1.0)
 
 
-def _side_subspace(side, z):
+def _side_subspace(side, matrix):
+    """Truncated subspace of one side's (d, n) spatial matrix, which must be
+    a float64 array the caller owns: it is centered in place."""
     try:
-        return spatial_subspace(center_rows(matricize(z)))
+        return spatial_subspace(_center_in_place(matrix))
     except (DegenerateRankError, DegenerateSampleError) as exc:
         raise type(exc)(f"{side} tensor: {exc}") from exc
 
@@ -125,4 +127,7 @@ def seis(z_ref, z_alt) -> SeisScores:
     """
     if np.shape(z_ref) != np.shape(z_alt):
         raise ShapeError(f"tensor dims differ: {np.shape(z_ref)} vs {np.shape(z_alt)}")
-    return _score(_side_subspace("reference", z_ref), _side_subspace("alternate", z_alt))
+    return _score(
+        _side_subspace("reference", matricize(z_ref)),
+        _side_subspace("alternate", matricize(z_alt)),
+    )

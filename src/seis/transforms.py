@@ -125,21 +125,22 @@ def sample_params(kind, rng: np.random.Generator) -> AffineParams:
     return AffineParams(tx=tx, ty=ty, scale=scale, angle_deg=angle)
 
 
-def apply_affine(z, params: AffineParams) -> np.ndarray:
-    """Warp every (batch, channel) slice of a tensor by the same affine map.
+def affine_operator(h: int, w: int, params: AffineParams):
+    """The sparse (h*w, h*w) bilinear operator of an affine warp on an h x w grid.
 
     Forward model: scale about the grid center, rotate about the center,
     then translate by (tx*w, ty*h) pixels. The center is at
     ((h-1)/2, (w-1)/2) with pixel centers on integer coordinates, which
     makes right-angle rotations of square grids exact permutations.
     Sampling goes through the composed inverse map with bilinear
-    interpolation; reads outside the grid contribute zero. Identity
-    parameters return a bit-exact copy, and the trig factors of
-    right-angle rotations are snapped to integers so those paths reduce
-    to exact index remaps.
+    interpolation; reads outside the grid contribute zero. The trig
+    factors of right-angle rotations are snapped to integers so those
+    operators reduce to exact index remaps. Identity parameters need no
+    resampling and return None.
+
+    Left-multiplying a (h*w, n) spatial matrix by the operator warps every
+    one of its n slices.
     """
-    z = validate_tensor(z)
-    h, w = z.shape[2:]
     if h < 2 or w < 2:
         raise ShapeError(f"warping needs h >= 2 and w >= 2, got ({h}, {w})")
     for name in ("tx", "ty", "scale", "angle_deg"):
@@ -148,7 +149,7 @@ def apply_affine(z, params: AffineParams) -> np.ndarray:
     if params.scale <= 0.0:
         raise ValidationError(f"scale must be positive, got {params.scale}")
     if params.is_identity():
-        return z.copy()
+        return None
 
     angle = params.angle_deg % 360.0
     theta = math.radians(angle)
@@ -173,8 +174,18 @@ def apply_affine(z, params: AffineParams) -> np.ndarray:
     weight = np.hstack([1.0 - fy, 1.0 - fy, fy, fy]) * np.hstack([1.0 - fx, fx, 1.0 - fx, fx])
     inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
     cells, sources = np.nonzero(inside)[0], (yy * w + xx)[inside].astype(np.intp)
-    op = sparse.csr_array((weight[inside], (cells, sources)), shape=(h * w, h * w))
-    return _apply_spatial(z, op)
+    return sparse.csr_array((weight[inside], (cells, sources)), shape=(h * w, h * w))
+
+
+def apply_affine(z, params: AffineParams) -> np.ndarray:
+    """Warp every (batch, channel) slice of a tensor by the same affine map.
+
+    The warp is the operator of affine_operator applied to the spatial
+    axis; identity parameters return a bit-exact copy.
+    """
+    z = validate_tensor(z)
+    op = affine_operator(z.shape[2], z.shape[3], params)
+    return z.copy() if op is None else _apply_spatial(z, op)
 
 
 def permute_spatial(z, perm) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from seis.cli import main as cli_main
-from seis.harness import HarnessConfig, run_condition
+from seis.harness import HarnessConfig, run_condition, run_validation_suite
 from seis.linalg import cca, spatial_subspace
 from seis.matricize import center_rows, matricize
 from seis.metrics import seis
@@ -54,25 +54,27 @@ def mean_of(rows, attr):
 
 @pytest.fixture(scope="module")
 def default_suite():
-    """Full default run, timed per condition; identity first."""
+    """Full default run in one suite call, rows grouped by condition, plus
+    a separately timed identity-only run and its rows."""
     cfg = HarnessConfig(master_seed=MASTER_SEED)
-    rows = {}
-    elapsed = {}
-    for kind in cfg.conditions:
-        t0 = time.perf_counter()
-        rows[kind] = run_condition(cfg, kind)
-        elapsed[kind] = time.perf_counter() - t0
-    return cfg, rows, elapsed
+    _, suite_rows = run_validation_suite(cfg)
+    rows = {kind: [r for r in suite_rows if r.condition == kind.value]
+            for kind in cfg.conditions}
+    t0 = time.perf_counter()
+    identity_rows = run_condition(cfg, ConditionKind.IDENTITY)
+    identity_runtime = time.perf_counter() - t0
+    return cfg, rows, (identity_rows, identity_runtime)
 
 
 def test_criterion_1_identity_regime(default_suite):
-    _, rows, elapsed = default_suite
+    _, rows, (identity_rows, runtime) = default_suite
     ident = rows[ConditionKind.IDENTITY]
     worst_eq = min(r.s_equiv for r in ident)
     worst_inv = min(r.s_inv for r in ident)
-    runtime = elapsed[ConditionKind.IDENTITY]
+    same_rows = identity_rows == ident
     ok = (
         len(ident) == 50
+        and same_rows
         and worst_eq >= IDENTITY_EQUIV_FLOOR
         and worst_inv >= IDENTITY_INV_FLOOR
         and runtime < IDENTITY_RUNTIME_BUDGET
@@ -81,7 +83,8 @@ def test_criterion_1_identity_regime(default_suite):
         1, ok,
         f"identity 50 trials: min s_equiv={worst_eq:.6f} (>= {IDENTITY_EQUIV_FLOOR}), "
         f"min s_inv={worst_inv:.6f} (>= {IDENTITY_INV_FLOOR}), "
-        f"runtime {runtime:.1f}s (< {IDENTITY_RUNTIME_BUDGET:.0f}s)",
+        f"identity-only run equals the suite's identity rows: {same_rows}, "
+        f"its runtime {runtime:.1f}s (< {IDENTITY_RUNTIME_BUDGET:.0f}s)",
     )
 
 

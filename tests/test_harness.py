@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import seis.harness as harness
 import seis.metrics as metrics
 from seis.errors import DegenerateRankError, ValidationError
 from seis.harness import (
@@ -11,7 +12,14 @@ from seis.harness import (
     run_condition,
     run_validation_suite,
 )
-from seis.transforms import CONDITION_ORDER, ConditionKind, make_stream
+from seis.matricize import matricize
+from seis.transforms import (
+    CONDITION_ORDER,
+    AffineParams,
+    ConditionKind,
+    apply_affine,
+    make_stream,
+)
 
 SMALL = HarnessConfig(dims=(4, 8, 10, 10), trials=3, master_seed=11)
 
@@ -77,7 +85,7 @@ class TestSyntheticFields:
 
 class TestMakeAlternate:
     def setup_method(self):
-        self.ref = gen_synthetic_activations(SMALL, make_stream(5, 0, 0))
+        self.ref = matricize(gen_synthetic_activations(SMALL, make_stream(5, 0, 0)))
 
     def test_identity_copies(self):
         alt = make_alternate(SMALL, self.ref, ConditionKind.IDENTITY, make_stream(5, 0, 1))
@@ -93,8 +101,8 @@ class TestMakeAlternate:
         alt = make_alternate(
             SMALL, self.ref, ConditionKind.RANDOM_BASELINE, make_stream(5, 0, 1)
         )
-        # same smooth ensemble: standardized slices and spatial correlation
-        assert np.max(np.abs(alt.mean(axis=(2, 3)))) <= 1e-12
+        # same smooth ensemble: standardized slices (the matrix's columns)
+        assert np.max(np.abs(alt.mean(axis=0))) <= 1e-12
         flat_corr = np.corrcoef(alt.ravel(), self.ref.ravel())[0, 1]
         assert abs(flat_corr) < 0.1
 
@@ -102,6 +110,29 @@ class TestMakeAlternate:
         a = make_alternate(SMALL, self.ref, ConditionKind.AFFINE, make_stream(5, 0, 1))
         b = make_alternate(SMALL, self.ref, ConditionKind.AFFINE, make_stream(5, 0, 1))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("params", [
+        AffineParams(angle_deg=90.0),
+        AffineParams(angle_deg=180.0),
+        AffineParams(angle_deg=-90.0),
+        AffineParams(tx=0.37 / 10.0, ty=-1.6 / 10.0),
+        AffineParams(tx=-0.93, ty=1.05),
+        AffineParams(scale=0.55),
+        AffineParams(scale=1.25, angle_deg=33.0),
+        AffineParams(scale=2.9, angle_deg=211.0, tx=0.05, ty=0.02),
+        AffineParams(),
+    ])
+    def test_warp_matches_tensor_warp_bytes(self, monkeypatch, params):
+        # the matrix-path warp against the tensor warp, matricized: the same
+        # operator rows summed in the same order, so the bytes must agree
+        tensor = gen_synthetic_activations(SMALL, make_stream(5, 0, 0))
+        monkeypatch.setattr(harness, "sample_params", lambda kind, rng: params)
+        alt = make_alternate(
+            SMALL, matricize(tensor), ConditionKind.AFFINE, make_stream(5, 0, 1)
+        )
+        expected = matricize(apply_affine(tensor, params))
+        assert alt.flags.c_contiguous
+        assert alt.tobytes() == expected.tobytes()
 
 
 class TestRunCondition:
@@ -183,6 +214,21 @@ class TestRunSuite:
         cfg = HarnessConfig(dims=(4, 8, 10, 10), trials=2, master_seed=25)
         _, rows = run_validation_suite(cfg)
         assert rows == [row for kind in CONDITION_ORDER for row in run_condition(cfg, kind)]
+
+    def test_one_subspace_per_reference_and_non_identity_alternate(self, monkeypatch):
+        # identity shares the reference subspace, so six conditions over
+        # T trials build 6*T subspaces: T references and 5*T alternates
+        calls = []
+        real = metrics.spatial_subspace
+
+        def counting(centered):
+            calls.append(centered.shape)
+            return real(centered)
+
+        monkeypatch.setattr(metrics, "spatial_subspace", counting)
+        cfg = HarnessConfig(dims=(4, 8, 10, 10), trials=3, master_seed=26)
+        run_validation_suite(cfg)
+        assert len(calls) == 6 * cfg.trials
 
     def test_summary_stats_match_rows(self):
         cfg = HarnessConfig(dims=(4, 8, 10, 10), trials=4, master_seed=24,

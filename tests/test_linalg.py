@@ -20,6 +20,23 @@ def centered_noise(k, n, seed):
     return center_rows(rng.standard_normal((k, n)))
 
 
+def assert_matches_svd_route(m):
+    # reference: LAPACK thin SVD with the same floor and 99% budget
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    power = s[s >= 1e-12 * s[0]] ** 2
+    frac = np.cumsum(power) / power.sum()
+    k = int(np.searchsorted(frac, 0.99) + 1)
+    via_gram = spatial_subspace(m)
+    assert via_gram.k == k
+    assert np.allclose(via_gram.singular_values, s[:k], rtol=1e-9, atol=1e-12)
+    # bases agree column-wise up to sign
+    sign = np.sign(np.sum(via_gram.basis * u[:, :k], axis=0))
+    assert np.allclose(via_gram.basis * sign, u[:, :k], atol=1e-8)
+    assert np.allclose(via_gram.projected * sign[:, None], u[:, :k].T @ m,
+                       atol=1e-8)
+    assert via_gram.retained_variance == pytest.approx(frac[k - 1], abs=1e-12)
+
+
 class TestTruncate99:
     """The rank-floor-plus-99% rule, fed exact spectra."""
 
@@ -73,21 +90,21 @@ class TestTruncate99:
 class TestSpatialSubspace:
     @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (25, 25)])
     def test_matches_svd_route(self, shape):
-        m = centered_noise(*shape, seed=shape[0])
-        # reference: LAPACK thin SVD with the same floor and 99% budget
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        power = s[s >= 1e-12 * s[0]] ** 2
-        frac = np.cumsum(power) / power.sum()
-        k = int(np.searchsorted(frac, 0.99) + 1)
-        via_gram = spatial_subspace(m)
-        assert via_gram.k == k
-        assert np.allclose(via_gram.singular_values, s[:k], rtol=1e-9, atol=1e-12)
-        # bases agree column-wise up to sign
-        sign = np.sign(np.sum(via_gram.basis * u[:, :k], axis=0))
-        assert np.allclose(via_gram.basis * sign, u[:, :k], atol=1e-8)
-        assert np.allclose(via_gram.projected * sign[:, None], u[:, :k].T @ m,
-                           atol=1e-8)
-        assert via_gram.retained_variance == pytest.approx(frac[k - 1], abs=1e-12)
+        assert_matches_svd_route(centered_noise(*shape, seed=shape[0]))
+
+    def test_tall_low_rank_matches_svd_route(self):
+        # 120 cells by 40 observations: 10 dead rows, and the last 20
+        # observations duplicate the first 20 with a fast-decaying spectrum,
+        # so the Gram has null directions (the rank floor keeps fewer than
+        # n columns) and the 99% cut keeps far fewer still
+        rng = np.random.default_rng(7)
+        half = rng.standard_normal((120, 20)) * 0.5 ** np.arange(20)
+        half[:10] = 0.0
+        m = center_rows(np.hstack([half, half]))
+        s = np.sqrt(np.clip(np.linalg.eigvalsh(m.T @ m)[::-1], 0.0, None))
+        kept, k, _ = _truncation_rank(s)
+        assert k <= 8 and np.count_nonzero(kept) < 40
+        assert_matches_svd_route(m)
 
     def test_basis_orthonormal_tall(self):
         sub = spatial_subspace(centered_noise(80, 20, seed=1))
