@@ -32,7 +32,7 @@ from .harness import (
 )
 from .matricize import matricize
 from .metrics import seis
-from .tensor_io import ResultRow, load_manifest, read_tensor, write_results, write_tensor
+from .tensor_io import ResultRow, _load_npy, load_manifest, write_results, write_tensor
 from .transforms import CONDITION_ORDER, ConditionKind, make_stream
 
 logger = logging.getLogger(__name__)
@@ -108,9 +108,8 @@ def _merged(args, key, fallback, kinds=(str,)):
 
 
 def cmd_score(args) -> int:
-    ref = read_tensor(args.ref)
-    alt = read_tensor(args.alt)
-    scores = seis(ref, alt)
+    # seis() widens each dump to float64 as it matricizes it
+    scores = seis(_load_npy(args.ref), _load_npy(args.alt))
     print(
         f"s_equiv={scores.s_equiv:.6f} s_inv={scores.s_inv:.6f} "
         f"k_a={scores.k_a} k_a_prime={scores.k_a_prime} r={scores.r}"
@@ -154,7 +153,7 @@ def cmd_layers(args) -> int:
     failures = 0
     for entry in manifest:
         try:
-            scores = seis(read_tensor(base / entry.ref_path), read_tensor(base / entry.alt_path))
+            scores = seis(_load_npy(base / entry.ref_path), _load_npy(base / entry.alt_path))
         except (SeisError, OSError) as exc:
             logger.warning("skipping entry %r: %s", entry.label, exc)
             failures += 1

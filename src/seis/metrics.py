@@ -119,11 +119,11 @@ def _score(left, right) -> SeisScores:
 def seis(z_ref, z_alt) -> SeisScores:
     """Score a pair of equally-shaped activation tensors.
 
-    Pipeline: matricize both tensors spatially (which validates them),
-    center each row over the observations, truncate to the 99%-variance
-    spatial subspace, run CCA between the projected coordinates, then
-    aggregate the equivariance and invariance scores. Deterministic for
-    fixed inputs.
+    Pipeline: matricize both tensors spatially (which validates them at
+    their own precision and widens them to float64), center each row over
+    the observations, truncate to the 99%-variance spatial subspace, run
+    CCA between the projected coordinates, then aggregate the equivariance
+    and invariance scores. Deterministic for fixed inputs.
     """
     if np.shape(z_ref) != np.shape(z_alt):
         raise ShapeError(f"tensor dims differ: {np.shape(z_ref)} vs {np.shape(z_alt)}")

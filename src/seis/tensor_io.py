@@ -2,9 +2,10 @@
 
 Activation tensors travel as NPY files (v1.0/v2.0 readable, v1.0 written):
 the format is unambiguous and every major numerical ecosystem can produce
-it. Only 4-D float32/float64 arrays are accepted; values are widened to
-float64 on load and the layout normalized to C order, so downstream code
-never sees mixed precisions or Fortran strides.
+it. Only 4-D float32/float64 arrays are accepted. read_tensor still returns
+them widened to float64 in C order, but the scoring path (the CLI and
+seis()) checks a dump at its stored precision and leaves the widening to
+matricize, whose one transposing copy builds the float64 spatial matrix.
 """
 
 import csv
@@ -28,32 +29,50 @@ NPY_MAGIC = b"\x93NUMPY"
 SCORE_FIELDS = ("s_equiv", "s_inv")
 
 
-def validate_tensor(t) -> np.ndarray:
-    """Check the (b, c, h, w) tensor contract and normalize the layout.
+# dtype kinds with real values: bool, signed and unsigned int, float
+_REAL_KINDS = "biuf"
 
-    Returns a C-contiguous float64 view or copy. Raises ShapeError for
-    wrong dimensionality and ValidationError for non-finite entries,
-    naming the first offending flat index.
+
+def _check_tensor(t) -> np.ndarray:
+    """Check the (b, c, h, w) tensor contract on the array's own dtype.
+
+    Returns np.asarray(t) without a copy; only a float type wider than
+    float64 is narrowed to float64 first, so that values beyond float64's
+    range count as non-finite. Raises ShapeError for wrong dimensionality,
+    DtypeError for a dtype without real values (complex, string, datetime,
+    object, ...) and ValidationError for non-finite entries, naming the
+    first offending flat index.
     """
     arr = np.asarray(t)
     if arr.ndim != 4:
         raise ShapeError(f"expected a 4-D (b, c, h, w) tensor, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
         raise ShapeError(f"all tensor dims must be >= 1, got {arr.shape}")
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(arr.ravel()))
-    if bad.size:
+    if arr.dtype.kind not in _REAL_KINDS:
+        raise DtypeError(f"unsupported dtype {arr.dtype}, need bool, integer or float values")
+    if arr.dtype.kind == "f" and arr.dtype.itemsize > 8:
+        arr = arr.astype(np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.ravel())
         raise ValidationError(f"non-finite value at flat index {int(bad[0])}")
     return arr
 
 
-def read_tensor(path) -> np.ndarray:
-    """Load a 4-D activation tensor from an NPY file.
+def validate_tensor(t) -> np.ndarray:
+    """Check the (b, c, h, w) tensor contract and normalize the layout.
 
-    Accepts v1.0/v2.0 containers holding float32/float64 data in either
-    C or Fortran order; both encodings of the same logical array load to
-    identical tensors.
+    Returns a C-contiguous float64 view or copy. Raises ShapeError for
+    wrong dimensionality, DtypeError for a dtype without real values and
+    ValidationError for non-finite entries, naming the first offending
+    flat index.
     """
+    return np.ascontiguousarray(_check_tensor(t), dtype=np.float64)
+
+
+def _load_npy(path) -> np.ndarray:
+    """read_tensor's checks, returning the array at its stored precision
+    (float32 or float64, C or Fortran order)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(NPY_MAGIC))
         if magic != NPY_MAGIC:
@@ -68,9 +87,19 @@ def read_tensor(path) -> np.ndarray:
     if arr.dtype.kind != "f" or arr.dtype.itemsize not in (4, 8):
         raise DtypeError(f"{path}: unsupported dtype {arr.dtype}, need float32/float64")
     try:
-        return validate_tensor(arr)
+        return _check_tensor(arr)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def read_tensor(path) -> np.ndarray:
+    """Load a 4-D activation tensor from an NPY file as C-order float64.
+
+    Accepts v1.0/v2.0 containers holding float32/float64 data in either
+    C or Fortran order; both encodings of the same logical array load to
+    identical tensors.
+    """
+    return np.ascontiguousarray(_load_npy(path), dtype=np.float64)
 
 
 def write_tensor(t, path) -> None:

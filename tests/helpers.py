@@ -3,7 +3,8 @@
 write_npy_independent is a from-scratch NPY v1.0 emitter used as the
 oracle for the reader: it never touches numpy's own format module, so a
 bug there cannot hide in both routes. cca_oracle plays the same role for
-the whitened CCA, and bilinear_gather_oracle for the sparse warp operator.
+the whitened CCA, bilinear_gather_oracle for the sparse warp operator, and
+full_lift_subspace for the k-column lift of spatial_subspace's tall route.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from seis.errors import OracleError, ShapeError
-from seis.linalg import TruncatedSubspace, spatial_subspace
+from seis.linalg import TruncatedSubspace, _truncation_rank, spatial_subspace
 from seis.matricize import center_rows, matricize
 
 
@@ -66,6 +67,43 @@ def subspace_of_tensor(z) -> TruncatedSubspace:
 def subspace_of_matrix(m) -> TruncatedSubspace:
     """Truncated subspace of a raw matrix after row centering."""
     return spatial_subspace(center_rows(np.asarray(m, dtype=np.float64)))
+
+
+def full_lift_subspace(centered) -> TruncatedSubspace:
+    """spatial_subspace of a tall (d > n) centered matrix, lifting every
+    eigenvector above the rank floor, centered @ v / s, and then keeping the
+    first k lifted columns."""
+    centered = np.asarray(centered, dtype=np.float64)
+    d, n = centered.shape
+    if d <= n:
+        raise ShapeError(f"the full lift needs a tall matrix, got {centered.shape}")
+    lam, vecs = np.linalg.eigh(centered.T @ centered)
+    s = np.sqrt(np.clip(lam[::-1], 0.0, None))
+    vecs = vecs[:, ::-1]
+    kept, k, retained = _truncation_rank(s)
+    lifted = (centered @ vecs[:, kept]) / s[kept]
+    basis = np.ascontiguousarray(lifted[:, :k])
+    return TruncatedSubspace(
+        basis=basis,
+        singular_values=s[:k].copy(),
+        projected=basis.T @ centered,
+        retained_variance=retained,
+        k=k,
+    )
+
+
+# dtype kinds without real values, which the tensor contract rejects
+NON_REAL_KINDS = ("complex", "str", "datetime64")
+
+
+def non_real_tensor(kind) -> np.ndarray:
+    """A (2, 3, 4, 4) tensor of one of NON_REAL_KINDS."""
+    base = np.arange(96).reshape(2, 3, 4, 4)
+    return {
+        "complex": base + 1j * base,
+        "str": base.astype(str),
+        "datetime64": base.astype("datetime64[s]"),
+    }[kind]
 
 
 def replace_projected(sub: TruncatedSubspace, projected) -> TruncatedSubspace:

@@ -10,7 +10,7 @@ from seis.matricize import matricize
 from seis.tensor_io import read_tensor, write_tensor
 from seis.transforms import AffineParams, apply_affine, permute_spatial
 
-from helpers import smooth_tensor
+from helpers import smooth_tensor, write_npy_independent
 
 
 def run_cli(*argv):
@@ -54,6 +54,18 @@ class TestScore:
         out = capsys.readouterr().out
         s_equiv = float(re.search(r"s_equiv=(\d\.\d+)", out).group(1))
         assert s_equiv >= 0.999
+
+    def test_float32_file_scores_like_its_float64_widening(self, tmp_path, ref_file, capsys):
+        ref = read_tensor(ref_file).astype(np.float32)
+        alt = apply_affine(ref, AffineParams(angle_deg=30.0)).astype(np.float32)
+        lines = []
+        for descr in ("<f4", "<f8"):
+            paths = [tmp_path / f"{name}_{descr[1:]}.npy" for name in ("ref", "alt")]
+            write_npy_independent(paths[0], ref, descr=descr)
+            write_npy_independent(paths[1], alt, descr=descr)
+            assert run_cli("score", *map(str, paths)) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
 
     def test_shape_mismatch_exit_1(self, tmp_path, ref_file, capsys):
         other = tmp_path / "other.npy"
@@ -256,6 +268,41 @@ class TestLayers:
         assert run_cli("layers", "--manifest", "../m/manifest.json", "--out", "rows.csv") == 0
         lines = (elsewhere / "rows.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["layer0", "layer1"]
+
+    def test_float32_dumps_score_like_their_float64_widening(self, tmp_path):
+        # a tall (d > n) and a wide layer, each against a rotated copy; the
+        # float32 dumps are widened in matricize, the float64 ones on disk
+        pairs = {}
+        for label, dims in (("tall", (2, 8, 12, 12)), ("wide", (4, 16, 6, 6))):
+            z = smooth_tensor(dims, seed=len(label)).astype(np.float32)
+            pairs[label] = (z, apply_affine(z, AffineParams(angle_deg=20.0)).astype(np.float32))
+        rows = {}
+        for descr in ("<f4", "<f8"):
+            entries = []
+            for label, pair in pairs.items():
+                paths = [tmp_path / f"{label}{i}_{descr[1:]}.npy" for i in (0, 1)]
+                for path, t in zip(paths, pair):
+                    write_npy_independent(path, t, descr=descr)
+                entries.append({"label": label, "ref": str(paths[0]), "alt": str(paths[1])})
+            man = self.write_manifest(tmp_path, entries)
+            out = tmp_path / f"rows_{descr[1:]}.csv"
+            assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 0
+            rows[descr] = out.read_bytes()
+        assert rows["<f4"] == rows["<f8"]
+
+    def test_nonfinite_float32_dump_skipped_with_path_and_index(self, tmp_path, capsys):
+        entries = self.make_pair_files(tmp_path, n=2)
+        bad = smooth_tensor((3, 4, 8, 8), seed=11).astype(np.float32)
+        bad[0, 1, 2, 3] = np.inf  # flat index 64 + 16 + 3 = 83
+        bad_path = tmp_path / "bad32.npy"
+        write_npy_independent(bad_path, bad, descr="<f4")
+        entries[1]["ref"] = str(bad_path)
+        man = self.write_manifest(tmp_path, entries)
+        out = tmp_path / "rows.csv"
+        assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 2
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["layer0"]
+        err = capsys.readouterr().err
+        assert "layer1" in err and str(bad_path) in err and "flat index 83" in err
 
     def test_empty_manifest_ok(self, tmp_path):
         man = self.write_manifest(tmp_path, [])

@@ -10,9 +10,15 @@ from seis.errors import (
     ValidationError,
 )
 from seis.linalg import _truncation_rank, cca, row_cosines, spatial_subspace
-from seis.matricize import center_rows
+from seis.matricize import center_rows, matricize
 
-from helpers import cca_oracle, replace_projected, subspace_of_matrix
+from helpers import (
+    cca_oracle,
+    full_lift_subspace,
+    replace_projected,
+    smooth_tensor,
+    subspace_of_matrix,
+)
 
 
 def centered_noise(k, n, seed):
@@ -87,20 +93,57 @@ class TestTruncate99:
             assert frac[sub.k - 2] < 0.99
 
 
+def tall_low_rank_matrix():
+    # 120 cells by 40 observations: 10 dead rows, and the last 20
+    # observations duplicate the first 20 with a fast-decaying spectrum,
+    # so the Gram has null directions (the rank floor keeps fewer than
+    # n columns) and the 99% cut keeps far fewer still
+    rng = np.random.default_rng(7)
+    half = rng.standard_normal((120, 20)) * 0.5 ** np.arange(20)
+    half[:10] = 0.0
+    return center_rows(np.hstack([half, half]))
+
+
+# The k-column lift and the full lift run different GEMMs, which may order
+# their sums differently: the unit-norm basis columns then differ by about
+# 1e-16, and the projected coordinates by as much relative to their scale.
+LIFT_TOL = 1e-15
+
+
+def white_matrix(dims, seed):
+    return matricize(np.random.default_rng(seed).standard_normal(dims))
+
+
+TALL_CASES = {
+    "white(3,50,15,15)": lambda: white_matrix((3, 50, 15, 15), 0),
+    "white(2,16,6,6)": lambda: white_matrix((2, 16, 6, 6), 1),
+    "smooth(2,8,10,10)": lambda: matricize(smooth_tensor((2, 8, 10, 10), seed=3)),
+    "noise(300,64)": lambda: np.random.default_rng(2).standard_normal((300, 64)),
+    "rank-floor": tall_low_rank_matrix,
+}
+
+
 class TestSpatialSubspace:
+    @pytest.mark.parametrize("case", sorted(TALL_CASES))
+    def test_tall_lift_matches_full_lift(self, case):
+        m = center_rows(TALL_CASES[case]())
+        assert m.shape[0] > m.shape[1]
+        sub = spatial_subspace(m)
+        ref = full_lift_subspace(m)
+        assert sub.k == ref.k
+        assert sub.retained_variance == ref.retained_variance
+        np.testing.assert_allclose(sub.singular_values, ref.singular_values,
+                                   rtol=0, atol=LIFT_TOL * ref.singular_values[0])
+        np.testing.assert_allclose(sub.basis, ref.basis, rtol=0, atol=LIFT_TOL)
+        np.testing.assert_allclose(sub.projected, ref.projected, rtol=0,
+                                   atol=LIFT_TOL * np.abs(ref.projected).max())
+
     @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (25, 25)])
     def test_matches_svd_route(self, shape):
         assert_matches_svd_route(centered_noise(*shape, seed=shape[0]))
 
     def test_tall_low_rank_matches_svd_route(self):
-        # 120 cells by 40 observations: 10 dead rows, and the last 20
-        # observations duplicate the first 20 with a fast-decaying spectrum,
-        # so the Gram has null directions (the rank floor keeps fewer than
-        # n columns) and the 99% cut keeps far fewer still
-        rng = np.random.default_rng(7)
-        half = rng.standard_normal((120, 20)) * 0.5 ** np.arange(20)
-        half[:10] = 0.0
-        m = center_rows(np.hstack([half, half]))
+        m = tall_low_rank_matrix()
         s = np.sqrt(np.clip(np.linalg.eigvalsh(m.T @ m)[::-1], 0.0, None))
         kept, k, _ = _truncation_rank(s)
         assert k <= 8 and np.count_nonzero(kept) < 40

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from seis.errors import DegenerateSampleError, ShapeError
+from seis.errors import DegenerateSampleError, DtypeError, ShapeError
 from seis.matricize import center_rows, matricize
 from seis.transforms import permute_spatial
 
-from helpers import dematricize
+from helpers import NON_REAL_KINDS, dematricize, non_real_tensor
 
 
 def rand_tensor(shape, seed=0):
@@ -32,6 +32,26 @@ class TestMatricize:
                 for y in range(h):
                     for x in range(w):
                         assert a[y * w + x, i * c + j] == z[i, j, y, x]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_float32_widens_in_the_copy(self, order):
+        # checked and widened at once: bit-equal to matricizing the float64
+        # widening, as a fresh C-contiguous float64 array
+        t32 = np.asarray(rand_tensor((2, 3, 4, 5), seed=4), dtype=np.float32, order=order)
+        a = matricize(t32)
+        assert a.dtype == np.float64 and a.flags["C_CONTIGUOUS"]
+        assert a.tobytes() == matricize(t32.astype(np.float64)).tobytes()
+        assert not np.shares_memory(a, t32)
+
+    def test_float64_result_does_not_alias_input(self):
+        # one observation: the (9, 1) matrix has z's own memory layout
+        z = rand_tensor((1, 1, 3, 3), seed=5)
+        assert not np.shares_memory(matricize(z), z)
+
+    @pytest.mark.parametrize("kind", NON_REAL_KINDS)
+    def test_non_real_dtype_rejected(self, kind):
+        with pytest.raises(DtypeError):
+            matricize(non_real_tensor(kind))
 
     def test_round_trip(self):
         z = rand_tensor((3, 4, 5, 6), seed=2)

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from seis.errors import DegenerateRankError, NumericalError, ShapeError, ValidationError
+from seis.errors import (
+    DegenerateRankError,
+    DtypeError,
+    NumericalError,
+    ShapeError,
+    ValidationError,
+)
 from seis.linalg import CcaResult, cca
 from seis.matricize import matricize
 from seis.metrics import equivariance_score, invariance_score, seis
 from seis.transforms import AffineParams, apply_affine, permute_spatial
 
-from helpers import dematricize, smooth_tensor, subspace_of_tensor
+from helpers import NON_REAL_KINDS, dematricize, non_real_tensor, smooth_tensor, subspace_of_tensor
 
 DIMS = (6, 8, 12, 12)  # d=144, n=48
 
@@ -180,6 +186,16 @@ class TestSeisErrors:
         b[1, 0, 2, 3] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             seis(a, b)
+
+    @pytest.mark.parametrize("kind", NON_REAL_KINDS)
+    def test_non_real_dtype_rejected(self, kind):
+        # complex used to be scored on its real part, datetime64 as numbers
+        z = non_real_tensor(kind)
+        real = smooth_tensor(z.shape, seed=27)
+        with pytest.raises(DtypeError):
+            seis(real, z)
+        with pytest.raises(DtypeError):
+            seis(z, real)
 
     def test_degenerate_side_is_named(self):
         a = np.zeros((2, 2, 4, 4))

@@ -15,11 +15,12 @@ from seis.tensor_io import (
     ResultRow,
     load_manifest,
     read_tensor,
+    validate_tensor,
     write_results,
     write_tensor,
 )
 
-from helpers import write_npy_independent
+from helpers import NON_REAL_KINDS, non_real_tensor, write_npy_independent
 
 
 def rand_tensor(shape, seed=0):
@@ -118,6 +119,36 @@ class TestReadWriteTensor:
     def test_write_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_tensor(rand_tensor((1, 1, 2, 2)), tmp_path / "nodir" / "x.npy")
+
+
+class TestValidateTensor:
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.uint16, np.int64, np.float16,
+                                       np.float32, np.float64])
+    def test_real_dtypes_widen_exactly(self, dtype):
+        t = (rand_tensor((2, 3, 4, 4)) * 10).astype(dtype)
+        out = validate_tensor(t)
+        assert out.dtype == np.float64 and out.flags["C_CONTIGUOUS"]
+        assert np.array_equal(out, t.astype(np.float64))
+
+    @pytest.mark.parametrize("kind", NON_REAL_KINDS)
+    def test_non_real_dtype_rejected(self, kind):
+        with pytest.raises(DtypeError, match="unsupported dtype"):
+            validate_tensor(non_real_tensor(kind))
+
+    def test_fortran_order_nan_names_logical_flat_index(self):
+        t = rand_tensor((1, 2, 3, 3))
+        t[0, 1, 0, 1] = np.nan  # flat index 10 in C order
+        with pytest.raises(ValidationError, match="flat index 10"):
+            validate_tensor(np.asfortranarray(t.astype(np.float32)))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                        reason="long double has no range beyond float64 here")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_long_double_beyond_float64_is_non_finite(self):
+        t = np.ones((1, 1, 2, 2), dtype=np.longdouble)
+        t[0, 0, 1, 0] = np.longdouble(np.finfo(np.float64).max) * 4
+        with pytest.raises(ValidationError, match="flat index 2"):
+            validate_tensor(t)
 
 
 class TestManifest:
