@@ -17,7 +17,6 @@ from .errors import (
     DtypeError,
     FormatError,
     NumericalError,
-    OracleError,
     ParseError,
     SeisError,
     ShapeError,
@@ -84,7 +83,6 @@ __all__ = [
     "Manifest",
     "ManifestEntry",
     "NumericalError",
-    "OracleError",
     "ParseError",
     "ResultRow",
     "SeisError",

@@ -32,7 +32,7 @@ from .harness import (
 )
 from .matricize import matricize
 from .metrics import seis
-from .tensor_io import ResultRow, _load_npy, load_manifest, write_results, write_tensor
+from .tensor_io import ResultRow, _load_npy, _read_json, load_manifest, write_results, write_tensor
 from .transforms import CONDITION_ORDER, ConditionKind, make_stream
 
 logger = logging.getLogger(__name__)
@@ -83,11 +83,7 @@ def _check_out_path(path):
 
 
 def _load_config_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     return doc

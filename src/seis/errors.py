@@ -40,7 +40,3 @@ class DegenerateRankError(SeisError):
 
 class NumericalError(SeisError):
     """A numerical routine produced values outside its certified range."""
-
-
-class OracleError(SeisError):
-    """The brute-force reference computation could not run on this instance."""

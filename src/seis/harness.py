@@ -10,6 +10,7 @@ the config, so two runs with the same master seed agree bit for bit.
 """
 
 import logging
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +45,17 @@ CHANCE_HEADROOM = 100
 SYNTHETIC_LABEL = "synthetic"
 
 
+def _integer(name, value) -> int:
+    """value as a Python int if it is an integer (NumPy ones included) and
+    not a bool; anything else, 2.0 too, raises ValidationError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HarnessConfig:
     """Configuration of one validation run."""
@@ -55,12 +67,14 @@ class HarnessConfig:
     smoothness: float = DEFAULT_SMOOTHNESS
 
     def __post_init__(self):
-        dims = tuple(int(v) for v in self.dims)
+        dims = tuple(_integer("dims", v) for v in self.dims)
         if len(dims) != 4 or min(dims) < 1:
             raise ValidationError(f"dims must be four positive integers, got {self.dims}")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "master_seed", _integer("master seed", self.master_seed))
         if not (0 <= self.master_seed < 2**64):
             raise ValidationError(f"master seed must be a uint64, got {self.master_seed}")
         if not (0.0 < self.smoothness < np.inf):

@@ -59,16 +59,15 @@ class CcaResult:
     """Canonical system between two projected data sets.
 
     correlations are non-increasing values in [0, 1]; column i of
-    proj_left / proj_right maps its side's projected data to the variate
-    pair (variates_left[i], variates_right[i]), each scaled to unit sample
-    variance.
+    proj_left / proj_right maps its side's projected data to the i-th
+    canonical variate, proj_left[:, i] @ left.projected, which has unit
+    sample variance, and correlations[i] is the absolute cosine between
+    the two sides' i-th variates.
     """
 
     correlations: np.ndarray    # (r,)
     proj_left: np.ndarray       # (k_a, r)
     proj_right: np.ndarray      # (k_a_prime, r)
-    variates_left: np.ndarray   # (r, n)
-    variates_right: np.ndarray  # (r, n)
     r: int
 
 
@@ -169,12 +168,12 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
     (rows are centered upstream and projection preserves that), each block
     is regularized by COVARIANCE_RIDGE times its mean diagonal, and the
     canonical directions come from the SVD of the whitened cross
-    covariance, mapped back through the inverse square roots. Variates are
-    rescaled to unit sample variance, and the reported correlations are the
-    realized correlations of the variate pairs, which keeps them consistent
-    to machine precision with any cosine computed on the variates. Sign
-    conventions (largest entry of each left vector positive, each pair's
-    correlation non-negative) make the output deterministic.
+    covariance, mapped back through the inverse square roots. The
+    directions are rescaled so their variates have unit sample variance,
+    and each reported correlation is the absolute cosine of its centered
+    variate pair, its realized correlation. Sign conventions (largest entry
+    of each left vector positive, each pair's correlation non-negative)
+    make the output deterministic.
     """
     x = np.asarray(left.projected, dtype=np.float64)
     y = np.asarray(right.projected, dtype=np.float64)
@@ -223,7 +222,6 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
     dots = np.einsum("ij,ij->i", p, q)
     sign_v = np.where(dots < 0.0, -1.0, 1.0)
     v_right *= sign_v
-    q *= sign_v[:, None]
 
     rho = row_cosines(p, q)
     order = np.argsort(-rho, kind="stable")
@@ -231,7 +229,5 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
         correlations=rho[order],
         proj_left=np.ascontiguousarray(w_left[:, order]),
         proj_right=np.ascontiguousarray(v_right[:, order]),
-        variates_left=np.ascontiguousarray(p[order]),
-        variates_right=np.ascontiguousarray(q[order]),
         r=r,
     )

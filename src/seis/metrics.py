@@ -2,9 +2,9 @@
 
 The two scores answer different questions about a pair of activation
 tensors. The equivariance score asks whether the information in one is
-still linearly recoverable from the other: it is the mean absolute cosine
-between paired canonical variates, which for centered variates equals the
-mean canonical correlation. The invariance score asks the stronger
+still linearly recoverable from the other: it is the mean canonical
+correlation (the SVCCA similarity), which cca() computes as the absolute
+cosine of each centered variate pair. The invariance score asks the stronger
 question of whether the spatial basis itself stayed put: it compares the
 canonical projection directions of the two sides, weighted by how much
 shared information each direction actually carries.
@@ -14,18 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateRankError,
-    DegenerateSampleError,
-    NumericalError,
-    ShapeError,
-)
+from .errors import DegenerateRankError, DegenerateSampleError, ShapeError
 from .linalg import CcaResult, cca, row_cosines, spatial_subspace
 from .matricize import _center_in_place, matricize
-
-# The cosine/mean-correlation identity is exact for centered variates; if
-# it ever drifts past this, something upstream broke.
-EQUIV_CONSISTENCY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,24 +32,16 @@ class SeisScores:
 
 
 def equivariance_score(c: CcaResult) -> float:
-    """Mean absolute cosine similarity between paired canonical variates.
+    """Mean canonical correlation, the SVCCA similarity of the two sides.
 
-    Because the variates are centered, this equals the mean canonical
-    correlation; the function verifies that identity to 1e-10 and fails
-    loudly rather than return an inconsistent score.
+    cca() reports each correlation as the absolute cosine of its centered
+    variate pair, so this is also the mean absolute cosine between paired
+    canonical variates.
     """
     if c.r < 1:
         raise DegenerateRankError("CCA result has no canonical pairs")
-    cosines = row_cosines(c.variates_left, c.variates_right)
-    score = float(np.mean(cosines))
-    mean_rho = float(np.mean(c.correlations))
-    if abs(score - mean_rho) > EQUIV_CONSISTENCY_TOL:
-        raise NumericalError(
-            f"variate cosines diverge from canonical correlations: "
-            f"|{score} - {mean_rho}| > {EQUIV_CONSISTENCY_TOL}"
-        )
     # pairwise summation of near-1 terms can round the mean past 1
-    return min(score, 1.0)
+    return min(float(np.mean(c.correlations)), 1.0)
 
 
 def invariance_score(c: CcaResult, left_basis, right_basis) -> float:

@@ -126,6 +126,18 @@ def _replacing(path, mode, **kwargs):
             os.remove(tmp)
 
 
+def _read_json(path):
+    """The JSON document in a UTF-8 file; ParseError, naming the path, if
+    the bytes are not UTF-8 or the text is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     label: str
@@ -153,13 +165,11 @@ def load_manifest(path) -> Manifest:
     File order is preserved. Duplicate labels are rejected so result rows
     stay unambiguous; an empty entries array is a valid (empty) manifest.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ParseError(f"{path}: missing top-level 'entries' key")
+    if not isinstance(doc["entries"], list):
+        raise ParseError(f"{path}: 'entries' must be an array, got {json.dumps(doc['entries'])}")
     entries = []
     seen = set()
     for i, raw in enumerate(doc["entries"]):

@@ -5,7 +5,7 @@ slice of a tensor is warped by the same affine map. Warping uses a single
 composed inverse map with bilinear interpolation, so a composite transform
 is resampled once rather than blurred by repeated interpolation. Every
 warp is a sparse linear operator on the flattened spatial axis, applied to
-all slices in one product.
+the (h*w, b*c) spatial matrix of matricize in one product.
 
 All randomness flows through named, counter-based Philox streams so a
 (master seed, trial, role) triple yields the same draws on any machine and
@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ShapeError, ValidationError
-from .tensor_io import validate_tensor
+from .matricize import matricize
 
 # Sampling ranges for the stochastic transform parameters.
 TRANSLATION_LIMIT = 0.15        # fraction of each spatial dimension
@@ -180,12 +180,15 @@ def affine_operator(h: int, w: int, params: AffineParams):
 def apply_affine(z, params: AffineParams) -> np.ndarray:
     """Warp every (batch, channel) slice of a tensor by the same affine map.
 
-    The warp is the operator of affine_operator applied to the spatial
-    axis; identity parameters return a bit-exact copy.
+    The tensor is matricized (which validates it and widens it to float64),
+    left-multiplied by the operator of affine_operator and returned as a
+    (b, c, h, w) view of the warped matrix; identity parameters skip the
+    product and return the values bit-exactly.
     """
-    z = validate_tensor(z)
-    op = affine_operator(z.shape[2], z.shape[3], params)
-    return z.copy() if op is None else _apply_spatial(z, op)
+    m = matricize(z)
+    shape = np.shape(z)
+    op = affine_operator(shape[2], shape[3], params)
+    return (m if op is None else op @ m).T.reshape(shape)
 
 
 def permute_spatial(z, perm) -> np.ndarray:
@@ -193,20 +196,16 @@ def permute_spatial(z, perm) -> np.ndarray:
 
     A permutation is the exactness probe for spatial transforms: it is a
     lossless linear operator on the feature axis, so equivariance scores
-    across it should be indistinguishable from the identity case. Values
+    across it should be indistinguishable from the identity case. It is
+    applied like apply_affine's operator, to the spatial matrix. Values
     move unchanged, except that -0.0 comes out as +0.0.
     """
-    z = validate_tensor(z)
-    d = z.shape[2] * z.shape[3]
+    m = matricize(z)
+    d = m.shape[0]
     perm = np.asarray(perm)
     if perm.shape != (d,) or perm.dtype.kind not in "iu":
         raise ValidationError(f"perm must be {d} integer indices")
     if not np.array_equal(np.sort(perm), np.arange(d)):
         raise ValidationError("perm is not a bijection on the spatial cells")
-    return _apply_spatial(z, sparse.csr_array((np.ones(d), (perm, np.arange(d))), shape=(d, d)))
-
-
-def _apply_spatial(z, op) -> np.ndarray:
-    """Apply a sparse (d, d) operator to the spatial axis of every slice."""
-    b, c, h, w = z.shape
-    return (op @ z.reshape(b * c, h * w).T).T.reshape(b, c, h, w)
+    op = sparse.csr_array((np.ones(d), (perm, np.arange(d))), shape=(d, d))
+    return (op @ m).T.reshape(np.shape(z))

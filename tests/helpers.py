@@ -13,7 +13,7 @@ import struct
 import numpy as np
 from scipy import ndimage
 
-from seis.errors import OracleError, ShapeError
+from seis.errors import SeisError, ShapeError
 from seis.linalg import TruncatedSubspace, _truncation_rank, spatial_subspace
 from seis.matricize import center_rows, matricize
 
@@ -115,6 +115,10 @@ def replace_projected(sub: TruncatedSubspace, projected) -> TruncatedSubspace:
         retained_variance=sub.retained_variance,
         k=sub.k,
     )
+
+
+class OracleError(SeisError):
+    """The brute-force reference computation could not run on this instance."""
 
 
 def cca_oracle(left: TruncatedSubspace, right: TruncatedSubspace) -> np.ndarray:

@@ -144,6 +144,13 @@ class TestSynth:
         assert err.startswith("error:") and repr(key) in err
         assert not out.exists()
 
+    def test_config_not_utf8_is_fatal(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"trials": 1, "out": "\xff.csv"}')
+        assert run_cli("synth", "--config", str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfg_path) in err
+
     def test_missing_out_is_fatal(self, capsys):
         assert run_cli("synth", "--trials", "1", "--dims", "4,8,10,10",
                        "--conditions", "identity") == 1
@@ -254,6 +261,17 @@ class TestLayers:
         man = self.write_manifest(tmp_path, entries)
         assert run_cli("layers", "--manifest", str(man),
                        "--out", str(tmp_path / "rows.csv")) == 1
+
+    @pytest.mark.parametrize("content", [b'{"entries": 5}', b'{"entries": null}',
+                                         b'{"entries": [], "x": "\xff"}'])
+    def test_bad_manifest_is_fatal(self, tmp_path, capsys, content):
+        man = tmp_path / "manifest.json"
+        man.write_bytes(content)
+        out = tmp_path / "rows.csv"
+        assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(man) in err
+        assert not out.exists()
 
     def test_relative_paths_resolve_against_manifest_dir(self, tmp_path, monkeypatch):
         data = tmp_path / "m"

@@ -60,6 +60,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             HarnessConfig(conditions=("sideways",))
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 2.5),
+        ("trials", 2.0),
+        ("trials", True),
+        ("trials", "2"),
+        ("master_seed", 1.5),
+        ("master_seed", np.True_),
+        ("dims", (2.7, 8, 10, 10)),
+        ("dims", (4, 8, False, 10)),
+    ])
+    def test_non_integer_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            HarnessConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = HarnessConfig(dims=np.array([4, 8, 10, 10]), trials=np.int64(2),
+                            master_seed=np.uint64(2**63 + 5))
+        assert cfg.dims == (4, 8, 10, 10) and cfg.trials == 2
+        assert cfg.master_seed == 2**63 + 5
+        assert all(type(v) is int for v in (*cfg.dims, cfg.trials, cfg.master_seed))
+
 
 class TestSyntheticFields:
     def test_smooth_fields_are_correlated(self):

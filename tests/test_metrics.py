@@ -8,7 +8,7 @@ from seis.errors import (
     ShapeError,
     ValidationError,
 )
-from seis.linalg import CcaResult, cca
+from seis.linalg import CcaResult, TruncatedSubspace, cca
 from seis.matricize import matricize
 from seis.metrics import equivariance_score, invariance_score, seis
 from seis.transforms import AffineParams, apply_affine, permute_spatial
@@ -133,16 +133,12 @@ class TestScoreFunctions:
         t = np.linspace(0, 2 * np.pi, n, endpoint=False)
         p = np.vstack([np.cos(t)])
         q = np.vstack([np.sin(t)])  # orthogonal to p, both centered
-        scale = np.sqrt((n - 1) / np.sum(p**2))
-        res = CcaResult(
-            correlations=np.array([0.0]),
-            proj_left=np.eye(1),
-            proj_right=np.eye(1),
-            variates_left=p * scale,
-            variates_right=q * scale,
-            r=1,
-        )
-        assert equivariance_score(res) <= 1e-10
+
+        def side(projected):
+            return TruncatedSubspace(basis=np.eye(1), singular_values=np.ones(1),
+                                     projected=projected, retained_variance=1.0, k=1)
+
+        assert equivariance_score(cca(side(p), side(q))) <= 1e-10
 
     def test_invariance_identity_bases(self):
         a = smooth_tensor(DIMS, seed=21)
@@ -164,8 +160,6 @@ class TestScoreFunctions:
             correlations=np.array([1.0]),
             proj_left=np.zeros((2, 1)),  # lifts to the zero vector
             proj_right=np.ones((2, 1)),
-            variates_left=np.ones((1, 4)),
-            variates_right=np.ones((1, 4)),
             r=1,
         )
         basis = np.eye(3)[:, :2]

@@ -12,12 +12,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seis.linalg import spatial_subspace
+from seis.matricize import center_rows, matricize
 from seis.metrics import seis
 from seis.transforms import permute_spatial
 
 # s_equiv is the mean canonical correlation, well conditioned even when
 # the correlations cluster, so it moves only by rounding.
 EQUIV_TOL = 1e-9
+
+# A permutation of the observations leaves each side's Gram matrix, and so
+# its principal directions, unchanged up to the order of summation.
+BASIS_TOL = 1e-10
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -89,3 +95,18 @@ def test_equivariance_ignores_orthogonal_spatial_mixing(pair, mix_seed, dense):
         mixed = permute_spatial(alt, rng.permutation(h * w))
     base = seis(ref, alt).s_equiv
     assert abs(seis(ref, mixed).s_equiv - base) <= EQUIV_TOL
+
+
+@PROPERTY
+@given(tensor_pairs(), seeds)
+def test_subspaces_ignore_shared_observation_permutation(pair, perm_seed):
+    # k and the basis of each side are unchanged, the basis up to the sign
+    # of each column, so a permutation null needs no new eigensolve
+    b, c, h, w = pair[0].shape
+    perm = np.random.default_rng(perm_seed).permutation(b * c)
+    for z in pair:
+        base = spatial_subspace(center_rows(matricize(z)))
+        moved = spatial_subspace(center_rows(matricize(z)[:, perm]))
+        assert moved.k == base.k
+        signs = np.where(np.sum(base.basis * moved.basis, axis=0) < 0.0, -1.0, 1.0)
+        assert np.max(np.abs(moved.basis * signs - base.basis)) <= BASIS_TOL

@@ -201,6 +201,19 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("entries", ["5", "null", '"ab"', "{}"])
+    def test_entries_not_an_array(self, tmp_path, entries):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"entries": {entries}}}')
+        with pytest.raises(ParseError, match=r"m\.json: 'entries' must be an array"):
+            load_manifest(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"entries": [], "metadata": {"note": "\xff"}}')
+        with pytest.raises(ParseError, match=r"m\.json: not UTF-8"):
+            load_manifest(path)
+
     def test_empty_entries_ok(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"entries": []}')
