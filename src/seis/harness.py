@@ -10,7 +10,7 @@ the config, so two runs with the same master seed agree bit for bit.
 """
 
 import logging
-import operator
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +23,7 @@ from .tensor_io import ResultRow
 from .transforms import (
     CONDITION_ORDER,
     ConditionKind,
+    _integer,
     affine_operator,
     make_stream,
     sample_params,
@@ -45,15 +46,15 @@ CHANCE_HEADROOM = 100
 SYNTHETIC_LABEL = "synthetic"
 
 
-def _integer(name, value) -> int:
-    """value as a Python int if it is an integer (NumPy ones included) and
-    not a bool; anything else, 2.0 too, raises ValidationError."""
-    if not isinstance(value, (bool, np.bool_)):
+def _sequence(name, value) -> tuple:
+    """The items of value if it is an iterable other than a string; anything
+    else raises ValidationError."""
+    if not isinstance(value, str):
         try:
-            return operator.index(value)
+            return tuple(value)
         except TypeError:
             pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
+    raise ValidationError(f"{name} must be a sequence, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class HarnessConfig:
     smoothness: float = DEFAULT_SMOOTHNESS
 
     def __post_init__(self):
-        dims = tuple(_integer("dims", v) for v in self.dims)
+        dims = tuple(_integer("dims", v) for v in _sequence("dims", self.dims))
         if len(dims) != 4 or min(dims) < 1:
             raise ValidationError(f"dims must be four positive integers, got {self.dims}")
         object.__setattr__(self, "dims", dims)
@@ -77,11 +78,13 @@ class HarnessConfig:
         object.__setattr__(self, "master_seed", _integer("master seed", self.master_seed))
         if not (0 <= self.master_seed < 2**64):
             raise ValidationError(f"master seed must be a uint64, got {self.master_seed}")
+        if isinstance(self.smoothness, bool) or not isinstance(self.smoothness, numbers.Real):
+            raise ValidationError(f"smoothness must be a real number, got {self.smoothness!r}")
+        object.__setattr__(self, "smoothness", float(self.smoothness))
         if not (0.0 < self.smoothness < np.inf):
             raise ValidationError(f"smoothness must be positive and finite, got {self.smoothness}")
-        object.__setattr__(
-            self, "conditions", tuple(ConditionKind(c) for c in self.conditions)
-        )
+        conditions = _sequence("conditions", self.conditions)
+        object.__setattr__(self, "conditions", tuple(ConditionKind(c) for c in conditions))
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,10 @@ from .errors import (
     DtypeError,
     FormatError,
     ParseError,
+    SeisError,
     ShapeError,
     ValidationError,
 )
-
-NPY_MAGIC = b"\x93NUMPY"
 
 SCORE_FIELDS = ("s_equiv", "s_inv")
 
@@ -72,24 +71,19 @@ def validate_tensor(t) -> np.ndarray:
 
 def _load_npy(path) -> np.ndarray:
     """read_tensor's checks, returning the array at its stored precision
-    (float32 or float64, C or Fortran order)."""
+    (float32 or float64, C or Fortran order). A file numpy's reader rejects
+    is a FormatError, and every error names the path."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(NPY_MAGIC))
-        if magic != NPY_MAGIC:
-            raise FormatError(f"{path}: not an NPY file (magic bytes {magic!r})")
-        fh.seek(0)
         try:
             arr = np.lib.format.read_array(fh, allow_pickle=False)
         except ValueError as exc:
-            raise FormatError(f"{path}: malformed NPY container ({exc})") from exc
-    if arr.ndim != 4:
-        raise ShapeError(f"{path}: expected a 4-D (b, c, h, w) array, got ndim={arr.ndim}")
+            raise FormatError(f"{path}: not a readable NPY file ({exc})") from exc
     if arr.dtype.kind != "f" or arr.dtype.itemsize not in (4, 8):
         raise DtypeError(f"{path}: unsupported dtype {arr.dtype}, need float32/float64")
     try:
         return _check_tensor(arr)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    except SeisError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_tensor(path) -> np.ndarray:
@@ -162,8 +156,9 @@ class Manifest:
 def load_manifest(path) -> Manifest:
     """Parse a JSON manifest: {"entries": [{"label", "ref", "alt"}, ...]}.
 
-    File order is preserved. Duplicate labels are rejected so result rows
-    stay unambiguous; an empty entries array is a valid (empty) manifest.
+    File order is preserved. label, ref and alt must be JSON strings.
+    Duplicate labels are rejected so result rows stay unambiguous; an empty
+    entries array is a valid (empty) manifest.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict) or "entries" not in doc:
@@ -175,14 +170,14 @@ def load_manifest(path) -> Manifest:
     for i, raw in enumerate(doc["entries"]):
         if not isinstance(raw, dict):
             raise ParseError(f"{path}: entry {i} is not an object")
-        try:
-            entry = ManifestEntry(
-                label=str(raw["label"]),
-                ref_path=str(raw["ref"]),
-                alt_path=str(raw["alt"]),
-            )
-        except KeyError as exc:
-            raise ParseError(f"{path}: entry {i} is missing key {exc}") from exc
+        for key in ("label", "ref", "alt"):
+            if key not in raw:
+                raise ParseError(f"{path}: entry {i} is missing key {key!r}")
+            if not isinstance(raw[key], str):
+                raise ParseError(
+                    f"{path}: entry {i} key {key!r} must be a string, got {json.dumps(raw[key])}"
+                )
+        entry = ManifestEntry(raw["label"], raw["ref"], raw["alt"])
         if entry.label in seen:
             raise ValidationError(f"{path}: duplicate label {entry.label!r}")
         seen.add(entry.label)

@@ -13,6 +13,7 @@ regardless of execution order.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,7 +30,8 @@ ROTATION_RANGE = (0.0, 360.0)   # degrees
 
 
 class ConditionKind(str, Enum):
-    """The six experimental conditions."""
+    """The six experimental conditions; ConditionKind(name) raises
+    ValidationError, listing the valid names, for any other name."""
 
     IDENTITY = "identity"
     TRANSLATION = "translation"
@@ -38,15 +40,13 @@ class ConditionKind(str, Enum):
     AFFINE = "affine"
     RANDOM_BASELINE = "random_baseline"
 
+    @classmethod
+    def _missing_(cls, value):
+        valid = ",".join(kind.value for kind in cls)
+        raise ValidationError(f"unknown condition {value!r}; valid: {valid}")
 
-CONDITION_ORDER = (
-    ConditionKind.IDENTITY,
-    ConditionKind.TRANSLATION,
-    ConditionKind.SCALING,
-    ConditionKind.ROTATION,
-    ConditionKind.AFFINE,
-    ConditionKind.RANDOM_BASELINE,
-)
+
+CONDITION_ORDER = tuple(ConditionKind)
 
 GEOMETRIC_CONDITIONS = (
     ConditionKind.TRANSLATION,
@@ -77,7 +77,15 @@ class AffineParams:
         )
 
 
-IDENTITY_PARAMS = AffineParams()
+def _integer(name, value) -> int:
+    """value as a Python int if it is an integer (NumPy ones included) and
+    not a bool; anything else, 2.0 too, raises ValidationError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def make_stream(master_seed: int, trial: int = 0, role: int = 0) -> np.random.Generator:
@@ -87,8 +95,12 @@ def make_stream(master_seed: int, trial: int = 0, role: int = 0) -> np.random.Ge
     words: the master seed and (trial << 1) | role. Distinct keys give
     statistically independent streams, so trials can run in any order or
     in parallel and still reproduce the same draws. Role 0 is the
-    reference draw, role 1 the alternate/parameter draw.
+    reference draw, role 1 the alternate/parameter draw. All three must be
+    integers (see _integer).
     """
+    master_seed = _integer("master seed", master_seed)
+    trial = _integer("trial index", trial)
+    role = _integer("role", role)
     if not (0 <= master_seed < 2**64):
         raise ValidationError(f"master seed must be a uint64, got {master_seed}")
     if not (0 <= trial < 2**63):
@@ -102,16 +114,15 @@ def make_stream(master_seed: int, trial: int = 0, role: int = 0) -> np.random.Ge
 def sample_params(kind, rng: np.random.Generator) -> AffineParams:
     """Draw transform parameters for a condition from the given stream.
 
-    identity yields the identity parameters without consuming randomness;
-    random_baseline has no affine parametrization and is rejected. The
-    draw order is fixed (tx, ty, scale, angle) so one stream always yields
-    the same parameters.
+    A parameter the condition leaves alone keeps its identity value and
+    draws nothing, so identity yields AffineParams() without consuming
+    randomness; random_baseline has no affine parametrization and is
+    rejected. The draw order is fixed (tx, ty, scale, angle) so one stream
+    always yields the same parameters.
     """
     kind = ConditionKind(kind)
     if kind is ConditionKind.RANDOM_BASELINE:
         raise ValidationError("random_baseline has no affine parameters")
-    if kind is ConditionKind.IDENTITY:
-        return IDENTITY_PARAMS
     tx = ty = 0.0
     scale = 1.0
     angle = 0.0

@@ -5,12 +5,15 @@ oracle for the reader: it never touches numpy's own format module, so a
 bug there cannot hide in both routes. cca_oracle plays the same role for
 the whitened CCA, bilinear_gather_oracle for the sparse warp operator, and
 full_lift_subspace for the k-column lift of spatial_subspace's tall route.
+random_conv_stack is a small seeded CNN whose layers give a depth profile
+without trained weights.
 """
 
 import math
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from seis.errors import SeisError, ShapeError
@@ -58,6 +61,29 @@ def smooth_tensor(dims, sigma=1.5, seed=0):
     mean = x.mean(axis=(2, 3), keepdims=True)
     std = x.std(axis=(2, 3), keepdims=True)
     return (x - mean) / std
+
+
+def random_conv_stack(x, seed, widths=(16, 32, 64, 64)) -> list:
+    """Activations after each block of a seeded random CNN.
+
+    Each block is a 3x3 "same" convolution (zero padding, no bias) with
+    He-scaled normal weights, a ReLU and 2x2 average pooling, so it halves
+    h and w (both must stay even). The weights depend only on seed, so
+    inputs passed with one seed go through one network. Returns the
+    (b, c_out, h, w) output of every block.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    outputs = []
+    for c_out in widths:
+        c_in = x.shape[1]
+        weights = rng.standard_normal((c_out, c_in, 3, 3)) * math.sqrt(2.0 / (9 * c_in))
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        windows = sliding_window_view(padded, (3, 3), axis=(2, 3))
+        x = np.maximum(np.einsum("bchwij,ocij->bohw", windows, weights, optimize=True), 0.0)
+        b, c, h, w = x.shape
+        x = x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        outputs.append(x)
+    return outputs
 
 
 def subspace_of_tensor(z) -> TruncatedSubspace:

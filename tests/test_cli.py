@@ -74,6 +74,13 @@ class TestScore:
         err = capsys.readouterr().err
         assert "10, 10" in err and "8, 8" in err
 
+    def test_non_npy_file_exit_1(self, tmp_path, ref_file, capsys):
+        bad = tmp_path / "rows.csv"
+        bad.write_text("label,ref\n")
+        assert run_cli("score", str(ref_file), str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not a readable NPY file (")
+
     def test_missing_file_exit_1(self, ref_file, capsys):
         assert run_cli("score", str(ref_file), "no_such.npy") == 1
         assert "error:" in capsys.readouterr().err
@@ -161,6 +168,14 @@ class TestSynth:
                        "--conditions", "sideways", "--out", str(tmp_path / "x.csv")) == 1
         assert "condition" in capsys.readouterr().err
 
+    def test_bad_condition_names_it_and_the_valid_ones(self, tmp_path, capsys):
+        assert run_cli("synth", "--trials", "1", "--dims", "4,8,10,10",
+                       "--conditions", "identity,sideways", "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown condition 'sideways'; "
+            "valid: identity,translation,scaling,rotation,affine,random_baseline\n"
+        )
+
     def test_bad_dims_is_fatal(self, tmp_path):
         assert run_cli("synth", "--dims", "4,8", "--trials", "1",
                        "--out", str(tmp_path / "x.csv")) == 1
@@ -204,6 +219,18 @@ class TestGen:
         assert run_cli(*args, "--out", str(tmp_path / "b.npy")) == 0
         assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
         assert (tmp_path / "a_alt.npy").read_bytes() == (tmp_path / "b_alt.npy").read_bytes()
+
+    @pytest.mark.parametrize("warp", ["identity,rotation", "sideways"])
+    def test_unknown_warp_writes_nothing(self, tmp_path, capsys, warp):
+        out = tmp_path / "t.npy"
+        assert run_cli("gen", "--dims", "4,4,8,8", "--out", str(out), "--warp", warp) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown condition {warp!r}; valid: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dims", ["4,4,8", "4,4,8,8,1", "4,0,8,8", "4,4,8,x"])
+    def test_bad_dims_exit_1(self, tmp_path, capsys, dims):
+        assert run_cli("gen", "--dims", dims, "--out", str(tmp_path / "t.npy")) == 1
+        assert capsys.readouterr().err.startswith("error: dims must be ")
 
     def test_missing_directory_exit_1(self, tmp_path, capsys):
         assert run_cli("gen", "--dims", "4,4,8,8",
@@ -263,7 +290,8 @@ class TestLayers:
                        "--out", str(tmp_path / "rows.csv")) == 1
 
     @pytest.mark.parametrize("content", [b'{"entries": 5}', b'{"entries": null}',
-                                         b'{"entries": [], "x": "\xff"}'])
+                                         b'{"entries": [], "x": "\xff"}',
+                                         b'{"entries": [{"label": null, "ref": "a", "alt": "b"}]}'])
     def test_bad_manifest_is_fatal(self, tmp_path, capsys, content):
         man = tmp_path / "manifest.json"
         man.write_bytes(content)

@@ -57,7 +57,7 @@ class TestConfig:
             HarnessConfig(smoothness=0.0)
         with pytest.raises(ValidationError):
             HarnessConfig(smoothness=float("inf"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="sideways"):
             HarnessConfig(conditions=("sideways",))
 
     @pytest.mark.parametrize("field,value", [
@@ -80,6 +80,26 @@ class TestConfig:
         assert cfg.dims == (4, 8, 10, 10) and cfg.trials == 2
         assert cfg.master_seed == 2**63 + 5
         assert all(type(v) is int for v in (*cfg.dims, cfg.trials, cfg.master_seed))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("smoothness", True, "smoothness must be a real number"),
+        ("smoothness", np.True_, "smoothness must be a real number"),
+        ("smoothness", "2", "smoothness must be a real number"),
+        ("dims", 5, "dims must be a sequence"),
+        ("dims", "4,8,10,10", "dims must be a sequence"),
+        ("conditions", 5, "conditions must be a sequence"),
+        ("conditions", "identity", "conditions must be a sequence"),
+        ("conditions", ConditionKind.IDENTITY, "conditions must be a sequence"),
+        ("conditions", ("identity", None), "unknown condition None"),
+    ])
+    def test_wrong_type_rejected(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            HarnessConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.float32(1.5), np.float64(1.5), np.int64(2), 2])
+    def test_numpy_reals_accepted_as_float_smoothness(self, value):
+        cfg = HarnessConfig(smoothness=value)
+        assert type(cfg.smoothness) is float and cfg.smoothness == float(value)
 
 
 class TestSyntheticFields:
@@ -126,6 +146,10 @@ class TestMakeAlternate:
         assert np.max(np.abs(alt.mean(axis=0))) <= 1e-12
         flat_corr = np.corrcoef(alt.ravel(), self.ref.ravel())[0, 1]
         assert abs(flat_corr) < 0.1
+
+    def test_unknown_condition_rejected(self):
+        with pytest.raises(ValidationError, match="unknown condition 'sideways'; valid: identity,"):
+            make_alternate(SMALL, self.ref, "sideways", make_stream(5, 0, 1))
 
     def test_deterministic(self):
         a = make_alternate(SMALL, self.ref, ConditionKind.AFFINE, make_stream(5, 0, 1))

@@ -84,6 +84,20 @@ class TestReadWriteTensor:
         with pytest.raises(FormatError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("content", [b"", b"label,ref\n", b"\x93NUMPY\x01"])
+    def test_not_npy_names_path(self, tmp_path, content):
+        path = tmp_path / "bad.npy"
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match=r"bad\.npy: not a readable NPY file \("):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 0, 2, 2)])
+    def test_shape_errors_name_path(self, tmp_path, shape):
+        path = tmp_path / "odd.npy"
+        write_npy_independent(path, np.zeros(shape))
+        with pytest.raises(ShapeError, match=r"odd\.npy: "):
+            read_tensor(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "trunc.npy"
         path.write_bytes(b"\x93NUMPY\x01\x00\xff\xff{")
@@ -187,6 +201,19 @@ class TestManifest:
         path = tmp_path / "m.json"
         path.write_text('{"entries":[{"label":"x","ref":"a"}]}')
         with pytest.raises(ParseError):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("key,value", [("label", "null"), ("ref", "null"),
+                                           ("alt", '{"a": 1}'), ("label", "1"),
+                                           ("ref", '["a.npy"]'), ("alt", "true")])
+    def test_non_string_value(self, tmp_path, key, value):
+        raw = {"label": '"x"', "ref": '"a.npy"', "alt": '"b.npy"', key: value}
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"entries": [{"label": "ok", "ref": "a.npy", "alt": "b.npy"}, {'
+            + ", ".join(f'"{k}": {v}' for k, v in raw.items()) + "}]}"
+        )
+        with pytest.raises(ParseError, match=rf"m\.json: entry 1 key '{key}' must be a string"):
             load_manifest(path)
 
     def test_missing_entries(self, tmp_path):

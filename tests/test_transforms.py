@@ -71,6 +71,15 @@ class TestSampleParams:
         b = sample_params(ConditionKind.AFFINE, make_stream(11, 3, 1))
         assert a == b
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="unknown condition 'sideways'; valid: identity,"):
+            sample_params("sideways", make_stream(0))
+
+    def test_identity_draws_nothing(self):
+        rng = make_stream(3)
+        sample_params("identity", rng)
+        assert np.array_equal(rng.standard_normal(4), make_stream(3).standard_normal(4))
+
     def test_accepts_string_kind(self):
         p = sample_params("scaling", make_stream(2))
         assert 0.8 <= p.scale <= 1.2
@@ -245,6 +254,16 @@ class TestMakeStream:
         with pytest.raises(ValidationError):
             make_stream(0, 0, 5)
 
+    @pytest.mark.parametrize("args", [(1.5,), (1.0,), (True,), (np.True_,), ("1",), (1, 2.5),
+                                      (1, True), (1, 0, True), (1, 0, 1.0)])
+    def test_non_integer_rejected(self, args):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            make_stream(*args)
+
+    def test_numpy_integers_draw_like_python_ints(self):
+        a = make_stream(np.uint64(2**63 + 5), np.int64(3), np.int8(1)).standard_normal(4)
+        assert np.array_equal(a, make_stream(2**63 + 5, 3, 1).standard_normal(4))
+
 
 def test_condition_enumeration():
     assert [k.value for k in CONDITION_ORDER] == [
@@ -252,3 +271,11 @@ def test_condition_enumeration():
     ]
     assert set(GEOMETRIC_CONDITIONS) < set(CONDITION_ORDER)
     assert ConditionKind("rotation") is ConditionKind.ROTATION
+
+
+@pytest.mark.parametrize("name", ["sideways", "Rotation", "", None, 5])
+def test_unknown_condition_is_validation_error(name):
+    valid = "identity,translation,scaling,rotation,affine,random_baseline"
+    with pytest.raises(ValidationError) as info:
+        ConditionKind(name)
+    assert str(info.value) == f"unknown condition {name!r}; valid: {valid}"
