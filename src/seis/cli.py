@@ -32,12 +32,17 @@ from .harness import (
 )
 from .matricize import matricize
 from .metrics import seis
-from .tensor_io import ResultRow, _load_npy, _read_json, load_manifest, write_results, write_tensor
+from .tensor_io import (
+    ResultRow, _read_json, load_manifest, read_tensor, write_results, write_tensor,
+)
 from .transforms import CONDITION_ORDER, ConditionKind, make_stream
 
 logger = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warn": logging.WARNING}
+
+# the synth flags a config file may set
+_CONFIG_KEYS = ("conditions", "dims", "format", "out", "seed", "smoothness", "trials")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,6 +84,11 @@ def _load_config_file(path):
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
+    for key in doc:
+        if key not in _CONFIG_KEYS:
+            raise ValidationError(
+                f"{path}: unknown config key {key!r}; valid: {','.join(_CONFIG_KEYS)}"
+            )
     return doc
 
 
@@ -98,7 +108,7 @@ def _merged(args, key, fallback, kinds=(str,)):
 
 def cmd_score(args) -> int:
     # seis() widens each dump to float64 as it matricizes it
-    scores = seis(_load_npy(args.ref), _load_npy(args.alt))
+    scores = seis(read_tensor(args.ref), read_tensor(args.alt))
     print(
         f"s_equiv={scores.s_equiv:.6f} s_inv={scores.s_inv:.6f} "
         f"k_a={scores.k_a} k_a_prime={scores.k_a_prime} r={scores.r}"
@@ -142,7 +152,7 @@ def cmd_layers(args) -> int:
     failures = 0
     for entry in manifest:
         try:
-            scores = seis(_load_npy(base / entry.ref_path), _load_npy(base / entry.alt_path))
+            scores = seis(read_tensor(base / entry.ref_path), read_tensor(base / entry.alt_path))
         except (SeisError, OSError) as exc:
             logger.warning("skipping entry %r: %s", entry.label, exc)
             failures += 1
@@ -164,16 +174,17 @@ def cmd_gen(args) -> int:
     kind = None if args.warp is None else ConditionKind(args.warp)
     _check_out_path(args.out)
     ref = gen_synthetic_activations(cfg, make_stream(args.seed, 0, ROLE_REFERENCE))
-    write_tensor(ref, args.out)
-    logger.info("wrote %s with dims %s", args.out, cfg.dims)
+    # build every tensor before writing any, so a failed warp leaves no file
+    tensors = [(args.out, ref)]
     if kind is not None:
         warp_seed = args.warp_seed if args.warp_seed is not None else args.seed
         alt = make_alternate(cfg, matricize(ref), kind, make_stream(warp_seed, 0, ROLE_ALTERNATE))
         out = Path(args.out)
-        alt_path = out.with_name(out.stem + "_alt" + out.suffix)
         # the (b, c, h, w) tensor view of the (h*w, b*c) spatial matrix
-        write_tensor(alt.T.reshape(cfg.dims), alt_path)
-        logger.info("wrote %s (%s warp)", alt_path, kind.value)
+        tensors.append((out.with_name(out.stem + "_alt" + out.suffix), alt.T.reshape(cfg.dims)))
+    for path, t in tensors:
+        write_tensor(t, path)
+        logger.info("wrote %s with dims %s", path, cfg.dims)
     return 0
 
 

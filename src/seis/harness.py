@@ -24,6 +24,7 @@ from .transforms import (
     CONDITION_ORDER,
     ConditionKind,
     _integer,
+    _master_seed,
     affine_operator,
     make_stream,
     sample_params,
@@ -75,9 +76,7 @@ class HarnessConfig:
         object.__setattr__(self, "trials", _integer("trials", self.trials))
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "master_seed", _integer("master seed", self.master_seed))
-        if not (0 <= self.master_seed < 2**64):
-            raise ValidationError(f"master seed must be a uint64, got {self.master_seed}")
+        object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
         if isinstance(self.smoothness, bool) or not isinstance(self.smoothness, numbers.Real):
             raise ValidationError(f"smoothness must be a real number, got {self.smoothness!r}")
         object.__setattr__(self, "smoothness", float(self.smoothness))

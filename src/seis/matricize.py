@@ -12,17 +12,17 @@ in column i*c + j.
 import numpy as np
 
 from .errors import DegenerateSampleError, ShapeError
-from .tensor_io import _check_tensor
+from .tensor_io import validate_tensor
 
 
 def matricize(z) -> np.ndarray:
     """Reshape a (b, c, h, w) tensor into its (h*w, b*c) spatial matrix.
 
-    The tensor is checked at its own precision (see validate_tensor), then
+    The tensor is checked at its own precision by validate_tensor and
     widened to float64 inside the one transposing copy, so the result is a
     new C-contiguous float64 array that never aliases the input.
     """
-    z = _check_tensor(z)
+    z = validate_tensor(z)
     b, c, h, w = z.shape
     return np.array(z.reshape(b * c, h * w).T, dtype=np.float64, order="C")
 

@@ -2,10 +2,10 @@
 
 Activation tensors travel as NPY files (v1.0/v2.0 readable, v1.0 written):
 the format is unambiguous and every major numerical ecosystem can produce
-it. Only 4-D float32/float64 arrays are accepted. read_tensor still returns
-them widened to float64 in C order, but the scoring path (the CLI and
-seis()) checks a dump at its stored precision and leaves the widening to
-matricize, whose one transposing copy builds the float64 spatial matrix.
+it. Only 4-D float32/float64 arrays are accepted. read_tensor and
+validate_tensor keep a tensor at its stored precision and order; the one
+widening to float64 happens in matricize, whose transposing copy builds the
+float64 spatial matrix.
 """
 
 import csv
@@ -32,15 +32,15 @@ SCORE_FIELDS = ("s_equiv", "s_inv")
 _REAL_KINDS = "biuf"
 
 
-def _check_tensor(t) -> np.ndarray:
+def validate_tensor(t) -> np.ndarray:
     """Check the (b, c, h, w) tensor contract on the array's own dtype.
 
-    Returns np.asarray(t) without a copy; only a float type wider than
-    float64 is narrowed to float64 first, so that values beyond float64's
-    range count as non-finite. Raises ShapeError for wrong dimensionality,
-    DtypeError for a dtype without real values (complex, string, datetime,
-    object, ...) and ValidationError for non-finite entries, naming the
-    first offending flat index.
+    Returns np.asarray(t), so an array comes back uncopied in its own dtype
+    and memory order; only a float wider than float64 is narrowed, so that
+    values beyond float64's range count as non-finite. Raises ShapeError for
+    wrong dimensionality, DtypeError for a dtype without real values
+    (complex, string, datetime, object, ...) and ValidationError for
+    non-finite entries, naming the first offending flat index in C order.
     """
     arr = np.asarray(t)
     if arr.ndim != 4:
@@ -58,21 +58,13 @@ def _check_tensor(t) -> np.ndarray:
     return arr
 
 
-def validate_tensor(t) -> np.ndarray:
-    """Check the (b, c, h, w) tensor contract and normalize the layout.
+def read_tensor(path) -> np.ndarray:
+    """Load a 4-D activation tensor from an NPY file at its stored precision.
 
-    Returns a C-contiguous float64 view or copy. Raises ShapeError for
-    wrong dimensionality, DtypeError for a dtype without real values and
-    ValidationError for non-finite entries, naming the first offending
-    flat index.
+    Accepts v1.0/v2.0 containers of float32/float64 data in C or Fortran
+    order and returns the array as stored, checked by validate_tensor. A
+    file numpy's reader rejects is a FormatError; every error names the path.
     """
-    return np.ascontiguousarray(_check_tensor(t), dtype=np.float64)
-
-
-def _load_npy(path) -> np.ndarray:
-    """read_tensor's checks, returning the array at its stored precision
-    (float32 or float64, C or Fortran order). A file numpy's reader rejects
-    is a FormatError, and every error names the path."""
     with open(path, "rb") as fh:
         try:
             arr = np.lib.format.read_array(fh, allow_pickle=False)
@@ -81,19 +73,9 @@ def _load_npy(path) -> np.ndarray:
     if arr.dtype.kind != "f" or arr.dtype.itemsize not in (4, 8):
         raise DtypeError(f"{path}: unsupported dtype {arr.dtype}, need float32/float64")
     try:
-        return _check_tensor(arr)
+        return validate_tensor(arr)
     except SeisError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-
-
-def read_tensor(path) -> np.ndarray:
-    """Load a 4-D activation tensor from an NPY file as C-order float64.
-
-    Accepts v1.0/v2.0 containers holding float32/float64 data in either
-    C or Fortran order; both encodings of the same logical array load to
-    identical tensors.
-    """
-    return np.ascontiguousarray(_load_npy(path), dtype=np.float64)
 
 
 def write_tensor(t, path) -> None:

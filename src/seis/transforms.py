@@ -88,6 +88,14 @@ def _integer(name, value) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _master_seed(value) -> int:
+    """value as a master seed, an integer that fits a uint64; else ValidationError."""
+    seed = _integer("master seed", value)
+    if not (0 <= seed < 2**64):
+        raise ValidationError(f"master seed must be a uint64, got {seed}")
+    return seed
+
+
 def make_stream(master_seed: int, trial: int = 0, role: int = 0) -> np.random.Generator:
     """Independent deterministic random stream for a (seed, trial, role) triple.
 
@@ -96,13 +104,11 @@ def make_stream(master_seed: int, trial: int = 0, role: int = 0) -> np.random.Ge
     statistically independent streams, so trials can run in any order or
     in parallel and still reproduce the same draws. Role 0 is the
     reference draw, role 1 the alternate/parameter draw. All three must be
-    integers (see _integer).
+    integers (see _integer), and the master seed a uint64 (_master_seed).
     """
-    master_seed = _integer("master seed", master_seed)
+    master_seed = _master_seed(master_seed)
     trial = _integer("trial index", trial)
     role = _integer("role", role)
-    if not (0 <= master_seed < 2**64):
-        raise ValidationError(f"master seed must be a uint64, got {master_seed}")
     if not (0 <= trial < 2**63):
         raise ValidationError(f"trial index out of range: {trial}")
     if role not in (0, 1):

@@ -151,6 +151,18 @@ class TestSynth:
         assert err.startswith("error:") and repr(key) in err
         assert not out.exists()
 
+    def test_unknown_config_key_is_fatal(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "r.csv"
+        cfg_path.write_text(json.dumps({
+            "trails": 1, "dims": "2,2,8,8", "conditions": "identity", "out": str(out),
+        }))
+        assert run_cli("synth", "--config", str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: unknown config key 'trails'; valid: ")
+        assert "conditions,dims,format,out,seed,smoothness,trials" in err
+        assert not out.exists()
+
     def test_config_not_utf8_is_fatal(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(b'{"trials": 1, "out": "\xff.csv"}')
@@ -225,6 +237,17 @@ class TestGen:
         out = tmp_path / "t.npy"
         assert run_cli("gen", "--dims", "4,4,8,8", "--out", str(out), "--warp", warp) == 1
         assert capsys.readouterr().err.startswith(f"error: unknown condition {warp!r}; valid: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ("--dims", "2,2,1,8"),
+        ("--dims", "2,2,8,8", "--warp-seed", "-1"),
+    ], ids=["one-row-grid", "negative-warp-seed"])
+    def test_failed_warp_writes_nothing(self, tmp_path, capsys, args):
+        # the warp fails after the reference is drawn: neither file is written
+        code = run_cli("gen", *args, "--out", str(tmp_path / "a.npy"), "--warp", "rotation")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("dims", ["4,4,8", "4,4,8,8,1", "4,0,8,8", "4,4,8,x"])

@@ -74,6 +74,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match="must be an integer"):
             HarnessConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_out_of_range(self, seed):
+        with pytest.raises(ValidationError, match=f"master seed must be a uint64, got {seed}"):
+            HarnessConfig(master_seed=seed)
+
     def test_numpy_integers_accepted(self):
         cfg = HarnessConfig(dims=np.array([4, 8, 10, 10]), trials=np.int64(2),
                             master_seed=np.uint64(2**63 + 5))

@@ -33,15 +33,22 @@ class TestMatricize:
                     for x in range(w):
                         assert a[y * w + x, i * c + j] == z[i, j, y, x]
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_float32_widens_in_the_copy(self, order):
+    # float32 in both memory orders (ids C and F), then every real dtype in C order
+    @pytest.mark.parametrize("dtype,order", [
+        pytest.param(np.float32, "C", id="C"),
+        pytest.param(np.float32, "F", id="F"),
+        *(pytest.param(dtype, "C", id=np.dtype(dtype).name)
+          for dtype in (np.bool_, np.int8, np.uint16, np.int64, np.float16, np.float32,
+                        np.float64)),
+    ])
+    def test_float32_widens_in_the_copy(self, dtype, order):
         # checked and widened at once: bit-equal to matricizing the float64
         # widening, as a fresh C-contiguous float64 array
-        t32 = np.asarray(rand_tensor((2, 3, 4, 5), seed=4), dtype=np.float32, order=order)
-        a = matricize(t32)
+        t = np.asarray(rand_tensor((2, 3, 4, 5), seed=4) * 10, order=order).astype(dtype)
+        a = matricize(t)
         assert a.dtype == np.float64 and a.flags["C_CONTIGUOUS"]
-        assert a.tobytes() == matricize(t32.astype(np.float64)).tobytes()
-        assert not np.shares_memory(a, t32)
+        assert a.tobytes() == matricize(t.astype(np.float64)).tobytes()
+        assert not np.shares_memory(a, t)
 
     def test_float64_result_does_not_alias_input(self):
         # one observation: the (9, 1) matrix has z's own memory layout

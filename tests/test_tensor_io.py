@@ -63,12 +63,13 @@ class TestReadWriteTensor:
         assert np.array_equal(read_tensor(path), t)
 
     def test_float32_widened(self, tmp_path):
+        # read at the stored precision: widening is left to matricize
         t = rand_tensor((2, 2, 3, 3)).astype(np.float32)
         path = tmp_path / "f32.npy"
         write_npy_independent(path, t, descr="<f4")
         back = read_tensor(path)
-        assert back.dtype == np.float64
-        assert np.array_equal(back, t.astype(np.float64))
+        assert back.dtype == np.float32
+        assert np.array_equal(back, t)
 
     def test_zero_tensor_payload(self, tmp_path):
         path = tmp_path / "z.npy"
@@ -136,13 +137,9 @@ class TestReadWriteTensor:
 
 
 class TestValidateTensor:
-    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.uint16, np.int64, np.float16,
-                                       np.float32, np.float64])
-    def test_real_dtypes_widen_exactly(self, dtype):
-        t = (rand_tensor((2, 3, 4, 4)) * 10).astype(dtype)
-        out = validate_tensor(t)
-        assert out.dtype == np.float64 and out.flags["C_CONTIGUOUS"]
-        assert np.array_equal(out, t.astype(np.float64))
+    def test_float64_checked_without_a_copy(self):
+        t = np.asfortranarray(rand_tensor((2, 3, 4, 4)))
+        assert np.shares_memory(validate_tensor(t), t)
 
     @pytest.mark.parametrize("kind", NON_REAL_KINDS)
     def test_non_real_dtype_rejected(self, kind):
