@@ -7,6 +7,10 @@ with a warped companion). Results go to stdout / the --out file; all
 diagnostics go to stderr, with verbosity controlled by the SEIS_LOG
 environment variable (debug|info|warn).
 
+`synth` and `gen` pass HarnessConfig only the settings given, so its
+defaults and value rules hold; every `synth` config value is type-checked,
+even one a flag overrides.
+
 Exit codes: 0 success, 1 fatal configuration or compute error, 2 partial
 batch failure in `layers`.
 """
@@ -20,9 +24,6 @@ from pathlib import Path
 
 from .errors import ParseError, SeisError, ValidationError
 from .harness import (
-    DEFAULT_DIMS,
-    DEFAULT_SMOOTHNESS,
-    DEFAULT_TRIALS,
     HarnessConfig,
     ROLE_ALTERNATE,
     ROLE_REFERENCE,
@@ -33,16 +34,21 @@ from .harness import (
 from .matricize import matricize
 from .metrics import seis
 from .tensor_io import (
-    ResultRow, _read_json, load_manifest, read_tensor, write_results, write_tensor,
+    RESULT_FORMATS, ResultRow, _read_json, load_manifest, read_tensor, write_results,
+    write_tensor,
 )
-from .transforms import CONDITION_ORDER, ConditionKind, make_stream
+from .transforms import ConditionKind, make_stream
 
 logger = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warn": logging.WARNING}
 
-# the synth flags a config file may set
-_CONFIG_KEYS = ("conditions", "dims", "format", "out", "seed", "smoothness", "trials")
+# synth flags a config file may set: (JSON types, HarnessConfig field or None)
+_CONFIG_KEYS = {
+    "conditions": ((str, list), "conditions"), "dims": ((str,), "dims"),
+    "format": ((str,), None), "out": ((str,), None), "seed": ((int,), "master_seed"),
+    "smoothness": ((int, float), "smoothness"), "trials": ((int,), "trials"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,17 +67,20 @@ def _setup_logging():
     )
 
 
-def _parse_dims(text):
-    try:
-        return tuple(int(p) for p in str(text).split(","))
-    except ValueError as exc:
-        raise ValidationError(f"dims must be comma-separated integers, got {text!r}") from exc
-
-
-def _parse_conditions(value):
-    if isinstance(value, str):
-        return [p.strip() for p in value.split(",") if p.strip()]
-    return value
+def _harness_config(settings) -> HarnessConfig:
+    """HarnessConfig from the flag-named settings that are not None; the
+    rest take HarnessConfig's defaults, and HarnessConfig checks every value."""
+    given = {field: settings[key] for key, (_, field) in _CONFIG_KEYS.items()
+             if field is not None and settings.get(key) is not None}
+    if "dims" in given:
+        text = given["dims"]
+        try:
+            given["dims"] = tuple(int(p) for p in text.split(","))
+        except ValueError as exc:
+            raise ValidationError(f"dims must be comma-separated integers, got {text!r}") from exc
+    if isinstance(given.get("conditions"), str):
+        given["conditions"] = [p.strip() for p in given["conditions"].split(",") if p.strip()]
+    return HarnessConfig(**given)
 
 
 def _check_out_path(path):
@@ -84,26 +93,16 @@ def _load_config_file(path):
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
-    for key in doc:
+    for key, value in doc.items():
         if key not in _CONFIG_KEYS:
             raise ValidationError(
                 f"{path}: unknown config key {key!r}; valid: {','.join(_CONFIG_KEYS)}"
             )
+        kinds = _CONFIG_KEYS[key][0]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            expected = " or ".join(k.__name__ for k in kinds)
+            raise ValidationError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
     return doc
-
-
-def _merged(args, key, fallback, kinds=(str,)):
-    """Flag value if given, else config-file value of one of `kinds`, else the default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if args.config_doc is None or key not in args.config_doc:
-        return fallback
-    value = args.config_doc[key]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        expected = " or ".join(k.__name__ for k in kinds)
-        raise ValidationError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
-    return value
 
 
 def cmd_score(args) -> int:
@@ -117,20 +116,15 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    args.config_doc = _load_config_file(args.config) if args.config else None
-    cfg = HarnessConfig(
-        dims=_parse_dims(_merged(args, "dims", "%d,%d,%d,%d" % DEFAULT_DIMS)),
-        trials=_merged(args, "trials", DEFAULT_TRIALS, (int,)),
-        master_seed=_merged(args, "seed", 0, (int,)),
-        conditions=_parse_conditions(_merged(args, "conditions", CONDITION_ORDER, (str, list))),
-        smoothness=float(_merged(args, "smoothness", DEFAULT_SMOOTHNESS, (int, float))),
-    )
-    out = _merged(args, "out", None)
-    fmt = _merged(args, "format", "csv")
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    settings = {**(_load_config_file(args.config) if args.config else {}), **flags}
+    cfg = _harness_config(settings)
+    out = settings.get("out")
+    fmt = settings.get("format", RESULT_FORMATS[0])
     if out is None:
         raise ValidationError("synth requires --out (or 'out' in the config file)")
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"unknown result format {fmt!r}, expected 'csv' or 'json'")
+    if fmt not in RESULT_FORMATS:
+        raise ValidationError(f"unknown result format {fmt!r}, expected one of {RESULT_FORMATS}")
     _check_out_path(out)
     summaries, rows = run_validation_suite(cfg)
     write_results(rows, out, format=fmt)
@@ -168,17 +162,19 @@ def cmd_layers(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = HarnessConfig(
-        dims=_parse_dims(args.dims), trials=1, master_seed=args.seed, smoothness=args.smoothness
-    )
+    cfg = _harness_config(vars(args))
     kind = None if args.warp is None else ConditionKind(args.warp)
     _check_out_path(args.out)
-    ref = gen_synthetic_activations(cfg, make_stream(args.seed, 0, ROLE_REFERENCE))
+    ref = gen_synthetic_activations(cfg, make_stream(cfg.master_seed, 0, ROLE_REFERENCE))
     # build every tensor before writing any, so a failed warp leaves no file
     tensors = [(args.out, ref)]
     if kind is not None:
-        warp_seed = args.warp_seed if args.warp_seed is not None else args.seed
-        alt = make_alternate(cfg, matricize(ref), kind, make_stream(warp_seed, 0, ROLE_ALTERNATE))
+        warp_seed = cfg.master_seed if args.warp_seed is None else args.warp_seed
+        try:
+            rng = make_stream(warp_seed, 0, ROLE_ALTERNATE)
+        except ValidationError as exc:
+            raise ValidationError(f"--warp-seed: {exc}") from exc
+        alt = make_alternate(cfg, matricize(ref), kind, rng)
         out = Path(args.out)
         # the (b, c, h, w) tensor view of the (h*w, b*c) spatial matrix
         tensors.append((out.with_name(out.stem + "_alt" + out.suffix), alt.T.reshape(cfg.dims)))
@@ -209,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--conditions", default=None,
                          help="comma-separated subset of conditions")
     p_synth.add_argument("--out", default=None, help="result table path")
-    p_synth.add_argument("--format", choices=("csv", "json"), default=None)
+    p_synth.add_argument("--format", choices=RESULT_FORMATS, default=None)
     p_synth.add_argument("--config", default=None,
                          help="optional JSON config file; flags override it")
     p_synth.set_defaults(func=cmd_synth)
@@ -217,14 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_layers = sub.add_parser("layers", help="score every pair in a manifest")
     p_layers.add_argument("--manifest", required=True, help="JSON manifest path")
     p_layers.add_argument("--out", required=True, help="result table path")
-    p_layers.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_layers.add_argument("--format", choices=RESULT_FORMATS, default=RESULT_FORMATS[0])
     p_layers.set_defaults(func=cmd_layers)
 
     p_gen = sub.add_parser("gen", help="write a synthetic activation tensor")
-    p_gen.add_argument("--dims", default="%d,%d,%d,%d" % DEFAULT_DIMS,
-                       help="tensor dims as B,C,H,W")
-    p_gen.add_argument("--smoothness", type=float, default=DEFAULT_SMOOTHNESS)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--dims", default=None, help="tensor dims as B,C,H,W")
+    p_gen.add_argument("--smoothness", type=float, default=None)
+    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out", required=True, help="output .npy path")
     p_gen.add_argument("--warp", default=None,
                        help="also write a transformed companion (condition kind)")

@@ -26,10 +26,6 @@ from .errors import (
 # Fraction of the squared singular spectrum the retained subspace must cover.
 VARIANCE_THRESHOLD = 0.99
 
-# Singular values below RANK_FLOOR * sigma_max are dropped before the
-# variance budget (see spatial_subspace for what the Gram route resolves).
-RANK_FLOOR = 1e-12
-
 # Relative ridge added to each covariance diagonal before inversion.
 COVARIANCE_RIDGE = 1e-10
 
@@ -98,15 +94,14 @@ def row_cosines(a, b) -> np.ndarray:
 
 
 def _truncation_rank(s):
-    """(kept mask, k, retained variance) of a non-increasing spectrum: the
-    rank floor, then the fewest leading values holding 99% of sigma^2."""
+    """(k, retained variance) of a non-increasing spectrum: the fewest leading
+    values holding 99% of sigma^2 over the whole spectrum, with no rank floor."""
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateRankError("all singular values are zero")
-    kept = s >= RANK_FLOOR * s[0]
-    power = s[kept] ** 2
+    power = s**2
     frac = np.cumsum(power) / np.sum(power)
     k = int(np.searchsorted(frac, VARIANCE_THRESHOLD) + 1)
-    return kept, k, float(frac[k - 1])
+    return k, float(frac[k - 1])
 
 
 def spatial_subspace(centered) -> TruncatedSubspace:
@@ -114,9 +109,10 @@ def spatial_subspace(centered) -> TruncatedSubspace:
 
     Faster than a thin SVD on the wide matrices the pipeline produces, but
     it resolves singular values only down to about sqrt(eps) * sigma_max
-    (~1e-8), far above RANK_FLOOR; the noise directions below that carry
-    ~1e-16 of sigma^2 and never enter the 99% subspace. A non-finite entry
-    always reaches the Gram diagonal, so the finite check looks there.
+    (~1e-8); the noise directions below that carry ~1e-16 of sigma^2, and
+    those under 1e-12 * sigma_max under min(d, n) * 1e-24, too little to move
+    the 99% cut, which needs no rank floor. A non-finite entry always
+    reaches the Gram diagonal, so the finite check looks there.
 
     A tall (d > n) matrix is eigendecomposed through its (n, n) Gram, and
     only the k retained eigenvectors are lifted to the spatial basis,
@@ -133,13 +129,13 @@ def spatial_subspace(centered) -> TruncatedSubspace:
     lam, vecs = np.linalg.eigh(gram)
     s = np.sqrt(np.clip(lam[::-1], 0.0, None))
     vecs = vecs[:, ::-1]
-    _, k, retained = _truncation_rank(s)
+    k, retained = _truncation_rank(s)
     if tall:
         # lifted as (v_k^T centered^T)^T: this keeps the bits of lifting every
-        # kept column on all but one of the benchmark's golden inputs, while
-        # centered @ v_k takes another BLAS kernel on small shapes and moves
-        # smoke-size s_inv by up to 1.8e-5; elsewhere the basis can differ
-        # from the full lift by about 1e-16
+        # direction above 1e-12 * s[0] on all but one of the benchmark's golden
+        # inputs, while centered @ v_k takes another BLAS kernel on small
+        # shapes and moves smoke-size s_inv by up to 1.8e-5; elsewhere the
+        # basis can differ from the full lift by about 1e-16
         vecs = (np.ascontiguousarray(vecs[:, :k]).T @ centered.T).T / s[:k]
     basis = np.ascontiguousarray(vecs[:, :k])
     return TruncatedSubspace(
@@ -171,9 +167,8 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
     covariance, mapped back through the inverse square roots. The
     directions are rescaled so their variates have unit sample variance,
     and each reported correlation is the absolute cosine of its centered
-    variate pair, its realized correlation. Sign conventions (largest entry
-    of each left vector positive, each pair's correlation non-negative)
-    make the output deterministic.
+    variate pair, its realized correlation. Directions keep the SVD's signs:
+    both scores read absolute cosines, so no score bit depends on them.
     """
     x = np.asarray(left.projected, dtype=np.float64)
     y = np.asarray(right.projected, dtype=np.float64)
@@ -211,17 +206,6 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
     v_right /= sq
     p /= sp[:, None]
     q /= sq[:, None]
-
-    # sign conventions: dominant entry of each w positive, then flip v so
-    # the pair correlates non-negatively
-    peak = np.argmax(np.abs(w_left), axis=0)
-    sign_w = np.sign(w_left[peak, np.arange(r)])
-    sign_w[sign_w == 0.0] = 1.0
-    w_left *= sign_w
-    p *= sign_w[:, None]
-    dots = np.einsum("ij,ij->i", p, q)
-    sign_v = np.where(dots < 0.0, -1.0, 1.0)
-    v_right *= sign_v
 
     rho = row_cosines(p, q)
     order = np.argsort(-rho, kind="stable")

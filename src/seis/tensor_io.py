@@ -26,6 +26,7 @@ from .errors import (
 )
 
 SCORE_FIELDS = ("s_equiv", "s_inv")
+RESULT_FORMATS = ("csv", "json")
 
 
 # dtype kinds with real values: bool, signed and unsigned int, float
@@ -213,8 +214,8 @@ def write_results(rows, path, format="csv") -> None:
     repeated runs of the same seeded experiment directly diffable. Scores
     are rounded to 6 decimals in both formats.
     """
-    if format not in ("csv", "json"):
-        raise ValidationError(f"unknown result format {format!r}, expected 'csv' or 'json'")
+    if format not in RESULT_FORMATS:
+        raise ValidationError(f"unknown result format {format!r}, expected one of {RESULT_FORMATS}")
     with _replacing(path, "w", newline="", encoding="utf-8") as fh:
         records = (asdict(row) for row in rows)
         if format == "csv":

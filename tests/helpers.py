@@ -97,8 +97,8 @@ def subspace_of_matrix(m) -> TruncatedSubspace:
 
 def full_lift_subspace(centered) -> TruncatedSubspace:
     """spatial_subspace of a tall (d > n) centered matrix, lifting every
-    eigenvector above the rank floor, centered @ v / s, and then keeping the
-    first k lifted columns."""
+    eigenvector above 1e-12 * sigma_max, centered @ v / s, and then keeping
+    the first k lifted columns."""
     centered = np.asarray(centered, dtype=np.float64)
     d, n = centered.shape
     if d <= n:
@@ -106,7 +106,8 @@ def full_lift_subspace(centered) -> TruncatedSubspace:
     lam, vecs = np.linalg.eigh(centered.T @ centered)
     s = np.sqrt(np.clip(lam[::-1], 0.0, None))
     vecs = vecs[:, ::-1]
-    kept, k, retained = _truncation_rank(s)
+    kept = s >= 1e-12 * s[0]
+    k, retained = _truncation_rank(s)
     lifted = (centered @ vecs[:, kept]) / s[kept]
     basis = np.ascontiguousarray(lifted[:, :k])
     return TruncatedSubspace(

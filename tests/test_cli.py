@@ -86,6 +86,18 @@ class TestScore:
         assert "error:" in capsys.readouterr().err
 
 
+# per synth config key: the config file's value, then the flag's value, which wins
+CONFIG_OVERRIDES = {
+    "conditions": ("translation", "rotation"),
+    "dims": ("2,4,10,10", "2,4,8,8"),
+    "format": ("json", "csv"),
+    "out": ("from_config.csv", "from_flag.csv"),
+    "seed": (9, 3),
+    "smoothness": (1, 3.0),
+    "trials": (3, 2),
+}
+
+
 class TestSynth:
     def test_small_run_writes_rows_and_summary(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -150,6 +162,51 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,flag", [
+        ("trials", "2", "1"),
+        ("seed", 1.5, "1"),
+        ("dims", [2, 2, 8, 8], "2,2,8,8"),
+        ("smoothness", "2", "2"),
+        ("conditions", 5, "identity"),
+        ("out", 5, "rows.csv"),
+        ("format", True, "csv"),
+    ])
+    def test_config_value_of_wrong_type_is_fatal_under_its_flag(
+            self, tmp_path, capsys, monkeypatch, key, value, flag):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({
+            "trials": 1, "dims": "2,2,8,8", "conditions": "identity", "out": "rows.csv",
+            key: value,
+        }))
+        assert run_cli("synth", "--config", "cfg.json", f"--{key}", flag) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key ") and repr(key) in err
+        assert not Path("rows.csv").exists()
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_OVERRIDES))
+    def test_each_flag_overrides_its_config_key(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        base = {"conditions": "rotation", "dims": "2,4,8,8", "seed": 3, "trials": 2,
+                "out": "rows.csv"}
+        config_value, flag_value = CONFIG_OVERRIDES[key]
+
+        def synth(config, flags):
+            argv = ["synth"]
+            if config is not None:
+                Path("cfg.json").write_text(json.dumps(config))
+                argv += ["--config", "cfg.json"]
+            for name, value in flags.items():
+                argv += [f"--{name}", str(value)]
+            assert run_cli(*argv) == 0
+            out = Path(flags.get("out") or config["out"])
+            result = (out.name, out.read_bytes(), capsys.readouterr().out)
+            out.unlink()
+            return result
+
+        overridden = synth({**base, key: config_value}, {key: flag_value})
+        assert overridden == synth(None, {**base, key: flag_value})
+        assert overridden != synth({**base, key: config_value}, {})
 
     def test_unknown_config_key_is_fatal(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -249,6 +306,19 @@ class TestGen:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_warp_seed_names_the_flag(self, tmp_path, capsys):
+        code = run_cli("gen", "--dims", "2,2,8,8", "--out", str(tmp_path / "a.npy"),
+                       "--warp", "rotation", "--warp-seed", "-1")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --warp-seed: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_defaults_are_harness_defaults(self, tmp_path):
+        assert run_cli("gen", "--out", str(tmp_path / "a.npy")) == 0
+        assert run_cli("gen", "--dims", "64,32,28,28", "--smoothness", "2", "--seed", "0",
+                       "--out", str(tmp_path / "b.npy")) == 0
+        assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
 
     @pytest.mark.parametrize("dims", ["4,4,8", "4,4,8,8,1", "4,0,8,8", "4,4,8,x"])
     def test_bad_dims_exit_1(self, tmp_path, capsys, dims):

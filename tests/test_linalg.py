@@ -10,6 +10,7 @@ from seis.errors import (
 )
 from seis.linalg import _truncation_rank, cca, row_cosines, spatial_subspace
 from seis.matricize import center_rows, matricize
+from seis.metrics import seis
 
 from helpers import (
     OracleError,
@@ -32,7 +33,8 @@ def variates(res, left, right):
 
 
 def assert_matches_svd_route(m):
-    # reference: LAPACK thin SVD with the same floor and 99% budget
+    """Check spatial_subspace(m) against a LAPACK thin SVD that drops values
+    under 1e-12 * sigma_max before the 99% budget; returns the reference k."""
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     power = s[s >= 1e-12 * s[0]] ** 2
     frac = np.cumsum(power) / power.sum()
@@ -46,31 +48,31 @@ def assert_matches_svd_route(m):
     assert np.allclose(via_gram.projected * sign[:, None], u[:, :k].T @ m,
                        atol=1e-8)
     assert via_gram.retained_variance == pytest.approx(frac[k - 1], abs=1e-12)
+    return k
 
 
 class TestTruncate99:
-    """The rank-floor-plus-99% rule, fed exact spectra."""
+    """The 99% rule, fed exact spectra."""
 
     def test_two_values_dominant(self):
         # 100 / 101 = 0.990099 >= 0.99, so one direction suffices
-        _, k, retained = _truncation_rank(np.array([10.0, 1.0]))
+        k, retained = _truncation_rank(np.array([10.0, 1.0]))
         assert k == 1
         assert retained == pytest.approx(100.0 / 101.0, abs=1e-15)
 
     def test_two_equal_values(self):
-        _, k, retained = _truncation_rank(np.array([1.0, 1.0]))
+        k, retained = _truncation_rank(np.array([1.0, 1.0]))
         assert k == 2
         assert retained == 1.0
 
     def test_rank_one(self):
-        _, k, retained = _truncation_rank(np.array([5.0]))
+        k, retained = _truncation_rank(np.array([5.0]))
         assert k == 1
         assert retained == 1.0
 
-    def test_floor_drops_noise_directions(self):
+    def test_value_under_1e12_sigma_max_changes_neither_k_nor_retained(self):
         s = np.array([5.0, 4.9e-12])  # second is below 1e-12 * 5.0
-        kept, k, retained = _truncation_rank(s)
-        assert np.array_equal(kept, [True, False])
+        k, retained = _truncation_rank(s)
         assert k == 1
         assert retained == 1.0
 
@@ -101,8 +103,8 @@ class TestTruncate99:
 def tall_low_rank_matrix():
     # 120 cells by 40 observations: 10 dead rows, and the last 20
     # observations duplicate the first 20 with a fast-decaying spectrum,
-    # so the Gram has null directions (the rank floor keeps fewer than
-    # n columns) and the 99% cut keeps far fewer still
+    # so the Gram has null directions (fewer than n values above
+    # 1e-12 * sigma_max) and the 99% cut keeps far fewer still
     rng = np.random.default_rng(7)
     half = rng.standard_normal((120, 20)) * 0.5 ** np.arange(20)
     half[:10] = 0.0
@@ -150,8 +152,8 @@ class TestSpatialSubspace:
     def test_tall_low_rank_matches_svd_route(self):
         m = tall_low_rank_matrix()
         s = np.sqrt(np.clip(np.linalg.eigvalsh(m.T @ m)[::-1], 0.0, None))
-        kept, k, _ = _truncation_rank(s)
-        assert k <= 8 and np.count_nonzero(kept) < 40
+        k, _ = _truncation_rank(s)
+        assert k <= 8 and np.count_nonzero(s >= 1e-12 * s[0]) < 40
         assert_matches_svd_route(m)
 
     def test_basis_orthonormal_tall(self):
@@ -170,6 +172,49 @@ class TestSpatialSubspace:
             m[1, 2] = bad
             with pytest.raises(ValidationError):
                 spatial_subspace(m)
+
+
+def duplicated_channels(z):
+    z[:, 1::2] = z[:, ::2]
+    return z
+
+
+def dead_spatial_rows(z):
+    z[:, :, :2, :] = 0.0
+    return z
+
+
+def constant_slices(z):
+    z[:, ::3] = np.arange(z.shape[0])[:, None, None, None]
+    return z
+
+
+LOW_RANK_INPUTS = {
+    "duplicated-channels": duplicated_channels,
+    "dead-spatial-rows": dead_spatial_rows,
+    "constant-slices": constant_slices,
+}
+
+# one shape per Gram route: d=25 <= n=32 and d=100 > n=16
+ROUTE_DIMS = {"wide": (4, 8, 5, 5), "tall": (2, 8, 10, 10)}
+
+
+class TestLowRankInputs:
+    """Rank-deficient tensors: the 99% budget alone gives the k and basis of
+    an SVD reference that drops values under 1e-12 * sigma_max first."""
+
+    @pytest.mark.parametrize("route", sorted(ROUTE_DIMS))
+    @pytest.mark.parametrize("kind", sorted(LOW_RANK_INPUTS))
+    def test_seis_matches_svd_route(self, kind, route):
+        dims = ROUTE_DIMS[route]
+        z = LOW_RANK_INPUTS[kind](smooth_tensor(dims, seed=5))
+        m = center_rows(matricize(z))
+        assert (m.shape[0] > m.shape[1]) == (route == "tall")
+        s = np.linalg.svd(m, compute_uv=False)
+        assert np.count_nonzero(s >= 1e-12 * s[0]) < min(m.shape)  # rank deficient
+        k = assert_matches_svd_route(m)
+        scores = seis(z, z)
+        assert scores.k_a == scores.k_a_prime == k
 
 
 class TestCca:
@@ -260,15 +305,6 @@ class TestCca:
         cross = p @ q.T / (n - 1)
         off = cross - np.diag(np.diag(cross))
         assert np.max(np.abs(off)) <= 1e-6
-
-    def test_sign_convention(self):
-        left = subspace_of_matrix(np.random.default_rng(13).standard_normal((6, 60)))
-        right = subspace_of_matrix(np.random.default_rng(14).standard_normal((6, 60)))
-        res = cca(left, right)
-        peak = np.argmax(np.abs(res.proj_left), axis=0)
-        assert np.all(res.proj_left[peak, np.arange(res.r)] > 0)
-        dots = np.einsum("ij,ij->i", *variates(res, left, right))
-        assert np.all(dots >= 0)
 
     def test_observation_count_mismatch(self):
         left = subspace_of_matrix(np.random.default_rng(15).standard_normal((5, 50)))
