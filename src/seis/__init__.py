@@ -9,6 +9,9 @@ recoverable?) and invariance (did the spatial basis itself stay aligned?).
 A synthetic harness with built-in spatial transforms validates the scores
 against known ground-truth regimes, and the CLI batch-scores externally
 dumped layer activations.
+
+seis() checks its inputs once; the stages it runs (in seis.matricize,
+seis.linalg and seis.metrics) are unexported internals that trust them.
 """
 
 from .errors import (
@@ -30,18 +33,10 @@ from .harness import (
     HarnessConfig,
     gen_synthetic_activations,
     make_alternate,
-    run_condition,
     run_validation_suite,
 )
-from .linalg import (
-    CcaResult,
-    TruncatedSubspace,
-    cca,
-    row_cosines,
-    spatial_subspace,
-)
-from .matricize import center_rows, matricize
-from .metrics import SeisScores, equivariance_score, invariance_score, seis
+from .matricize import matricize
+from .metrics import SeisScores, seis
 from .tensor_io import (
     Manifest,
     ManifestEntry,
@@ -56,7 +51,6 @@ from .transforms import (
     AffineParams,
     CONDITION_ORDER,
     ConditionKind,
-    GEOMETRIC_CONDITIONS,
     apply_affine,
     make_stream,
     permute_spatial,
@@ -68,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineParams",
     "CONDITION_ORDER",
-    "CcaResult",
     "ConditionKind",
     "ConditionSummary",
     "DEFAULT_DIMS",
@@ -78,7 +71,6 @@ __all__ = [
     "DegenerateSampleError",
     "DtypeError",
     "FormatError",
-    "GEOMETRIC_CONDITIONS",
     "HarnessConfig",
     "Manifest",
     "ManifestEntry",
@@ -88,26 +80,18 @@ __all__ = [
     "SeisError",
     "SeisScores",
     "ShapeError",
-    "TruncatedSubspace",
     "ValidationError",
     "apply_affine",
-    "cca",
-    "center_rows",
-    "equivariance_score",
     "gen_synthetic_activations",
-    "invariance_score",
     "load_manifest",
     "make_alternate",
     "make_stream",
     "matricize",
     "permute_spatial",
     "read_tensor",
-    "row_cosines",
-    "run_condition",
     "run_validation_suite",
     "sample_params",
     "seis",
-    "spatial_subspace",
     "validate_tensor",
     "write_results",
     "write_tensor",

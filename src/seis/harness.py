@@ -11,7 +11,7 @@ the config, so two runs with the same master seed agree bit for bit.
 
 import logging
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -82,8 +82,10 @@ class HarnessConfig:
         object.__setattr__(self, "smoothness", float(self.smoothness))
         if not (0.0 < self.smoothness < np.inf):
             raise ValidationError(f"smoothness must be positive and finite, got {self.smoothness}")
-        conditions = _sequence("conditions", self.conditions)
-        object.__setattr__(self, "conditions", tuple(ConditionKind(c) for c in conditions))
+        conditions = tuple(ConditionKind(c) for c in _sequence("conditions", self.conditions))
+        if not conditions:
+            raise ValidationError("conditions must name at least one condition")
+        object.__setattr__(self, "conditions", conditions)
 
 
 @dataclass(frozen=True)
@@ -138,11 +140,6 @@ def make_alternate(cfg: HarnessConfig, ref: np.ndarray, kind, rng) -> np.ndarray
         return matricize(gen_synthetic_activations(cfg, rng))
     op = affine_operator(cfg.dims[2], cfg.dims[3], sample_params(kind, rng))
     return ref.copy() if op is None else op @ ref
-
-
-def run_condition(cfg: HarnessConfig, kind) -> list:
-    """Run every trial of one condition and return one ResultRow per trial."""
-    return run_validation_suite(replace(cfg, conditions=(kind,)))[1]
 
 
 def run_validation_suite(cfg: HarnessConfig):

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateRankError,
-    DegenerateSampleError,
-    NumericalError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import DegenerateRankError, NumericalError, ValidationError
 
 # Fraction of the squared singular spectrum the retained subspace must cover.
 VARIANCE_THRESHOLD = 0.99
@@ -70,15 +64,12 @@ class CcaResult:
 def row_cosines(a, b) -> np.ndarray:
     """Absolute cosine similarity between matching rows of two matrices.
 
-    Raises NumericalError on any zero-norm row; silent zeros would be
-    indistinguishable from genuine orthogonality. Rounding can push a
-    cosine past 1 by a few machine epsilons; such values are clamped back,
-    but an excess beyond CLAMP_GUARD is a real failure and raises.
+    a and b are same-shaped float64 matrices, not checked here. Raises
+    NumericalError on any zero-norm row; silent zeros would be
+    indistinguishable from genuine orthogonality. Rounding can push a cosine
+    past 1 by a few machine epsilons; such values are clamped back, but an
+    excess beyond CLAMP_GUARD is a real failure and raises.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"row shapes differ: {a.shape} vs {b.shape}")
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     if np.any(na == 0.0) or np.any(nb == 0.0):
@@ -107,20 +98,19 @@ def _truncation_rank(s):
 def spatial_subspace(centered) -> TruncatedSubspace:
     """Truncated principal subspace of a centered matrix, via the Gram route.
 
-    Faster than a thin SVD on the wide matrices the pipeline produces, but
-    it resolves singular values only down to about sqrt(eps) * sigma_max
-    (~1e-8); the noise directions below that carry ~1e-16 of sigma^2, and
-    those under 1e-12 * sigma_max under min(d, n) * 1e-24, too little to move
-    the 99% cut, which needs no rank floor. A non-finite entry always
-    reaches the Gram diagonal, so the finite check looks there.
+    centered is a 2-D float64 matrix with rows centered by center_rows, as
+    seis() builds it; it is not checked here. Faster than a thin SVD on the
+    wide matrices the pipeline produces, but it resolves singular values
+    only down to about sqrt(eps) * sigma_max (~1e-8); the noise directions
+    below that carry ~1e-16 of sigma^2, and those under 1e-12 * sigma_max
+    under min(d, n) * 1e-24, too little to move the 99% cut, which needs no
+    rank floor. A non-finite entry always reaches the Gram diagonal, so the
+    finite check looks there.
 
     A tall (d > n) matrix is eigendecomposed through its (n, n) Gram, and
     only the k retained eigenvectors are lifted to the spatial basis,
     centered @ v_i / s_i: a (d, n, k) product instead of (d, n, n).
     """
-    centered = np.asarray(centered, dtype=np.float64)
-    if centered.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={centered.ndim}")
     d, n = centered.shape
     tall = d > n
     gram = centered.T @ centered if tall else centered @ centered.T
@@ -169,15 +159,13 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
     and each reported correlation is the absolute cosine of its centered
     variate pair, its realized correlation. Directions keep the SVD's signs:
     both scores read absolute cosines, so no score bit depends on them.
+
+    left and right come from spatial_subspace on matrices with the same
+    n >= 2 observations, which seis() and center_rows check beforehand.
     """
-    x = np.asarray(left.projected, dtype=np.float64)
-    y = np.asarray(right.projected, dtype=np.float64)
+    x, y = left.projected, right.projected
     kx, n = x.shape
-    ky, n2 = y.shape
-    if n != n2:
-        raise ShapeError(f"observation counts differ: {n} vs {n2}")
-    if n < 2:
-        raise DegenerateSampleError(f"CCA needs at least 2 observations, got {n}")
+    ky = y.shape[0]
 
     cxx = x @ x.T / (n - 1)
     cyy = y @ y.T / (n - 1)

@@ -11,7 +11,7 @@ in column i*c + j.
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ShapeError
+from .errors import DegenerateSampleError
 from .tensor_io import validate_tensor
 
 
@@ -27,22 +27,16 @@ def matricize(z) -> np.ndarray:
     return np.array(z.reshape(b * c, h * w).T, dtype=np.float64, order="C")
 
 
-def center_rows(a) -> np.ndarray:
-    """Subtract each row's mean over the observations.
+def center_rows(a: np.ndarray) -> np.ndarray:
+    """Subtract each row's mean over the observations, in place.
 
-    Centering happens here, before any SVD, so the truncated basis is a
-    true principal subspace and the canonical variates downstream come out
-    centered. Idempotent. Requires at least two observations. The input is
-    left untouched.
+    a is a 2-D float64 matrix the caller owns, such as matricize's result;
+    it is overwritten and returned. Centering happens here, before any
+    SVD, so the truncated basis is a true principal subspace and the
+    canonical variates downstream come out centered. Idempotent. This is
+    where the pipeline first checks the sample count: at least two
+    observations are required.
     """
-    return _center_in_place(np.array(a, dtype=np.float64))
-
-
-def _center_in_place(a: np.ndarray) -> np.ndarray:
-    """center_rows on a float64 matrix the caller owns, overwriting and
-    returning it; the result is bit-equal to center_rows(a)."""
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[1] < 2:
         raise DegenerateSampleError(
             f"centering needs at least 2 observations, got {a.shape[1]}"

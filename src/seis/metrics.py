@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateRankError, DegenerateSampleError, ShapeError
 from .linalg import CcaResult, cca, row_cosines, spatial_subspace
-from .matricize import _center_in_place, matricize
+from .matricize import center_rows, matricize
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,6 @@ def equivariance_score(c: CcaResult) -> float:
     variate pair, so this is also the mean absolute cosine between paired
     canonical variates.
     """
-    if c.r < 1:
-        raise DegenerateRankError("CCA result has no canonical pairs")
     # pairwise summation of near-1 terms can round the mean past 1
     return min(float(np.mean(c.correlations)), 1.0)
 
@@ -55,24 +53,12 @@ def invariance_score(c: CcaResult, left_basis, right_basis) -> float:
     by its canonical correlation, so directions carrying no shared
     information cannot certify alignment, and the sum is divided by the
     number of pairs.
+
+    The bases are those of the two subspaces c was computed from, so their
+    shapes fit c's projection vectors; they are not checked here.
     """
-    if c.r < 1:
-        raise DegenerateRankError("CCA result has no canonical pairs")
-    lb = np.asarray(left_basis, dtype=np.float64)
-    rb = np.asarray(right_basis, dtype=np.float64)
-    if lb.ndim != 2 or rb.ndim != 2:
-        raise ShapeError("bases must be 2-D matrices")
-    if lb.shape[0] != rb.shape[0]:
-        raise ShapeError(
-            f"bases live in different spatial spaces: d={lb.shape[0]} vs d={rb.shape[0]}"
-        )
-    if lb.shape[1] != c.proj_left.shape[0] or rb.shape[1] != c.proj_right.shape[0]:
-        raise ShapeError(
-            f"basis widths ({lb.shape[1]}, {rb.shape[1]}) do not match projection "
-            f"vector sizes ({c.proj_left.shape[0]}, {c.proj_right.shape[0]})"
-        )
-    lifted_left = lb @ c.proj_left    # (d, r)
-    lifted_right = rb @ c.proj_right  # (d, r)
+    lifted_left = left_basis @ c.proj_left     # (d, r)
+    lifted_right = right_basis @ c.proj_right  # (d, r)
     cosines = row_cosines(lifted_left.T, lifted_right.T)
     return min(float(np.sum(c.correlations * cosines) / c.r), 1.0)
 
@@ -81,7 +67,7 @@ def _side_subspace(side, matrix):
     """Truncated subspace of one side's (d, n) spatial matrix, which must be
     a float64 array the caller owns: it is centered in place."""
     try:
-        return spatial_subspace(_center_in_place(matrix))
+        return spatial_subspace(center_rows(matrix))
     except (DegenerateRankError, DegenerateSampleError) as exc:
         raise type(exc)(f"{side} tensor: {exc}") from exc
 

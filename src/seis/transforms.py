@@ -48,13 +48,6 @@ class ConditionKind(str, Enum):
 
 CONDITION_ORDER = tuple(ConditionKind)
 
-GEOMETRIC_CONDITIONS = (
-    ConditionKind.TRANSLATION,
-    ConditionKind.SCALING,
-    ConditionKind.ROTATION,
-    ConditionKind.AFFINE,
-)
-
 
 @dataclass(frozen=True)
 class AffineParams:

@@ -6,19 +6,35 @@ bug there cannot hide in both routes. cca_oracle plays the same role for
 the whitened CCA, bilinear_gather_oracle for the sparse warp operator, and
 full_lift_subspace for the k-column lift of spatial_subspace's tall route.
 random_conv_stack is a small seeded CNN whose layers give a depth profile
-without trained weights.
+without trained weights. run_condition and GEOMETRIC_CONDITIONS are
+shorthands for running the harness one condition at a time.
 """
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from seis.errors import SeisError, ShapeError
+from seis.harness import HarnessConfig, run_validation_suite
 from seis.linalg import TruncatedSubspace, _truncation_rank, spatial_subspace
 from seis.matricize import center_rows, matricize
+from seis.transforms import ConditionKind
+
+GEOMETRIC_CONDITIONS = (
+    ConditionKind.TRANSLATION,
+    ConditionKind.SCALING,
+    ConditionKind.ROTATION,
+    ConditionKind.AFFINE,
+)
+
+
+def run_condition(cfg: HarnessConfig, kind) -> list:
+    """Run every trial of one condition and return one ResultRow per trial."""
+    return run_validation_suite(replace(cfg, conditions=(kind,)))[1]
 
 
 def write_npy_independent(path, arr, fortran_order=False, descr="<f8"):
@@ -92,7 +108,7 @@ def subspace_of_tensor(z) -> TruncatedSubspace:
 
 def subspace_of_matrix(m) -> TruncatedSubspace:
     """Truncated subspace of a raw matrix after row centering."""
-    return spatial_subspace(center_rows(np.asarray(m, dtype=np.float64)))
+    return spatial_subspace(center_rows(np.array(m, dtype=np.float64)))
 
 
 def full_lift_subspace(centered) -> TruncatedSubspace:

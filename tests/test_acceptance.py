@@ -12,7 +12,7 @@ import pytest
 from scipy import ndimage
 
 from seis.cli import main as cli_main
-from seis.harness import HarnessConfig, run_condition, run_validation_suite
+from seis.harness import HarnessConfig, run_validation_suite
 from seis.linalg import cca, spatial_subspace
 from seis.matricize import center_rows, matricize
 from seis.metrics import seis
@@ -20,15 +20,16 @@ from seis.tensor_io import RESULT_FIELDS, write_tensor
 from seis.transforms import (
     AffineParams,
     ConditionKind,
-    GEOMETRIC_CONDITIONS,
     apply_affine,
     permute_spatial,
 )
 
 from helpers import (
+    GEOMETRIC_CONDITIONS,
     cca_oracle,
     dematricize,
     random_conv_stack,
+    run_condition,
     smooth_tensor,
     subspace_of_matrix,
     subspace_of_tensor,

@@ -245,6 +245,23 @@ class TestSynth:
             "valid: identity,translation,scaling,rotation,affine,random_baseline\n"
         )
 
+    def test_empty_conditions_flag_is_fatal(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert run_cli("synth", "--conditions", ",", "--dims", "2,2,8,8", "--trials", "1",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: conditions must name at least one condition\n"
+        assert not out.exists()
+
+    def test_empty_conditions_in_config_is_fatal(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "e.csv"
+        cfg_path.write_text(json.dumps({
+            "conditions": [], "dims": "2,2,8,8", "trials": 1, "out": str(out),
+        }))
+        assert run_cli("synth", "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == "error: conditions must name at least one condition\n"
+        assert not out.exists()
+
     def test_bad_dims_is_fatal(self, tmp_path):
         assert run_cli("synth", "--dims", "4,8", "--trials", "1",
                        "--out", str(tmp_path / "x.csv")) == 1

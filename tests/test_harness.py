@@ -9,7 +9,6 @@ from seis.harness import (
     HarnessConfig,
     gen_synthetic_activations,
     make_alternate,
-    run_condition,
     run_validation_suite,
 )
 from seis.matricize import matricize
@@ -20,6 +19,8 @@ from seis.transforms import (
     apply_affine,
     make_stream,
 )
+
+from helpers import run_condition
 
 SMALL = HarnessConfig(dims=(4, 8, 10, 10), trials=3, master_seed=11)
 
@@ -59,6 +60,12 @@ class TestConfig:
             HarnessConfig(smoothness=float("inf"))
         with pytest.raises(ValidationError, match="sideways"):
             HarnessConfig(conditions=("sideways",))
+
+    @pytest.mark.parametrize("conditions", [(), []])
+    def test_empty_conditions_rejected(self, conditions):
+        # an empty selection used to run a suite that scored nothing
+        with pytest.raises(ValidationError, match="at least one condition"):
+            HarnessConfig(conditions=conditions)
 
     @pytest.mark.parametrize("field,value", [
         ("trials", 2.5),

@@ -3,9 +3,7 @@ import pytest
 
 from seis.errors import (
     DegenerateRankError,
-    DegenerateSampleError,
     NumericalError,
-    ShapeError,
     ValidationError,
 )
 from seis.linalg import _truncation_rank, cca, row_cosines, spatial_subspace
@@ -305,18 +303,6 @@ class TestCca:
         cross = p @ q.T / (n - 1)
         off = cross - np.diag(np.diag(cross))
         assert np.max(np.abs(off)) <= 1e-6
-
-    def test_observation_count_mismatch(self):
-        left = subspace_of_matrix(np.random.default_rng(15).standard_normal((5, 50)))
-        right = subspace_of_matrix(np.random.default_rng(16).standard_normal((5, 60)))
-        with pytest.raises(ShapeError):
-            cca(left, right)
-
-    def test_too_few_observations(self):
-        left = subspace_of_matrix(np.random.default_rng(17).standard_normal((5, 50)))
-        bad = replace_projected(left, left.projected[:, :1])
-        with pytest.raises(DegenerateSampleError):
-            cca(bad, bad)
 
 
 class TestCcaOracle:

@@ -8,14 +8,13 @@ from seis.transforms import (
     AffineParams,
     CONDITION_ORDER,
     ConditionKind,
-    GEOMETRIC_CONDITIONS,
     apply_affine,
     make_stream,
     permute_spatial,
     sample_params,
 )
 
-from helpers import bilinear_gather_oracle
+from helpers import GEOMETRIC_CONDITIONS, bilinear_gather_oracle
 
 
 def rand_tensor(shape, seed=0):
