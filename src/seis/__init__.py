@@ -38,7 +38,6 @@ from .harness import (
 from .matricize import matricize
 from .metrics import SeisScores, seis
 from .tensor_io import (
-    Manifest,
     ManifestEntry,
     ResultRow,
     load_manifest,
@@ -53,7 +52,6 @@ from .transforms import (
     ConditionKind,
     apply_affine,
     make_stream,
-    permute_spatial,
     sample_params,
 )
 
@@ -72,7 +70,6 @@ __all__ = [
     "DtypeError",
     "FormatError",
     "HarnessConfig",
-    "Manifest",
     "ManifestEntry",
     "NumericalError",
     "ParseError",
@@ -87,7 +84,6 @@ __all__ = [
     "make_alternate",
     "make_stream",
     "matricize",
-    "permute_spatial",
     "read_tensor",
     "run_validation_suite",
     "sample_params",

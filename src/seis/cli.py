@@ -22,6 +22,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import metrics
 from .errors import ParseError, SeisError, ValidationError
 from .harness import (
     HarnessConfig,
@@ -32,7 +33,6 @@ from .harness import (
     run_validation_suite,
 )
 from .matricize import matricize
-from .metrics import seis
 from .tensor_io import (
     RESULT_FORMATS, ResultRow, _read_json, load_manifest, read_tensor, write_results,
     write_tensor,
@@ -107,7 +107,7 @@ def _load_config_file(path):
 
 def cmd_score(args) -> int:
     # seis() widens each dump to float64 as it matricizes it
-    scores = seis(read_tensor(args.ref), read_tensor(args.alt))
+    scores = metrics.seis(read_tensor(args.ref), read_tensor(args.alt))
     print(
         f"s_equiv={scores.s_equiv:.6f} s_inv={scores.s_inv:.6f} "
         f"k_a={scores.k_a} k_a_prime={scores.k_a_prime} r={scores.r}"
@@ -138,20 +138,54 @@ def cmd_synth(args) -> int:
 
 
 def cmd_layers(args) -> int:
-    manifest = load_manifest(args.manifest)
+    entries = load_manifest(args.manifest)
     _check_out_path(args.out)
     # relative tensor paths are relative to the manifest's own directory
     base = Path(args.manifest).parent
+    paths = [(base / e.ref_path, base / e.alt_path) for e in entries]
+    keys = [tuple(os.path.realpath(p) for p in pair) for pair in paths]
+    # a built side is kept, keyed by resolved path, while a later entry names it
+    last = {key: i for i, pair in enumerate(keys) for key in pair}
+    sides = {}
+
+    def side(i, path, key, role):
+        """(dims, subspace) of the dump at path, which is dropped once its
+        subspace exists. A read error raises here; a subspace error is
+        returned in the subspace's place, so that it is raised where seis()
+        would raise it: after the other dump is read and the dims compared."""
+        if key in sides:
+            return sides[key]
+        t = read_tensor(path)
+        try:
+            got = t.shape, metrics._tensor_subspace(role, t)
+        except SeisError as exc:
+            return t.shape, exc
+        if last[key] > i:
+            sides[key] = got
+        return got
+
     rows = []
     failures = 0
-    for entry in manifest:
+    for i, (entry, (ref_path, alt_path), (ref_key, alt_key)) in enumerate(
+            zip(entries, paths, keys)):
         try:
-            scores = seis(read_tensor(base / entry.ref_path), read_tensor(base / entry.alt_path))
+            ref_dims, ref = side(i, ref_path, ref_key, "reference")
+            # an alt that resolves to its ref is scored against the reference side
+            alt_dims, alt = ((ref_dims, ref) if alt_key == ref_key
+                             else side(i, alt_path, alt_key, "alternate"))
+            metrics._same_dims(ref_dims, alt_dims)
+            for got in (ref, alt):
+                if isinstance(got, SeisError):
+                    raise got
+            scores = metrics._score(ref, alt)
         except (SeisError, OSError) as exc:
             logger.warning("skipping entry %r: %s", entry.label, exc)
             failures += 1
-            continue
-        rows.append(ResultRow.of(entry.label, "manifest", 0, 0, scores))
+        else:
+            rows.append(ResultRow.of(entry.label, "manifest", 0, 0, scores))
+        for key in (ref_key, alt_key):
+            if last[key] == i:
+                sides.pop(key, None)
     write_results(rows, args.out, format=args.format)
     if failures and not rows:
         logger.warning("all %d manifest entries failed", failures)

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateRankError, DegenerateSampleError, ShapeError
 from .linalg import CcaResult, cca, row_cosines, spatial_subspace
 from .matricize import center_rows, matricize
+from .tensor_io import _REAL_KINDS
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,11 @@ def _side_subspace(side, matrix):
         raise type(exc)(f"{side} tensor: {exc}") from exc
 
 
+def _tensor_subspace(side, z):
+    """_side_subspace of a (b, c, h, w) tensor's spatial matrix."""
+    return _side_subspace(side, matricize(z))
+
+
 def _score(left, right) -> SeisScores:
     """Scores between two sides' truncated subspaces (see seis)."""
     c = cca(left, right)
@@ -85,6 +91,11 @@ def _score(left, right) -> SeisScores:
     )
 
 
+def _same_dims(ref_dims, alt_dims):
+    if ref_dims != alt_dims:
+        raise ShapeError(f"tensor dims differ: {ref_dims} vs {alt_dims}")
+
+
 def seis(z_ref, z_alt) -> SeisScores:
     """Score a pair of equally-shaped activation tensors.
 
@@ -93,10 +104,15 @@ def seis(z_ref, z_alt) -> SeisScores:
     the observations, truncate to the 99%-variance spatial subspace, run
     CCA between the projected coordinates, then aggregate the equivariance
     and invariance scores. Deterministic for fixed inputs.
+
+    An alternate equal in value to the reference (float32 and float64
+    copies of the same values included) widens to the same matrix, so it
+    is scored against the reference subspace itself rather than a rebuilt
+    copy of it, as the harness scores identity.
     """
-    if np.shape(z_ref) != np.shape(z_alt):
-        raise ShapeError(f"tensor dims differ: {np.shape(z_ref)} vs {np.shape(z_alt)}")
-    return _score(
-        _side_subspace("reference", matricize(z_ref)),
-        _side_subspace("alternate", matricize(z_alt)),
-    )
+    _same_dims(np.shape(z_ref), np.shape(z_alt))
+    ref = _tensor_subspace("reference", z_ref)
+    # the reference is valid here, so an equal alternate of a real dtype is too
+    if np.asarray(z_alt).dtype.kind in _REAL_KINDS and np.array_equal(z_ref, z_alt):
+        return _score(ref, ref)
+    return _score(ref, _tensor_subspace("alternate", z_alt))

@@ -12,7 +12,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -122,26 +122,14 @@ class ManifestEntry:
     alt_path: str
 
 
-@dataclass(frozen=True)
-class Manifest:
-    """Ordered list of labelled (reference, alternate) tensor file pairs."""
+def load_manifest(path) -> tuple:
+    """Parse a JSON manifest, {"entries": [{"label", "ref", "alt"}, ...]},
+    into its tuple of ManifestEntry.
 
-    entries: tuple
-    metadata: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def load_manifest(path) -> Manifest:
-    """Parse a JSON manifest: {"entries": [{"label", "ref", "alt"}, ...]}.
-
-    File order is preserved. label, ref and alt must be JSON strings.
-    Duplicate labels are rejected so result rows stay unambiguous; an empty
-    entries array is a valid (empty) manifest.
+    File order is preserved, and other top-level keys are ignored. label,
+    ref and alt must be JSON strings. Duplicate labels are rejected so
+    result rows stay unambiguous; an empty entries array is a valid (empty)
+    manifest.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict) or "entries" not in doc:
@@ -165,10 +153,7 @@ def load_manifest(path) -> Manifest:
             raise ValidationError(f"{path}: duplicate label {entry.label!r}")
         seen.add(entry.label)
         entries.append(entry)
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ParseError(f"{path}: 'metadata' must be an object")
-    return Manifest(entries=tuple(entries), metadata=metadata)
+    return tuple(entries)
 
 
 @dataclass(frozen=True)

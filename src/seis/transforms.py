@@ -199,23 +199,3 @@ def apply_affine(z, params: AffineParams) -> np.ndarray:
     shape = np.shape(z)
     op = affine_operator(shape[2], shape[3], params)
     return (m if op is None else op @ m).T.reshape(shape)
-
-
-def permute_spatial(z, perm) -> np.ndarray:
-    """Move flattened spatial cell i of every slice to position perm[i].
-
-    A permutation is the exactness probe for spatial transforms: it is a
-    lossless linear operator on the feature axis, so equivariance scores
-    across it should be indistinguishable from the identity case. It is
-    applied like apply_affine's operator, to the spatial matrix. Values
-    move unchanged, except that -0.0 comes out as +0.0.
-    """
-    m = matricize(z)
-    d = m.shape[0]
-    perm = np.asarray(perm)
-    if perm.shape != (d,) or perm.dtype.kind not in "iu":
-        raise ValidationError(f"perm must be {d} integer indices")
-    if not np.array_equal(np.sort(perm), np.arange(d)):
-        raise ValidationError("perm is not a bijection on the spatial cells")
-    op = sparse.csr_array((np.ones(d), (perm, np.arange(d))), shape=(d, d))
-    return (op @ m).T.reshape(np.shape(z))

@@ -7,7 +7,8 @@ the whitened CCA, bilinear_gather_oracle for the sparse warp operator, and
 full_lift_subspace for the k-column lift of spatial_subspace's tall route.
 random_conv_stack is a small seeded CNN whose layers give a depth profile
 without trained weights. run_condition and GEOMETRIC_CONDITIONS are
-shorthands for running the harness one condition at a time.
+shorthands for running the harness one condition at a time, and
+permute_spatial is the lossless spatial warp the exactness tests use.
 """
 
 import math
@@ -16,9 +17,9 @@ from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
+from scipy import ndimage, sparse
 
-from seis.errors import SeisError, ShapeError
+from seis.errors import SeisError, ShapeError, ValidationError
 from seis.harness import HarnessConfig, run_validation_suite
 from seis.linalg import TruncatedSubspace, _truncation_rank, spatial_subspace
 from seis.matricize import center_rows, matricize
@@ -35,6 +36,26 @@ GEOMETRIC_CONDITIONS = (
 def run_condition(cfg: HarnessConfig, kind) -> list:
     """Run every trial of one condition and return one ResultRow per trial."""
     return run_validation_suite(replace(cfg, conditions=(kind,)))[1]
+
+
+def permute_spatial(z, perm) -> np.ndarray:
+    """Move flattened spatial cell i of every slice to position perm[i].
+
+    A permutation is the exactness probe for spatial transforms: it is a
+    lossless linear operator on the feature axis, so equivariance scores
+    across it should be indistinguishable from the identity case. It is
+    applied like apply_affine's operator, to the spatial matrix. Values
+    move unchanged, except that -0.0 comes out as +0.0.
+    """
+    m = matricize(z)
+    d = m.shape[0]
+    perm = np.asarray(perm)
+    if perm.shape != (d,) or perm.dtype.kind not in "iu":
+        raise ValidationError(f"perm must be {d} integer indices")
+    if not np.array_equal(np.sort(perm), np.arange(d)):
+        raise ValidationError("perm is not a bijection on the spatial cells")
+    op = sparse.csr_array((np.ones(d), (perm, np.arange(d))), shape=(d, d))
+    return (op @ m).T.reshape(np.shape(z))
 
 
 def write_npy_independent(path, arr, fortran_order=False, descr="<f8"):

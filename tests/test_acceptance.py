@@ -21,13 +21,13 @@ from seis.transforms import (
     AffineParams,
     ConditionKind,
     apply_affine,
-    permute_spatial,
 )
 
 from helpers import (
     GEOMETRIC_CONDITIONS,
     cca_oracle,
     dematricize,
+    permute_spatial,
     random_conv_stack,
     run_condition,
     smooth_tensor,

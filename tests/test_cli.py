@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seis import metrics
 from seis.cli import main
 from seis.matricize import matricize
-from seis.tensor_io import read_tensor, write_tensor
-from seis.transforms import AffineParams, apply_affine, permute_spatial
+from seis.metrics import seis
+from seis.tensor_io import ResultRow, read_tensor, write_results, write_tensor
+from seis.transforms import AffineParams, apply_affine
 
-from helpers import smooth_tensor, write_npy_independent
+from helpers import permute_spatial, smooth_tensor, write_npy_independent
 
 
 def run_cli(*argv):
@@ -476,6 +478,78 @@ class TestLayers:
                        "--format", "json") == 0
         doc = json.loads(out.read_text())
         assert doc[0]["label"] == "layer0"
+
+
+class TestLayersReuse:
+    """`layers` builds each distinct dump's subspace once per run."""
+
+    @pytest.fixture()
+    def dumps(self, tmp_path):
+        a = smooth_tensor((3, 4, 8, 8), seed=40)
+        b = smooth_tensor((4, 8, 5, 5), seed=41)
+        tensors = {
+            "a": a, "a_rot": apply_affine(a, AffineParams(angle_deg=20.0)),
+            "a_shift": apply_affine(a, AffineParams(tx=0.1)),
+            "b": b, "b_rot": apply_affine(b, AffineParams(angle_deg=15.0)),
+        }
+        for name, t in tensors.items():
+            write_tensor(t, tmp_path / f"{name}.npy")
+        return tmp_path
+
+    @staticmethod
+    def manifest(tmp_path, pairs):
+        path = tmp_path / "manifest.json"
+        entries = [{"label": label, "ref": f"{ref}.npy", "alt": f"{alt}.npy"}
+                   for label, ref, alt in pairs]
+        path.write_text(json.dumps({"entries": entries}))
+        return path
+
+    def test_rows_match_per_entry_seis_with_one_subspace_per_dump(
+            self, dumps, capsys, monkeypatch):
+        pairs = [("a_rot", "a", "a_rot"), ("lost", "missing", "a_rot"),
+                 ("a_shift", "a", "a_shift"), ("b_rot", "b", "b_rot"), ("a_self", "a", "a")]
+        man = self.manifest(dumps, pairs)
+        calls = []
+        build = metrics.spatial_subspace
+        monkeypatch.setattr(metrics, "spatial_subspace", lambda c: calls.append(c) or build(c))
+        out = dumps / "rows.csv"
+        assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 2
+        assert len(calls) == 5  # a, a_rot, a_shift, b, b_rot
+        err = capsys.readouterr().err
+        assert err.count("skipping entry") == 1 and "'lost'" in err
+
+        monkeypatch.undo()
+        want = dumps / "want.csv"
+        write_results([
+            ResultRow.of(label, "manifest", 0, 0, seis(
+                read_tensor(dumps / f"{ref}.npy"), read_tensor(dumps / f"{alt}.npy")))
+            for label, ref, alt in pairs if label != "lost"
+        ], want)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_unreadable_reference_named_again_fails_each_entry_alike(self, dumps, capsys):
+        man = self.manifest(dumps, [("x", "missing", "a"), ("y", "a", "a"),
+                                    ("z", "missing", "a_rot")])
+        out = dumps / "rows.csv"
+        assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 2
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "skipping" in line]
+        assert len(warnings) == 2
+        assert warnings[0].replace("'x'", "'z'") == warnings[1]
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["y"]
+
+    @pytest.mark.parametrize("alt,message", [("missing", "No such file"),
+                                             ("b", "tensor dims differ"),
+                                             ("a", "reference tensor: all singular values")])
+    def test_degenerate_reference_reported_where_seis_reports_it(
+            self, dumps, capsys, alt, message):
+        # the reference's subspace error comes after the alternate's read
+        # and the dims check, as in seis() on the two read dumps
+        write_tensor(np.zeros((3, 4, 8, 8)), dumps / "flat.npy")
+        man = self.manifest(dumps, [("x", "flat", alt), ("y", "flat", "flat")])
+        assert run_cli("layers", "--manifest", str(man), "--out", str(dumps / "r.csv")) == 1
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "skipping" in line]
+        assert message in warnings[0]
+        assert "reference tensor: all singular values" in warnings[1]
 
 
 class TestParsing:

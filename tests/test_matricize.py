@@ -3,9 +3,8 @@ import pytest
 
 from seis.errors import DegenerateSampleError, DtypeError, ShapeError
 from seis.matricize import center_rows, matricize
-from seis.transforms import permute_spatial
 
-from helpers import NON_REAL_KINDS, dematricize, non_real_tensor
+from helpers import NON_REAL_KINDS, dematricize, non_real_tensor, permute_spatial
 
 
 def rand_tensor(shape, seed=0):

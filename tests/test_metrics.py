@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import seis as package
+from seis import metrics
 
 from seis.errors import (
     DegenerateRankError,
@@ -13,10 +14,17 @@ from seis.errors import (
 )
 from seis.linalg import CcaResult, TruncatedSubspace, cca
 from seis.matricize import matricize
-from seis.metrics import equivariance_score, invariance_score, seis
-from seis.transforms import AffineParams, apply_affine, permute_spatial
+from seis.metrics import _score, _tensor_subspace, equivariance_score, invariance_score, seis
+from seis.transforms import AffineParams, apply_affine
 
-from helpers import NON_REAL_KINDS, dematricize, non_real_tensor, smooth_tensor, subspace_of_tensor
+from helpers import (
+    NON_REAL_KINDS,
+    dematricize,
+    non_real_tensor,
+    permute_spatial,
+    smooth_tensor,
+    subspace_of_tensor,
+)
 
 DIMS = (6, 8, 12, 12)  # d=144, n=48
 
@@ -199,6 +207,56 @@ class TestSeisErrors:
         a = smooth_tensor((1, 1, 4, 4), seed=28)
         with pytest.raises(DegenerateSampleError, match="reference.*at least 2 observations"):
             seis(a, a)
+
+
+class TestSeisReuse:
+    """An alternate equal in value to the reference is scored against the
+    reference subspace itself."""
+
+    @staticmethod
+    def count_subspaces(monkeypatch):
+        calls = []
+        build = metrics.spatial_subspace
+        monkeypatch.setattr(metrics, "spatial_subspace", lambda c: calls.append(c) or build(c))
+        return calls
+
+    @pytest.mark.parametrize("dims", [DIMS, (8, 16, 5, 5)])  # tall and wide
+    @pytest.mark.parametrize("widen", [False, True])
+    def test_equal_inputs_match_two_built_sides(self, dims, widen):
+        z = smooth_tensor(dims, seed=31)
+        if widen:
+            z = z.astype(np.float32)
+        alt = z.astype(np.float64) if widen else z.copy()
+        got = seis(z, alt)
+        want = _score(_tensor_subspace("reference", z), _tensor_subspace("alternate", alt))
+        assert (got.k_a, got.k_a_prime, got.r) == (want.k_a, want.k_a_prime, want.r)
+        assert got.s_equiv == want.s_equiv
+        assert abs(got.s_inv - want.s_inv) <= 1e-15
+
+    def test_one_subspace_for_equal_inputs(self, monkeypatch):
+        calls = self.count_subspaces(monkeypatch)
+        z = smooth_tensor(DIMS, seed=32)
+        seis(z, z.copy())
+        assert len(calls) == 1
+        alt = z.copy()
+        alt[1, 2, 3, 4] += 1e-3
+        seis(z, alt)
+        assert len(calls) == 3
+
+    def test_nan_in_reference_raises_the_reference_error(self):
+        z = smooth_tensor((2, 2, 4, 4), seed=33)
+        z[0, 0, 1, 1] = np.nan  # flat index 5
+        alt = z.copy()
+        alt[1, 1, 3, 3] = np.nan
+        for a in (z, alt):
+            with pytest.raises(ValidationError, match="flat index 5$"):
+                seis(z, a)
+
+    @pytest.mark.parametrize("dtype", [complex, object])
+    def test_equal_values_of_a_non_real_dtype_rejected(self, dtype):
+        z = smooth_tensor((2, 2, 4, 4), seed=34)
+        with pytest.raises(DtypeError):
+            seis(z, z.astype(dtype))
 
 
 def test_every_exported_name_resolves():

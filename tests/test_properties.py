@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from seis.linalg import spatial_subspace
 from seis.matricize import center_rows, matricize
 from seis.metrics import seis
-from seis.transforms import permute_spatial
+
+from helpers import permute_spatial
 
 # s_equiv is the mean canonical correlation, well conditioned even when
 # the correlations cluster, so it moves only by rounding.

@@ -11,7 +11,7 @@ from seis.errors import (
     ValidationError,
 )
 from seis.tensor_io import (
-    Manifest,
+    ManifestEntry,
     ResultRow,
     load_manifest,
     read_tensor,
@@ -167,10 +167,7 @@ class TestManifest:
         path = tmp_path / "m.json"
         path.write_text('{"entries":[{"label":"layer1","ref":"a.npy","alt":"b.npy"}]}')
         m = load_manifest(path)
-        assert len(m) == 1
-        assert m.entries[0].label == "layer1"
-        assert m.entries[0].ref_path == "a.npy"
-        assert m.entries[0].alt_path == "b.npy"
+        assert m == (ManifestEntry("layer1", "a.npy", "b.npy"),)
 
     def test_order_preserved(self, tmp_path):
         path = tmp_path / "m.json"
@@ -179,11 +176,13 @@ class TestManifest:
         m = load_manifest(path)
         assert [e.label for e in m] == [f"l{i}" for i in range(5)]
 
-    def test_metadata_preserved(self, tmp_path):
+    @pytest.mark.parametrize("metadata", ['{"epoch": "10"}', "5", "null"])
+    def test_other_top_level_keys_ignored(self, tmp_path, metadata):
         path = tmp_path / "m.json"
-        path.write_text('{"entries":[],"metadata":{"epoch":"10","transform":"affine"}}')
-        m = load_manifest(path)
-        assert m.metadata == {"epoch": "10", "transform": "affine"}
+        path.write_text(
+            '{"entries":[{"label":"x","ref":"a","alt":"b"}],"metadata":' + metadata + "}"
+        )
+        assert load_manifest(path) == (ManifestEntry("x", "a", "b"),)
 
     def test_duplicate_labels(self, tmp_path):
         path = tmp_path / "m.json"
@@ -241,9 +240,7 @@ class TestManifest:
     def test_empty_entries_ok(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"entries": []}')
-        m = load_manifest(path)
-        assert isinstance(m, Manifest)
-        assert len(m) == 0
+        assert load_manifest(path) == ()
 
 
 def make_row(**overrides):

@@ -10,11 +10,10 @@ from seis.transforms import (
     ConditionKind,
     apply_affine,
     make_stream,
-    permute_spatial,
     sample_params,
 )
 
-from helpers import GEOMETRIC_CONDITIONS, bilinear_gather_oracle
+from helpers import GEOMETRIC_CONDITIONS, bilinear_gather_oracle, permute_spatial
 
 
 def rand_tensor(shape, seed=0):
