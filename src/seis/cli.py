@@ -105,9 +105,29 @@ def _load_config_file(path):
     return doc
 
 
+def _score_paths(ref_path, alt_path, sides):
+    """Scores of the dumps at two paths, whose (dims, side) are built once and
+    kept in sides by resolved path, so an alt that resolves to its ref reuses
+    its side. A side's error is raised, as in seis(), after the dims check."""
+    keys = [os.path.realpath(p) for p in (ref_path, alt_path)]
+    for path, key, role in zip((ref_path, alt_path), keys, ("reference", "alternate")):
+        if key not in sides:
+            t = read_tensor(path)
+            try:
+                sides[key] = t.shape, metrics._tensor_subspace(role, t)
+            except SeisError as exc:
+                sides[key] = t.shape, type(exc)(f"{path}: {exc}")
+            del t  # no dump outlives its side
+    (ref_dims, ref), (alt_dims, alt) = (sides[key] for key in keys)
+    metrics._same_dims(ref_dims, alt_dims)
+    for side in (ref, alt):
+        if isinstance(side, SeisError):
+            raise side
+    return metrics._score(ref, alt)
+
+
 def cmd_score(args) -> int:
-    # seis() widens each dump to float64 as it matricizes it
-    scores = metrics.seis(read_tensor(args.ref), read_tensor(args.alt))
+    scores = _score_paths(args.ref, args.alt, {})
     print(
         f"s_equiv={scores.s_equiv:.6f} s_inv={scores.s_inv:.6f} "
         f"k_a={scores.k_a} k_a_prime={scores.k_a_prime} r={scores.r}"
@@ -143,47 +163,20 @@ def cmd_layers(args) -> int:
     # relative tensor paths are relative to the manifest's own directory
     base = Path(args.manifest).parent
     paths = [(base / e.ref_path, base / e.alt_path) for e in entries]
-    keys = [tuple(os.path.realpath(p) for p in pair) for pair in paths]
     # a built side is kept, keyed by resolved path, while a later entry names it
-    last = {key: i for i, pair in enumerate(keys) for key in pair}
+    last = {os.path.realpath(p): i for i, pair in enumerate(paths) for p in pair}
     sides = {}
-
-    def side(i, path, key, role):
-        """(dims, subspace) of the dump at path, which is dropped once its
-        subspace exists. A read error raises here; a subspace error is
-        returned in the subspace's place, so that it is raised where seis()
-        would raise it: after the other dump is read and the dims compared."""
-        if key in sides:
-            return sides[key]
-        t = read_tensor(path)
-        try:
-            got = t.shape, metrics._tensor_subspace(role, t)
-        except SeisError as exc:
-            return t.shape, exc
-        if last[key] > i:
-            sides[key] = got
-        return got
-
     rows = []
     failures = 0
-    for i, (entry, (ref_path, alt_path), (ref_key, alt_key)) in enumerate(
-            zip(entries, paths, keys)):
+    for i, (entry, pair) in enumerate(zip(entries, paths)):
         try:
-            ref_dims, ref = side(i, ref_path, ref_key, "reference")
-            # an alt that resolves to its ref is scored against the reference side
-            alt_dims, alt = ((ref_dims, ref) if alt_key == ref_key
-                             else side(i, alt_path, alt_key, "alternate"))
-            metrics._same_dims(ref_dims, alt_dims)
-            for got in (ref, alt):
-                if isinstance(got, SeisError):
-                    raise got
-            scores = metrics._score(ref, alt)
+            scores = _score_paths(*pair, sides)
         except (SeisError, OSError) as exc:
             logger.warning("skipping entry %r: %s", entry.label, exc)
             failures += 1
         else:
             rows.append(ResultRow.of(entry.label, "manifest", 0, 0, scores))
-        for key in (ref_key, alt_key):
+        for key in map(os.path.realpath, pair):
             if last[key] == i:
                 sides.pop(key, None)
     write_results(rows, args.out, format=args.format)

@@ -104,8 +104,10 @@ def spatial_subspace(centered) -> TruncatedSubspace:
     only down to about sqrt(eps) * sigma_max (~1e-8); the noise directions
     below that carry ~1e-16 of sigma^2, and those under 1e-12 * sigma_max
     under min(d, n) * 1e-24, too little to move the 99% cut, which needs no
-    rank floor. A non-finite entry always reaches the Gram diagonal, so the
-    finite check looks there.
+    rank floor. The Gram diagonal is the one finite check: a NaN, an inf or
+    an overflowing square at centered[i, j] reaches G[i, i] (wide) or
+    G[j, j] (tall), and while it is finite no other entry or partial sum
+    can overflow (Cauchy-Schwarz, term by term: |ab| <= (a^2 + b^2) / 2).
 
     A tall (d > n) matrix is eigendecomposed through its (n, n) Gram, and
     only the k retained eigenvectors are lifted to the spatial basis,
@@ -114,7 +116,7 @@ def spatial_subspace(centered) -> TruncatedSubspace:
     d, n = centered.shape
     tall = d > n
     gram = centered.T @ centered if tall else centered @ centered.T
-    if not np.all(np.isfinite(gram)):
+    if not np.isfinite(np.diagonal(gram)).all():
         raise ValidationError("matrix contains non-finite entries or its Gram matrix overflows")
     lam, vecs = np.linalg.eigh(gram)
     s = np.sqrt(np.clip(lam[::-1], 0.0, None))

@@ -18,9 +18,9 @@ from .tensor_io import validate_tensor
 def matricize(z) -> np.ndarray:
     """Reshape a (b, c, h, w) tensor into its (h*w, b*c) spatial matrix.
 
-    The tensor is checked at its own precision by validate_tensor and
-    widened to float64 inside the one transposing copy, so the result is a
-    new C-contiguous float64 array that never aliases the input.
+    The tensor's structure is checked by validate_tensor; its values are
+    widened to float64 unchecked inside the one transposing copy, so the
+    result is a new C-contiguous array that never aliases the input.
     """
     z = validate_tensor(z)
     b, c, h, w = z.shape

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRankError, DegenerateSampleError, ShapeError
+from .errors import DegenerateRankError, DegenerateSampleError, ShapeError, ValidationError
 from .linalg import CcaResult, cca, row_cosines, spatial_subspace
 from .matricize import center_rows, matricize
-from .tensor_io import _REAL_KINDS
+from .tensor_io import _REAL_KINDS, _reject_nonfinite
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,13 @@ def _side_subspace(side, matrix):
 
 
 def _tensor_subspace(side, z):
-    """_side_subspace of a (b, c, h, w) tensor's spatial matrix."""
-    return _side_subspace(side, matricize(z))
+    """_side_subspace of a tensor's spatial matrix; a failed Gram check rescans z."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _side_subspace(side, matricize(z))
+        except ValidationError:
+            _reject_nonfinite(z)
+            raise
 
 
 def _score(left, right) -> SeisScores:
@@ -99,11 +104,11 @@ def _same_dims(ref_dims, alt_dims):
 def seis(z_ref, z_alt) -> SeisScores:
     """Score a pair of equally-shaped activation tensors.
 
-    Pipeline: matricize both tensors spatially (which validates them at
-    their own precision and widens them to float64), center each row over
-    the observations, truncate to the 99%-variance spatial subspace, run
-    CCA between the projected coordinates, then aggregate the equivariance
-    and invariance scores. Deterministic for fixed inputs.
+    Pipeline: matricize both tensors spatially (checking their structure
+    and widening them to float64), center each row over the observations,
+    truncate to the 99%-variance spatial subspace, checking values at its
+    Gram diagonal, run CCA between the projected coordinates, then
+    aggregate the equivariance and invariance scores. Deterministic.
 
     An alternate equal in value to the reference (float32 and float64
     copies of the same values included) widens to the same matrix, so it

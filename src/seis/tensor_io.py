@@ -3,9 +3,9 @@
 Activation tensors travel as NPY files (v1.0/v2.0 readable, v1.0 written):
 the format is unambiguous and every major numerical ecosystem can produce
 it. Only 4-D float32/float64 arrays are accepted. read_tensor and
-validate_tensor keep a tensor at its stored precision and order; the one
-widening to float64 happens in matricize, whose transposing copy builds the
-float64 spatial matrix.
+validate_tensor check structure and keep a tensor's precision and order;
+the one widening to float64 is matricize's copy. Values are checked where
+they are used: at each side's Gram diagonal, and by write_tensor.
 """
 
 import csv
@@ -37,11 +37,9 @@ def validate_tensor(t) -> np.ndarray:
     """Check the (b, c, h, w) tensor contract on the array's own dtype.
 
     Returns np.asarray(t), so an array comes back uncopied in its own dtype
-    and memory order; only a float wider than float64 is narrowed, so that
-    values beyond float64's range count as non-finite. Raises ShapeError for
-    wrong dimensionality, DtypeError for a dtype without real values
-    (complex, string, datetime, object, ...) and ValidationError for
-    non-finite entries, naming the first offending flat index in C order.
+    and memory order. Raises ShapeError for wrong dimensionality and
+    DtypeError for a dtype without real values (complex, string, datetime,
+    object, ...); values are checked where they are used.
     """
     arr = np.asarray(t)
     if arr.ndim != 4:
@@ -50,13 +48,14 @@ def validate_tensor(t) -> np.ndarray:
         raise ShapeError(f"all tensor dims must be >= 1, got {arr.shape}")
     if arr.dtype.kind not in _REAL_KINDS:
         raise DtypeError(f"unsupported dtype {arr.dtype}, need bool, integer or float values")
-    if arr.dtype.kind == "f" and arr.dtype.itemsize > 8:
-        arr = arr.astype(np.float64)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        bad = np.flatnonzero(~finite.ravel())
-        raise ValidationError(f"non-finite value at flat index {int(bad[0])}")
     return arr
+
+
+def _reject_nonfinite(t) -> None:
+    """ValidationError naming t's first C-order flat index not finite in float64."""
+    bad = np.flatnonzero(~np.isfinite(np.asarray(t, dtype=np.float64)))
+    if bad.size:
+        raise ValidationError(f"non-finite value at flat index {int(bad[0])}")
 
 
 def read_tensor(path) -> np.ndarray:
@@ -80,11 +79,12 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_tensor(t, path) -> None:
-    """Write a tensor as NPY v1.0, 64-bit little-endian float, C order.
+    """Write a finite tensor as NPY v1.0, 64-bit little-endian float, C order.
 
     read_tensor inverts this bit-exactly.
     """
     arr = np.ascontiguousarray(validate_tensor(t), dtype="<f8")
+    _reject_nonfinite(arr)
     with _replacing(path, "wb") as fh:
         np.lib.format.write_array(fh, arr, version=(1, 0))
 

@@ -190,10 +190,10 @@ def affine_operator(h: int, w: int, params: AffineParams):
 def apply_affine(z, params: AffineParams) -> np.ndarray:
     """Warp every (batch, channel) slice of a tensor by the same affine map.
 
-    The tensor is matricized (which validates it and widens it to float64),
+    The tensor is matricized (structure checked, widened to float64),
     left-multiplied by the operator of affine_operator and returned as a
     (b, c, h, w) view of the warped matrix; identity parameters skip the
-    product and return the values bit-exactly.
+    product and return the values bit-exactly. Non-finite values pass through.
     """
     m = matricize(z)
     shape = np.shape(z)

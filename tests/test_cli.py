@@ -83,6 +83,15 @@ class TestScore:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: not a readable NPY file (")
 
+    def test_nan_names_flat_index(self, tmp_path, capsys):
+        t = smooth_tensor((1, 2, 3, 3), seed=3)
+        t[0, 1, 0, 1] = np.nan  # flat index 9 + 1 = 10
+        path = tmp_path / "nan.npy"
+        write_npy_independent(path, t)
+        assert run_cli("score", str(path), str(path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: non-finite value at flat index 10\n"
+
     def test_missing_file_exit_1(self, ref_file, capsys):
         assert run_cli("score", str(ref_file), "no_such.npy") == 1
         assert "error:" in capsys.readouterr().err

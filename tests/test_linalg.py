@@ -171,6 +171,15 @@ class TestSpatialSubspace:
             with pytest.raises(ValidationError):
                 spatial_subspace(m)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_gram_overflow(self):
+        # finite entries whose squares overflow reach the diagonal on both routes
+        for shape in ((3, 4), (4, 3)):
+            m = 1e200 * (-1.0) ** np.arange(12).reshape(shape)
+            with pytest.raises(ValidationError, match="Gram matrix overflows$") as exc:
+                spatial_subspace(m)
+            assert "flat index" not in str(exc.value)
+
 
 def duplicated_channels(z):
     z[:, 1::2] = z[:, ::2]

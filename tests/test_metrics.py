@@ -28,6 +28,16 @@ from helpers import (
 
 DIMS = (6, 8, 12, 12)  # d=144, n=48
 
+# one shape per Gram route: d=25 <= n=32 and d=25 > n=8
+ROUTE_DIMS = [(4, 8, 5, 5), (2, 4, 5, 5)]
+
+
+def alternating_huge(dims):
+    """A finite tensor of +-1e200 alternating in C order. With h*w odd each
+    spatial cell alternates across observations too, so centering keeps it
+    at 1e200 and every Gram diagonal entry overflows."""
+    return 1e200 * (-1.0) ** np.arange(np.prod(dims)).reshape(dims)
+
 
 class TestSeisRegimes:
     def test_identity(self):
@@ -182,6 +192,32 @@ class TestSeisErrors:
         b[1, 0, 2, 3] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             seis(a, b)
+
+    def test_fortran_order_nan_names_logical_flat_index(self):
+        t = smooth_tensor((1, 2, 3, 3), seed=35)
+        t[0, 1, 0, 1] = np.nan  # flat index 10 in C order
+        t = np.asfortranarray(t.astype(np.float32))
+        with pytest.raises(ValidationError, match="flat index 10"):
+            seis(t, t)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                        reason="long double has no range beyond float64 here")
+    @pytest.mark.filterwarnings("error")
+    def test_long_double_beyond_float64_is_non_finite(self):
+        # widening to float64 makes the value infinite, without a warning
+        t = np.ones((1, 2, 2, 2), dtype=np.longdouble)
+        t[0, 0, 1, 0] = np.longdouble(np.finfo(np.float64).max) * 4
+        with pytest.raises(ValidationError, match="flat index 2"):
+            seis(t, t)
+
+    @pytest.mark.parametrize("dims", ROUTE_DIMS)
+    @pytest.mark.filterwarnings("error")
+    def test_gram_overflow_names_no_flat_index(self, dims):
+        # finite entries whose squares overflow: the Gram guard's own error
+        z = alternating_huge(dims)
+        with pytest.raises(ValidationError, match="Gram matrix overflows$") as exc:
+            seis(z, smooth_tensor(dims, seed=36))
+        assert "flat index" not in str(exc.value)
 
     @pytest.mark.parametrize("kind", NON_REAL_KINDS)
     def test_non_real_dtype_rejected(self, kind):

@@ -5,13 +5,19 @@ plus a multiple of the reference, so the cases run from unrelated sides to
 near copies, on both Gram routes (d <= n and d > n). Swap symmetry is
 asserted for s_equiv only: when canonical correlations cluster near 1, the
 directions inside the cluster are arbitrary and s_inv is not determined to
-better than rounding noise amplified by the cluster gaps.
+better than rounding noise amplified by the cluster gaps. A non-finite
+entry put at a drawn position, on either route, must be named by its flat
+index whichever side holds it.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seis.errors import ValidationError
 from seis.linalg import spatial_subspace
 from seis.matricize import center_rows, matricize
 from seis.metrics import seis
@@ -111,3 +117,37 @@ def test_subspaces_ignore_shared_observation_permutation(pair, perm_seed):
         assert moved.k == base.k
         signs = np.where(np.sum(base.basis * moved.basis, axis=0) < 0.0, -1.0, 1.0)
         assert np.max(np.abs(moved.basis * signs - base.basis)) <= BASIS_TOL
+
+
+@st.composite
+def nonfinite_cases(draw):
+    """(clean tensor, its copy with one non-finite entry, that entry's C-order
+    flat index), float32 or float64, C or Fortran order, on either Gram route."""
+    b = draw(st.integers(1, 3))
+    c = draw(st.integers(2 if b == 1 else 1, 4))
+    n = b * c
+    if draw(st.booleans()):  # wide: d = h*w <= n
+        w = draw(st.integers(1, n))
+        h = draw(st.integers(1, n // w))
+    else:  # tall: d > n
+        h = draw(st.integers(2, 4))
+        w = draw(st.integers(n // h + 1, n // h + 3))
+    dims = (b, c, h, w)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    order = draw(st.sampled_from("CF"))
+    clean = np.random.default_rng(draw(seeds)).standard_normal(dims).astype(dtype, order=order)
+    index = draw(st.integers(0, clean.size - 1))
+    bad = clean.copy(order=order)
+    bad[np.unravel_index(index, dims)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return clean, bad, index
+
+
+@PROPERTY
+@given(nonfinite_cases())
+def test_nonfinite_entry_named_by_flat_index(case):
+    clean, bad, index = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in ((bad, clean), (clean, bad)):
+            with pytest.raises(ValidationError, match=f"flat index {index}$"):
+                seis(*pair)
