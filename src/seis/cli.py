@@ -108,21 +108,27 @@ def _load_config_file(path):
 def _score_paths(ref_path, alt_path, sides):
     """Scores of the dumps at two paths, whose (dims, side) are built once and
     kept in sides by resolved path, so an alt that resolves to its ref reuses
-    its side. A side's error is raised, as in seis(), after the dims check."""
-    keys = [os.path.realpath(p) for p in (ref_path, alt_path)]
-    for path, key, role in zip((ref_path, alt_path), keys, ("reference", "alternate")):
+    its side. A side's error is raised, as in seis(), after the dims check,
+    naming the role its path has in this pair."""
+    paths = (ref_path, alt_path)
+    keys = [os.path.realpath(p) for p in paths]
+    for path, key in zip(paths, keys):
         if key not in sides:
             t = read_tensor(path)
             try:
-                sides[key] = t.shape, metrics._tensor_subspace(role, t)
+                sides[key] = t.shape, metrics._tensor_subspace(t)
             except SeisError as exc:
-                sides[key] = t.shape, type(exc)(f"{path}: {exc}")
+                sides[key] = t.shape, exc
             del t  # no dump outlives its side
     (ref_dims, ref), (alt_dims, alt) = (sides[key] for key in keys)
     metrics._same_dims(ref_dims, alt_dims)
-    for side in (ref, alt):
+    for path, role, side in zip(paths, ("reference", "alternate"), (ref, alt)):
         if isinstance(side, SeisError):
-            raise side
+            try:
+                with metrics._in_role(role):
+                    raise side
+            except SeisError as exc:
+                raise type(exc)(f"{path}: {exc}") from exc
     return metrics._score(ref, alt)
 
 

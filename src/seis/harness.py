@@ -14,7 +14,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import metrics
 from .errors import SeisError, ValidationError
@@ -112,6 +111,9 @@ def gen_synthetic_activations(cfg: HarnessConfig, rng: np.random.Generator) -> n
     conditioned and scores are comparable across seeds. As smoothness
     approaches zero the output approaches plain white noise.
     """
+    # imported here so that scoring, which never generates, loads numpy only
+    from scipy import ndimage
+
     x = rng.standard_normal(cfg.dims)
     x = ndimage.gaussian_filter(x, sigma=(0.0, 0.0, cfg.smoothness, cfg.smoothness))
     # in place, and bit-equal to (x - x.mean(...)) / x.std(...)

@@ -10,6 +10,7 @@ canonical projection directions of the two sides, weighted by how much
 shared information each direction actually carries.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,20 +65,29 @@ def invariance_score(c: CcaResult, left_basis, right_basis) -> float:
     return min(float(np.sum(c.correlations * cosines) / c.r), 1.0)
 
 
-def _side_subspace(side, matrix):
-    """Truncated subspace of one side's (d, n) spatial matrix, which must be
-    a float64 array the caller owns: it is centered in place."""
+@contextmanager
+def _in_role(side):
+    """Name side's role ("reference" or "alternate") in the error of a
+    degenerate side raised in the block."""
     try:
-        return spatial_subspace(center_rows(matrix))
+        yield
     except (DegenerateRankError, DegenerateSampleError) as exc:
         raise type(exc)(f"{side} tensor: {exc}") from exc
 
 
-def _tensor_subspace(side, z):
-    """_side_subspace of a tensor's spatial matrix; a failed Gram check rescans z."""
+def _side_subspace(side, matrix):
+    """Truncated subspace of one side's (d, n) spatial matrix, which must be
+    a float64 array the caller owns: it is centered in place."""
+    with _in_role(side):
+        return spatial_subspace(center_rows(matrix))
+
+
+def _tensor_subspace(z):
+    """Truncated subspace of a tensor's spatial matrix, whose errors name no
+    role (see _in_role); a failed Gram check rescans z."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return _side_subspace(side, matricize(z))
+            return spatial_subspace(center_rows(matricize(z)))
         except ValidationError:
             _reject_nonfinite(z)
             raise
@@ -116,8 +126,11 @@ def seis(z_ref, z_alt) -> SeisScores:
     copy of it, as the harness scores identity.
     """
     _same_dims(np.shape(z_ref), np.shape(z_alt))
-    ref = _tensor_subspace("reference", z_ref)
+    with _in_role("reference"):
+        ref = _tensor_subspace(z_ref)
     # the reference is valid here, so an equal alternate of a real dtype is too
     if np.asarray(z_alt).dtype.kind in _REAL_KINDS and np.array_equal(z_ref, z_alt):
         return _score(ref, ref)
-    return _score(ref, _tensor_subspace("alternate", z_alt))
+    with _in_role("alternate"):
+        alt = _tensor_subspace(z_alt)
+    return _score(ref, alt)

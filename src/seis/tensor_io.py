@@ -83,7 +83,9 @@ def write_tensor(t, path) -> None:
 
     read_tensor inverts this bit-exactly.
     """
-    arr = np.ascontiguousarray(validate_tensor(t), dtype="<f8")
+    # a value beyond float64's range narrows to inf, which the check reports
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(validate_tensor(t), dtype="<f8")
     _reject_nonfinite(arr)
     with _replacing(path, "wb") as fh:
         np.lib.format.write_array(fh, arr, version=(1, 0))

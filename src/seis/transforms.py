@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ShapeError, ValidationError
 from .matricize import matricize
@@ -151,6 +150,9 @@ def affine_operator(h: int, w: int, params: AffineParams):
     Left-multiplying a (h*w, n) spatial matrix by the operator warps every
     one of its n slices.
     """
+    # imported here so that scoring, which never warps, loads numpy only
+    from scipy import sparse
+
     if h < 2 or w < 2:
         raise ShapeError(f"warping needs h >= 2 and w >= 2, got ({h}, {w})")
     for name in ("tx", "ty", "scale", "angle_deg"):

@@ -560,6 +560,14 @@ class TestLayersReuse:
         assert message in warnings[0]
         assert "reference tensor: all singular values" in warnings[1]
 
+    def test_reused_degenerate_dump_named_in_each_entrys_role(self, dumps, capsys):
+        write_tensor(np.zeros((3, 4, 8, 8)), dumps / "flat.npy")
+        man = self.manifest(dumps, [("x", "a", "flat"), ("y", "flat", "a")])
+        assert run_cli("layers", "--manifest", str(man), "--out", str(dumps / "r.csv")) == 1
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "skipping" in line]
+        assert "flat.npy: alternate tensor: all singular values" in warnings[0]
+        assert "flat.npy: reference tensor: all singular values" in warnings[1]
+
 
 class TestParsing:
     def test_unknown_flag_exit_1(self, capsys):

@@ -1,0 +1,54 @@
+"""Scoring loads numpy only; scipy comes in with field generation and warps.
+
+The test process has imported scipy already, so each check runs in a fresh
+interpreter and reports the scipy modules it found loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import seis
+
+CHILD = r"""
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+import seis
+from seis import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+work = Path(sys.argv[1])
+z = np.random.default_rng(0).standard_normal((4, 8, 6, 6))
+z_alt = z[..., ::-1].copy()
+seis.seis(z, z_alt)
+seis.write_tensor(z, work / "a.npy")
+seis.write_tensor(z_alt, work / "b.npy")
+(work / "m.json").write_text('{"entries": [{"label": "x", "ref": "a.npy", "alt": "b.npy"}]}')
+codes = [
+    cli.main(["score", str(work / "a.npy"), str(work / "b.npy")]),
+    cli.main(["layers", "--manifest", str(work / "m.json"), "--out", str(work / "r.csv")]),
+]
+scoring = scipy_modules()
+_, rows = seis.run_validation_suite(seis.HarnessConfig(dims=(2, 2, 8, 8), trials=1))
+print(json.dumps({"codes": codes, "scoring": scoring, "suite": scipy_modules(),
+                  "conditions": [row.condition for row in rows]}))
+"""
+
+
+def test_scoring_loads_no_scipy_until_the_harness_runs(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(seis.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], cwd=tmp_path,
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    assert report["scoring"] == []
+    assert {"scipy.ndimage", "scipy.sparse"} <= set(report["suite"])
+    assert report["conditions"] == [kind.value for kind in seis.CONDITION_ORDER]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,17 @@ class TestReadWriteTensor:
         t[0, 0, 0, 0] = np.inf
         with pytest.raises(ValidationError):
             write_tensor(t, tmp_path / "x.npy")
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                        reason="long double has float64's range here")
+    def test_write_out_of_range_long_double_raises_without_warning(self, tmp_path):
+        t = np.zeros((1, 1, 2, 2), dtype=np.longdouble)
+        t[0, 0, 1, 0] = np.finfo(np.float64).max * np.longdouble(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="flat index 2$"):
+                write_tensor(t, tmp_path / "x.npy")
+        assert not (tmp_path / "x.npy").exists()
 
     def test_write_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
