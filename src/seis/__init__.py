@@ -10,8 +10,8 @@ A synthetic harness with built-in spatial transforms validates the scores
 against known ground-truth regimes, and the CLI batch-scores externally
 dumped layer activations.
 
-seis() checks its inputs once; the stages it runs (in seis.matricize,
-seis.linalg and seis.metrics) are unexported internals that trust them.
+seis() checks its inputs once; the stages it runs (in seis.linalg and
+seis.metrics) are unexported internals that trust them.
 """
 
 from .errors import (
@@ -35,12 +35,12 @@ from .harness import (
     make_alternate,
     run_validation_suite,
 )
-from .matricize import matricize
 from .metrics import SeisScores, seis
 from .tensor_io import (
     ManifestEntry,
     ResultRow,
     load_manifest,
+    matricize,
     read_tensor,
     validate_tensor,
     write_results,

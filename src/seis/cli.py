@@ -32,10 +32,9 @@ from .harness import (
     make_alternate,
     run_validation_suite,
 )
-from .matricize import matricize
 from .tensor_io import (
-    RESULT_FORMATS, ResultRow, _read_json, load_manifest, read_tensor, write_results,
-    write_tensor,
+    RESULT_FORMATS, ResultRow, _read_json, load_manifest, matricize, read_tensor,
+    write_results, write_tensor,
 )
 from .transforms import ConditionKind, make_stream
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .errors import SeisError, ValidationError
-from .matricize import matricize
-from .tensor_io import ResultRow
+from .errors import DtypeError, SeisError, ShapeError, ValidationError
+from .tensor_io import _REAL_KINDS, ResultRow, matricize
 from .transforms import (
     CONDITION_ORDER,
     ConditionKind,
@@ -134,13 +133,25 @@ def make_alternate(cfg: HarnessConfig, ref: np.ndarray, kind, rng) -> np.ndarray
     keeps both truncated subspaces at comparable rank, so chance-level
     scores sit at the sqrt(k/n) floor instead of being inflated by the
     near-full-rank spectrum a raw white-noise alternate would retain.
+    Raises ShapeError when ref is not (h*w, b*c) for cfg.dims and
+    DtypeError when its dtype has no real values, whatever the condition.
     """
     kind = ConditionKind(kind)
+    ref = np.asarray(ref)
+    b, c, h, w = cfg.dims
+    if ref.shape != (h * w, b * c):
+        raise ShapeError(
+            f"reference matrix must be {(h * w, b * c)} for dims {cfg.dims}, got {ref.shape}"
+        )
+    if ref.dtype.kind not in _REAL_KINDS:
+        raise DtypeError(
+            f"unsupported reference matrix dtype {ref.dtype}, need bool, integer or float values"
+        )
     if kind is ConditionKind.IDENTITY:
         return ref.copy()
     if kind is ConditionKind.RANDOM_BASELINE:
         return matricize(gen_synthetic_activations(cfg, rng))
-    op = affine_operator(cfg.dims[2], cfg.dims[3], sample_params(kind, rng))
+    op = affine_operator(h, w, sample_params(kind, rng))
     return ref.copy() if op is None else op @ ref
 
 

@@ -1,12 +1,13 @@
-"""Principal-subspace truncation and a numerically stable CCA.
+"""Row centering, principal-subspace truncation and a numerically stable CCA.
 
 Raw CCA on high-dimensional activations is notoriously fragile: sample
 covariances come out ill-conditioned and generalized eigensolvers fail to
 converge. The implementation here therefore keeps the classic stable
-recipe: truncate each side to the subspace holding 99% of its squared
-singular spectrum, whiten both covariance blocks with symmetric inverse
-square roots (plus a tiny relative ridge), and read the canonical system
-off the SVD of the whitened cross covariance. The tests cross-check it
+recipe: center each side's rows (center_rows), truncate each to the
+subspace holding 99% of its squared singular spectrum, whiten both
+covariance blocks with symmetric inverse square roots (plus a tiny
+relative ridge), and read the canonical system off the SVD of the
+whitened cross covariance. The tests cross-check it
 against a brute-force generalized eigenproblem that shares nothing with
 the whitening path beyond covariance formation.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRankError, NumericalError, ValidationError
+from .errors import DegenerateRankError, DegenerateSampleError, NumericalError, ValidationError
 
 # Fraction of the squared singular spectrum the retained subspace must cover.
 VARIANCE_THRESHOLD = 0.99
@@ -93,6 +94,24 @@ def _truncation_rank(s):
     frac = np.cumsum(power) / np.sum(power)
     k = int(np.searchsorted(frac, VARIANCE_THRESHOLD) + 1)
     return k, float(frac[k - 1])
+
+
+def center_rows(a: np.ndarray) -> np.ndarray:
+    """Subtract each row's mean over the observations, in place.
+
+    a is a 2-D float64 matrix the caller owns, such as matricize's result;
+    it is overwritten and returned. Centering happens here, before any
+    SVD, so the truncated basis is a true principal subspace and the
+    canonical variates downstream come out centered. Idempotent. This is
+    where the pipeline first checks the sample count: at least two
+    observations are required.
+    """
+    if a.shape[1] < 2:
+        raise DegenerateSampleError(
+            f"centering needs at least 2 observations, got {a.shape[1]}"
+        )
+    a -= a.mean(axis=1)[:, None]
+    return a
 
 
 def spatial_subspace(centered) -> TruncatedSubspace:

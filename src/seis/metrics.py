@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRankError, DegenerateSampleError, ShapeError, ValidationError
-from .linalg import CcaResult, cca, row_cosines, spatial_subspace
-from .matricize import center_rows, matricize
-from .tensor_io import _REAL_KINDS, _reject_nonfinite
+from .linalg import CcaResult, cca, center_rows, row_cosines, spatial_subspace
+from .tensor_io import _REAL_KINDS, _reject_nonfinite, matricize
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Activation tensors travel as NPY files (v1.0/v2.0 readable, v1.0 written):
 the format is unambiguous and every major numerical ecosystem can produce
 it. Only 4-D float32/float64 arrays are accepted. read_tensor and
 validate_tensor check structure and keep a tensor's precision and order;
-the one widening to float64 is matricize's copy. Values are checked where
-they are used: at each side's Gram diagonal, and by write_tensor.
+matricize reshapes a tensor into its spatial matrix in the one copy that
+widens to float64. Values are checked where they are used: at each side's
+Gram diagonal, and by write_tensor.
 """
 
 import csv
@@ -49,6 +50,21 @@ def validate_tensor(t) -> np.ndarray:
     if arr.dtype.kind not in _REAL_KINDS:
         raise DtypeError(f"unsupported dtype {arr.dtype}, need bool, integer or float values")
     return arr
+
+
+def matricize(z) -> np.ndarray:
+    """Reshape a (b, c, h, w) tensor into its (h*w, b*c) spatial matrix.
+
+    Rows are spatial cells, (y, x) in row y*w + x; columns are observations,
+    (batch i, channel j) in column i*c + j; so a spatial transform is a
+    linear operator on the row axis. The tensor's structure is checked by
+    validate_tensor; its values are widened to float64 unchecked inside the
+    one transposing copy, so the result is a new C-contiguous array that
+    never aliases the input.
+    """
+    z = validate_tensor(z)
+    b, c, h, w = z.shape
+    return np.array(z.reshape(b * c, h * w).T, dtype=np.float64, order="C")
 
 
 def _reject_nonfinite(t) -> None:

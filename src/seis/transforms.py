@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .matricize import matricize
+from .tensor_io import matricize
 
 # Sampling ranges for the stochastic transform parameters.
 TRANSLATION_LIMIT = 0.15        # fraction of each spatial dimension

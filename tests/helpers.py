@@ -21,8 +21,8 @@ from scipy import ndimage, sparse
 
 from seis.errors import SeisError, ShapeError, ValidationError
 from seis.harness import HarnessConfig, run_validation_suite
-from seis.linalg import TruncatedSubspace, _truncation_rank, spatial_subspace
-from seis.matricize import center_rows, matricize
+from seis.linalg import TruncatedSubspace, _truncation_rank, center_rows, spatial_subspace
+from seis.tensor_io import matricize
 from seis.transforms import ConditionKind
 
 GEOMETRIC_CONDITIONS = (

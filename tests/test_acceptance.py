@@ -13,10 +13,9 @@ from scipy import ndimage
 
 from seis.cli import main as cli_main
 from seis.harness import HarnessConfig, run_validation_suite
-from seis.linalg import cca, spatial_subspace
-from seis.matricize import center_rows, matricize
+from seis.linalg import cca, center_rows, spatial_subspace
 from seis.metrics import seis
-from seis.tensor_io import RESULT_FIELDS, write_tensor
+from seis.tensor_io import RESULT_FIELDS, matricize, write_tensor
 from seis.transforms import (
     AffineParams,
     ConditionKind,

@@ -7,9 +7,8 @@ import pytest
 
 from seis import metrics
 from seis.cli import main
-from seis.matricize import matricize
 from seis.metrics import seis
-from seis.tensor_io import ResultRow, read_tensor, write_results, write_tensor
+from seis.tensor_io import ResultRow, matricize, read_tensor, write_results, write_tensor
 from seis.transforms import AffineParams, apply_affine
 
 from helpers import permute_spatial, smooth_tensor, write_npy_independent
@@ -231,6 +230,20 @@ class TestSynth:
         assert "conditions,dims,format,out,seed,smoothness,trials" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "{cfg}: config must be a JSON object"),
+        ({"format": "xml"}, "unknown result format 'xml', expected one of ('csv', 'json')"),
+    ], ids=["not-an-object", "unknown-format"])
+    def test_bad_config_is_fatal(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "r.csv"
+        if isinstance(config, dict):
+            config = {**config, "dims": "2,2,8,8", "trials": 1, "out": str(out)}
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli("synth", "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg_path)}\n"
+        assert not out.exists()
+
     def test_config_not_utf8_is_fatal(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(b'{"trials": 1, "out": "\xff.csv"}')
@@ -420,6 +433,14 @@ class TestLayers:
         assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(man) in err
+        assert not out.exists()
+
+    def test_entry_not_an_object_is_fatal(self, tmp_path, capsys):
+        entries = self.make_pair_files(tmp_path, n=1) + [5]
+        man = self.write_manifest(tmp_path, entries)
+        out = tmp_path / "rows.csv"
+        assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {man}: entry 1 is not an object\n"
         assert not out.exists()
 
     def test_relative_paths_resolve_against_manifest_dir(self, tmp_path, monkeypatch):

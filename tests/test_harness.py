@@ -3,7 +3,7 @@ import pytest
 
 import seis.harness as harness
 import seis.metrics as metrics
-from seis.errors import DegenerateRankError, ValidationError
+from seis.errors import DegenerateRankError, DtypeError, ShapeError, ValidationError
 from seis.harness import (
     ConditionSummary,
     HarnessConfig,
@@ -11,7 +11,7 @@ from seis.harness import (
     make_alternate,
     run_validation_suite,
 )
-from seis.matricize import matricize
+from seis.tensor_io import matricize
 from seis.transforms import (
     CONDITION_ORDER,
     AffineParams,
@@ -162,6 +162,18 @@ class TestMakeAlternate:
     def test_unknown_condition_rejected(self):
         with pytest.raises(ValidationError, match="unknown condition 'sideways'; valid: identity,"):
             make_alternate(SMALL, self.ref, "sideways", make_stream(5, 0, 1))
+
+    @pytest.mark.parametrize("kind", CONDITION_ORDER)
+    @pytest.mark.parametrize("ref, error, message", [
+        (np.zeros((10, 4)), ShapeError, r"\(64, 4\) for dims \(2, 2, 8, 8\), got \(10, 4\)"),
+        (np.zeros(64), ShapeError, r"\(64, 4\) for dims \(2, 2, 8, 8\), got \(64,\)"),
+        (np.zeros((64, 5)), ShapeError, r"\(64, 4\) for dims \(2, 2, 8, 8\), got \(64, 5\)"),
+        (np.zeros((64, 4), dtype=complex), DtypeError, "reference matrix dtype complex128"),
+    ], ids=["rows", "1-D", "columns", "complex"])
+    def test_malformed_reference_rejected(self, kind, ref, error, message):
+        cfg = HarnessConfig(dims=(2, 2, 8, 8))
+        with pytest.raises(error, match=message):
+            make_alternate(cfg, ref, kind, make_stream(5, 0, 1))
 
     def test_deterministic(self):
         a = make_alternate(SMALL, self.ref, ConditionKind.AFFINE, make_stream(5, 0, 1))

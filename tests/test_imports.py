@@ -1,11 +1,14 @@
-"""Scoring loads numpy only; scipy comes in with field generation and warps.
+"""What importing seis binds: no export shadows a submodule, and scoring
+loads numpy only, while scipy comes in with field generation and warps.
 
-The test process has imported scipy already, so each check runs in a fresh
-interpreter and reports the scipy modules it found loaded.
+The test process has imported scipy already, so each scipy check runs in a
+fresh interpreter and reports the scipy modules it found loaded.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +55,11 @@ def test_scoring_loads_no_scipy_until_the_harness_runs(tmp_path):
     assert report["scoring"] == []
     assert {"scipy.ndimage", "scipy.sparse"} <= set(report["suite"])
     assert report["conditions"] == [kind.value for kind in seis.CONDITION_ORDER]
+
+
+def test_no_export_shadows_a_submodule():
+    # `from .m import m` would rebind seis.m from the module to the function
+    submodules = {info.name for info in pkgutil.iter_modules(seis.__path__)}
+    assert submodules.isdisjoint(seis.__all__)
+    assert callable(importlib.import_module("seis.linalg").center_rows)
+    assert callable(importlib.import_module("seis.tensor_io").matricize)

@@ -6,9 +6,9 @@ from seis.errors import (
     NumericalError,
     ValidationError,
 )
-from seis.linalg import _truncation_rank, cca, row_cosines, spatial_subspace
-from seis.matricize import center_rows, matricize
+from seis.linalg import _truncation_rank, cca, center_rows, row_cosines, spatial_subspace
 from seis.metrics import seis
+from seis.tensor_io import matricize
 
 from helpers import (
     OracleError,

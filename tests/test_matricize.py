@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from seis.errors import DegenerateSampleError, DtypeError, ShapeError
-from seis.matricize import center_rows, matricize
+from seis.linalg import center_rows
+from seis.tensor_io import matricize
 
 from helpers import NON_REAL_KINDS, dematricize, non_real_tensor, permute_spatial
 

@@ -13,8 +13,8 @@ from seis.errors import (
     ValidationError,
 )
 from seis.linalg import CcaResult, TruncatedSubspace, cca
-from seis.matricize import matricize
 from seis.metrics import _score, _tensor_subspace, equivariance_score, invariance_score, seis
+from seis.tensor_io import matricize
 from seis.transforms import AffineParams, apply_affine
 
 from helpers import (

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seis.errors import ValidationError
-from seis.linalg import spatial_subspace
-from seis.matricize import center_rows, matricize
+from seis.linalg import center_rows, spatial_subspace
+from seis.tensor_io import matricize
 from seis.metrics import seis
 
 from helpers import permute_spatial

@@ -202,6 +202,12 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(path)
 
+    def test_entry_not_an_object(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"entries": [{"label": "x", "ref": "a", "alt": "b"}, 5]}')
+        with pytest.raises(ParseError, match=r"m\.json: entry 1 is not an object$"):
+            load_manifest(path)
+
     @pytest.mark.parametrize("key,value", [("label", "null"), ("ref", "null"),
                                            ("alt", '{"a": 1}'), ("label", "1"),
                                            ("ref", '["a.npy"]'), ("alt", "true")])
