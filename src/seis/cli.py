@@ -105,29 +105,28 @@ def _load_config_file(path):
 
 
 def _score_paths(ref_path, alt_path, sides):
-    """Scores of the dumps at two paths, whose (dims, side) are built once and
-    kept in sides by resolved path, so an alt that resolves to its ref reuses
-    its side. A side's error is raised, as in seis(), after the dims check,
-    naming the role its path has in this pair."""
+    """Scores of the dumps at two paths. Each built (dims, subspace) is kept
+    in sides by resolved path, so an alt that resolves to its ref, or a dump
+    a later call names, reuses it. A dump not in sides is built in the role
+    its path has in this pair, so its error names that role; a side that
+    fails is not kept, and its error is raised, as in seis(), after the dims
+    check."""
     paths = (ref_path, alt_path)
     keys = [os.path.realpath(p) for p in paths]
-    for path, key in zip(paths, keys):
-        if key not in sides:
+    failed = {}
+    for path, key, role in zip(paths, keys, ("reference", "alternate")):
+        if key not in sides and key not in failed:
             t = read_tensor(path)
             try:
-                sides[key] = t.shape, metrics._tensor_subspace(t)
+                sides[key] = t.shape, metrics._tensor_subspace(role, t)
             except SeisError as exc:
-                sides[key] = t.shape, exc
+                failed[key] = t.shape, type(exc)(f"{path}: {exc}")
             del t  # no dump outlives its side
-    (ref_dims, ref), (alt_dims, alt) = (sides[key] for key in keys)
+    (ref_dims, ref), (alt_dims, alt) = (sides.get(key) or failed[key] for key in keys)
     metrics._same_dims(ref_dims, alt_dims)
-    for path, role, side in zip(paths, ("reference", "alternate"), (ref, alt)):
+    for side in (ref, alt):
         if isinstance(side, SeisError):
-            try:
-                with metrics._in_role(role):
-                    raise side
-            except SeisError as exc:
-                raise type(exc)(f"{path}: {exc}") from exc
+            raise side
     return metrics._score(ref, alt)
 
 

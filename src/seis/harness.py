@@ -58,7 +58,8 @@ def _sequence(name, value) -> tuple:
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Configuration of one validation run."""
+    """Configuration of one validation run. dims is (b, c, h, w) with
+    h*w >= 2, since each slice is standardized over its grid."""
 
     dims: tuple = DEFAULT_DIMS
     trials: int = DEFAULT_TRIALS
@@ -70,6 +71,8 @@ class HarnessConfig:
         dims = tuple(_integer("dims", v) for v in _sequence("dims", self.dims))
         if len(dims) != 4 or min(dims) < 1:
             raise ValidationError(f"dims must be four positive integers, got {self.dims}")
+        if dims[2] * dims[3] < 2:
+            raise ValidationError(f"dims must give an h*w grid of at least 2 cells, got {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "trials", _integer("trials", self.trials))
         if self.trials < 1:

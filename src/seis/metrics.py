@@ -10,7 +10,6 @@ canonical projection directions of the two sides, weighted by how much
 shared information each direction actually carries.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,29 +63,23 @@ def invariance_score(c: CcaResult, left_basis, right_basis) -> float:
     return min(float(np.sum(c.correlations * cosines) / c.r), 1.0)
 
 
-@contextmanager
-def _in_role(side):
-    """Name side's role ("reference" or "alternate") in the error of a
-    degenerate side raised in the block."""
-    try:
-        yield
-    except (DegenerateRankError, DegenerateSampleError) as exc:
-        raise type(exc)(f"{side} tensor: {exc}") from exc
-
-
-def _side_subspace(side, matrix):
+def _side_subspace(role, matrix):
     """Truncated subspace of one side's (d, n) spatial matrix, which must be
-    a float64 array the caller owns: it is centered in place."""
-    with _in_role(side):
+    a float64 array the caller owns: it is centered in place. The caller
+    names the side's role ("reference" or "alternate"), and a degenerate
+    side's error names it."""
+    try:
         return spatial_subspace(center_rows(matrix))
+    except (DegenerateRankError, DegenerateSampleError) as exc:
+        raise type(exc)(f"{role} tensor: {exc}") from exc
 
 
-def _tensor_subspace(z):
-    """Truncated subspace of a tensor's spatial matrix, whose errors name no
-    role (see _in_role); a failed Gram check rescans z."""
+def _tensor_subspace(role, z):
+    """_side_subspace of a tensor's spatial matrix, in the role the caller
+    names; a failed Gram check rescans z."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return spatial_subspace(center_rows(matricize(z)))
+            return _side_subspace(role, matricize(z))
         except ValidationError:
             _reject_nonfinite(z)
             raise
@@ -118,6 +111,8 @@ def seis(z_ref, z_alt) -> SeisScores:
     truncate to the 99%-variance spatial subspace, checking values at its
     Gram diagonal, run CCA between the projected coordinates, then
     aggregate the equivariance and invariance scores. Deterministic.
+    seis() builds each side in its role, so a degenerate side's error
+    names it: "reference tensor: ..." or "alternate tensor: ...".
 
     An alternate equal in value to the reference (float32 and float64
     copies of the same values included) widens to the same matrix, so it
@@ -125,11 +120,8 @@ def seis(z_ref, z_alt) -> SeisScores:
     copy of it, as the harness scores identity.
     """
     _same_dims(np.shape(z_ref), np.shape(z_alt))
-    with _in_role("reference"):
-        ref = _tensor_subspace(z_ref)
+    ref = _tensor_subspace("reference", z_ref)
     # the reference is valid here, so an equal alternate of a real dtype is too
     if np.asarray(z_alt).dtype.kind in _REAL_KINDS and np.array_equal(z_ref, z_alt):
         return _score(ref, ref)
-    with _in_role("alternate"):
-        alt = _tensor_subspace(z_alt)
-    return _score(ref, alt)
+    return _score(ref, _tensor_subspace("alternate", z_alt))

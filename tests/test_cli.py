@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from seis import metrics
-from seis.cli import main
+from seis.cli import _score_paths, main
+from seis.errors import DegenerateRankError, SeisError, ValidationError
 from seis.metrics import seis
 from seis.tensor_io import ResultRow, matricize, read_tensor, write_results, write_tensor
 from seis.transforms import AffineParams, apply_affine
@@ -366,6 +368,15 @@ class TestGen:
         assert run_cli("gen", "--dims", dims, "--out", str(tmp_path / "t.npy")) == 1
         assert capsys.readouterr().err.startswith("error: dims must be ")
 
+    @pytest.mark.parametrize("command", ["gen", "synth"])
+    def test_one_cell_grid_exit_1_writes_nothing(self, tmp_path, capsys, command):
+        # a one-cell grid used to be standardized into NaN and fail later
+        code = run_cli(command, "--dims", "2,2,1,1", "--out", str(tmp_path / "t.npy"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: dims must give an h*w grid of at least 2 cells, got (2, 2, 1, 1)\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_directory_exit_1(self, tmp_path, capsys):
         assert run_cli("gen", "--dims", "4,4,8,8",
                        "--out", str(tmp_path / "nodir" / "t.npy")) == 1
@@ -580,6 +591,30 @@ class TestLayersReuse:
         warnings = [line for line in capsys.readouterr().err.splitlines() if "skipping" in line]
         assert message in warnings[0]
         assert "reference tensor: all singular values" in warnings[1]
+
+    @pytest.mark.parametrize("bad", ["nan", "flat"])
+    def test_failed_dump_is_not_kept_and_fails_later_entry_in_its_role(self, dumps, bad):
+        a = read_tensor(dumps / "a.npy")
+        index = np.ravel_multi_index((1, 2, 3, 4), a.shape)
+        a[1, 2, 3, 4] = np.nan
+        np.save(dumps / "nan.npy", a)
+        np.save(dumps / "flat.npy", np.zeros_like(a))
+        path, clean = dumps / f"{bad}.npy", dumps / "a.npy"
+        error, messages = {
+            "nan": (ValidationError, [f"non-finite value at flat index {index}"] * 2),
+            "flat": (DegenerateRankError, ["reference tensor: all singular values",
+                                           "alternate tensor: all singular values"]),
+        }[bad]
+        sides = {}
+        with pytest.raises(error) as first:
+            _score_paths(path, clean, sides)
+        assert str(first.value).startswith(f"{path}: {messages[0]}")
+        # only the clean alternate's subspace is kept, not the failure
+        assert list(sides) == [os.path.realpath(clean)]
+        assert not any(isinstance(side, SeisError) for _, side in sides.values())
+        with pytest.raises(error) as later:
+            _score_paths(clean, path, sides)
+        assert str(later.value).startswith(f"{path}: {messages[1]}")
 
     def test_reused_degenerate_dump_named_in_each_entrys_role(self, dumps, capsys):
         write_tensor(np.zeros((3, 4, 8, 8)), dumps / "flat.npy")

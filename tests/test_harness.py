@@ -61,6 +61,17 @@ class TestConfig:
         with pytest.raises(ValidationError, match="sideways"):
             HarnessConfig(conditions=("sideways",))
 
+    @pytest.mark.parametrize("dims", [(2, 2, 1, 1), (1, 1, 1, 1)])
+    def test_one_cell_grid_rejected(self, dims):
+        # a one-cell slice has zero variance, so it cannot be standardized
+        with pytest.raises(ValidationError) as exc:
+            HarnessConfig(dims=dims)
+        assert str(exc.value) == f"dims must give an h*w grid of at least 2 cells, got {dims}"
+
+    @pytest.mark.parametrize("dims", [(2, 2, 1, 2), (2, 2, 8, 1)])
+    def test_one_row_or_column_grid_accepted(self, dims):
+        assert HarnessConfig(dims=dims).dims == dims
+
     @pytest.mark.parametrize("conditions", [(), []])
     def test_empty_conditions_rejected(self, conditions):
         # an empty selection used to run a suite that scored nothing

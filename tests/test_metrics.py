@@ -264,7 +264,7 @@ class TestSeisReuse:
             z = z.astype(np.float32)
         alt = z.astype(np.float64) if widen else z.copy()
         got = seis(z, alt)
-        want = _score(_tensor_subspace(z), _tensor_subspace(alt))
+        want = _score(_tensor_subspace("reference", z), _tensor_subspace("alternate", alt))
         assert (got.k_a, got.k_a_prime, got.r) == (want.k_a, want.k_a_prime, want.r)
         assert got.s_equiv == want.s_equiv
         assert abs(got.s_inv - want.s_inv) <= 1e-15
