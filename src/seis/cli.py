@@ -38,7 +38,7 @@ from .tensor_io import (
 )
 from .transforms import ConditionKind, make_stream
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("seis.cli")
 
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warn": logging.WARNING}
 

@@ -58,8 +58,8 @@ def _sequence(name, value) -> tuple:
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Configuration of one validation run. dims is (b, c, h, w) with
-    h*w >= 2, since each slice is standardized over its grid."""
+    """Configuration of one validation run. dims is (b, c, h, w) with h*w >= 2,
+    since each slice is standardized over its grid, and smoothness <= max(h, w)."""
 
     dims: tuple = DEFAULT_DIMS
     trials: int = DEFAULT_TRIALS
@@ -81,8 +81,8 @@ class HarnessConfig:
         if isinstance(self.smoothness, bool) or not isinstance(self.smoothness, numbers.Real):
             raise ValidationError(f"smoothness must be a real number, got {self.smoothness!r}")
         object.__setattr__(self, "smoothness", float(self.smoothness))
-        if not (0.0 < self.smoothness < np.inf):
-            raise ValidationError(f"smoothness must be positive and finite, got {self.smoothness}")
+        if not (0.0 < self.smoothness <= max(dims[2:])):
+            raise ValidationError(f"smoothness must be in (0, max(h, w)], got {self.smoothness}")
         conditions = tuple(ConditionKind(c) for c in _sequence("conditions", self.conditions))
         if not conditions:
             raise ValidationError("conditions must name at least one condition")
@@ -154,8 +154,7 @@ def make_alternate(cfg: HarnessConfig, ref: np.ndarray, kind, rng) -> np.ndarray
         return ref.copy()
     if kind is ConditionKind.RANDOM_BASELINE:
         return matricize(gen_synthetic_activations(cfg, rng))
-    op = affine_operator(h, w, sample_params(kind, rng))
-    return ref.copy() if op is None else op @ ref
+    return affine_operator(h, w, sample_params(kind, rng)) @ ref
 
 
 def run_validation_suite(cfg: HarnessConfig):

@@ -24,6 +24,11 @@ VARIANCE_THRESHOLD = 0.99
 # Relative ridge added to each covariance diagonal before inversion.
 COVARIANCE_RIDGE = 1e-10
 
+# Floor on a nonzero side's largest Gram diagonal entry D: with m = min(d, n), the
+# 99% cut keeps s_k^2 > 0.01 * s_1^2 / m and s_1^2 >= D, so lifted canonical directions
+# have norms < 10 * sqrt((n - 1) * m / D), whose products stay under 1e308 for (n - 1) * m < 1e100.
+GRAM_FLOOR = 1e-200
+
 # Clamping correlations into [0, 1] may move a value at most this far;
 # anything larger is a real numerical failure and must not be hidden.
 CLAMP_GUARD = 1e-10
@@ -127,6 +132,7 @@ def spatial_subspace(centered) -> TruncatedSubspace:
     an overflowing square at centered[i, j] reaches G[i, i] (wide) or
     G[j, j] (tall), and while it is finite no other entry or partial sum
     can overflow (Cauchy-Schwarz, term by term: |ab| <= (a^2 + b^2) / 2).
+    A nonzero matrix whose Gram diagonal stays below GRAM_FLOOR is too small.
 
     A tall (d > n) matrix is eigendecomposed through its (n, n) Gram, and
     only the k retained eigenvectors are lifted to the spatial basis,
@@ -135,8 +141,10 @@ def spatial_subspace(centered) -> TruncatedSubspace:
     d, n = centered.shape
     tall = d > n
     gram = centered.T @ centered if tall else centered @ centered.T
-    if not np.isfinite(np.diagonal(gram)).all():
+    if not np.isfinite(gram.diagonal()).all():
         raise ValidationError("matrix contains non-finite entries or its Gram matrix overflows")
+    if gram.diagonal().max() < GRAM_FLOOR and centered.any():
+        raise DegenerateRankError(f"values too small to score: Gram diagonal below {GRAM_FLOOR}")
     lam, vecs = np.linalg.eigh(gram)
     s = np.sqrt(np.clip(lam[::-1], 0.0, None))
     vecs = vecs[:, ::-1]
@@ -197,6 +205,7 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
     inv_sqrt_x = _sym_inv_sqrt(cxx)
     inv_sqrt_y = _sym_inv_sqrt(cyy)
     whitened = inv_sqrt_x @ cxy @ inv_sqrt_y
+    # finite positive-definite blocks never reach this: the ridge bounds every product term
     if not np.all(np.isfinite(whitened)):
         raise NumericalError("whitened cross covariance contains non-finite entries")
 

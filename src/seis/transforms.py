@@ -63,11 +63,6 @@ class AffineParams:
     scale: float = 1.0
     angle_deg: float = 0.0
 
-    def is_identity(self) -> bool:
-        return self.tx == 0.0 and self.ty == 0.0 and self.scale == 1.0 and (
-            self.angle_deg % 360.0 == 0.0
-        )
-
 
 def _integer(name, value) -> int:
     """value as a Python int if it is an integer (NumPy ones included) and
@@ -143,9 +138,9 @@ def affine_operator(h: int, w: int, params: AffineParams):
     makes right-angle rotations of square grids exact permutations.
     Sampling goes through the composed inverse map with bilinear
     interpolation; reads outside the grid contribute zero. The trig
-    factors of right-angle rotations are snapped to integers so those
-    operators reduce to exact index remaps. Identity parameters need no
-    resampling and return None.
+    factors of right-angle rotations are snapped to integers and only
+    nonzero weights are stored, so exact remaps (identity parameters,
+    integer shifts, half turns, square quarter turns) store one 1.0 per row.
 
     Left-multiplying a (h*w, n) spatial matrix by the operator warps every
     one of its n slices.
@@ -160,8 +155,6 @@ def affine_operator(h: int, w: int, params: AffineParams):
             raise ValidationError(f"non-finite affine parameter {name}")
     if params.scale <= 0.0:
         raise ValidationError(f"scale must be positive, got {params.scale}")
-    if params.is_identity():
-        return None
 
     angle = params.angle_deg % 360.0
     theta = math.radians(angle)
@@ -179,14 +172,14 @@ def affine_operator(h: int, w: int, params: AffineParams):
 
     # one operator row per output cell; its corners (0,0) (0,1) (1,0) (1,1)
     # come in ascending source index, the summation order of a
-    # corner-by-corner gather, and corners outside the grid are dropped
+    # corner-by-corner gather, and corners outside the grid or of zero weight are dropped
     x0, y0 = np.floor(src_x)[:, None], np.floor(src_y)[:, None]
     fx, fy = src_x[:, None] - x0, src_y[:, None] - y0
     xx, yy = x0 + [0, 1, 0, 1], y0 + [0, 0, 1, 1]
     weight = np.hstack([1.0 - fy, 1.0 - fy, fy, fy]) * np.hstack([1.0 - fx, fx, 1.0 - fx, fx])
-    inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-    cells, sources = np.nonzero(inside)[0], (yy * w + xx)[inside].astype(np.intp)
-    return sparse.csr_array((weight[inside], (cells, sources)), shape=(h * w, h * w))
+    stored = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w) & (weight != 0.0)
+    cells, sources = np.nonzero(stored)[0], (yy * w + xx)[stored].astype(np.intp)
+    return sparse.csr_array((weight[stored], (cells, sources)), shape=(h * w, h * w))
 
 
 def apply_affine(z, params: AffineParams) -> np.ndarray:
@@ -194,10 +187,8 @@ def apply_affine(z, params: AffineParams) -> np.ndarray:
 
     The tensor is matricized (structure checked, widened to float64),
     left-multiplied by the operator of affine_operator and returned as a
-    (b, c, h, w) view of the warped matrix; identity parameters skip the
-    product and return the values bit-exactly. Non-finite values pass through.
+    (b, c, h, w) view of the warped matrix. A non-finite value reaches only
+    the cells that read it; an exact remap moves values unchanged, but -0.0 becomes +0.0.
     """
     m = matricize(z)
-    shape = np.shape(z)
-    op = affine_operator(shape[2], shape[3], params)
-    return (m if op is None else op @ m).T.reshape(shape)
+    return (affine_operator(*np.shape(z)[2:], params) @ m).T.reshape(np.shape(z))

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +379,16 @@ class TestGen:
             "error: dims must give an h*w grid of at least 2 cells, got (2, 2, 1, 1)\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["gen", "synth"])
+    def test_smoothness_longer_than_grid_exit_1_writes_nothing(self, tmp_path, capsys, command):
+        # used to end in numpy's "Maximum allowed size exceeded" traceback
+        code = run_cli(command, "--smoothness", "1e20", "--dims", "2,2,8,8",
+                       "--out", str(tmp_path / "t.npy"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: smoothness must be in (0, max(h, w)], got 1e+20\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_directory_exit_1(self, tmp_path, capsys):
         assert run_cli("gen", "--dims", "4,4,8,8",
                        "--out", str(tmp_path / "nodir" / "t.npy")) == 1
@@ -424,6 +436,22 @@ class TestLayers:
         assert [line.split(",")[0] for line in lines[1:]] == ["layer0", "layer2"]
         err = capsys.readouterr().err
         assert "layer1" in err and "skipping" in err
+
+    def test_module_run_logs_as_seis_cli(self, tmp_path):
+        # `python -m seis.cli` runs cli.py as __main__; its warnings must
+        # still carry the logger name the installed script prints
+        entries = self.make_pair_files(tmp_path, n=2)
+        write_tensor(np.zeros((3, 4, 8, 8)), tmp_path / "l1_ref.npy")
+        man = self.write_manifest(tmp_path, entries)
+        env = {**os.environ, "PYTHONPATH": str(Path(metrics.__file__).parents[1])}
+        env.pop("SEIS_LOG", None)
+        child = subprocess.run(
+            [sys.executable, "-m", "seis.cli", "layers", "--manifest", str(man),
+             "--out", str(tmp_path / "rows.csv")],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.startswith(f"WARNING seis.cli: skipping entry 'layer1': {tmp_path}")
 
     def test_total_failure_exit_1(self, tmp_path):
         entries = [

@@ -72,6 +72,21 @@ class TestConfig:
     def test_one_row_or_column_grid_accepted(self, dims):
         assert HarnessConfig(dims=dims).dims == dims
 
+    @pytest.mark.parametrize("dims,smoothness", [
+        ((2, 2, 8, 8), 1e20), ((2, 2, 8, 8), 8.5), ((2, 2, 3, 5), 5.25),
+        ((2, 2, 1, 2), 2.5), ((64, 32, 28, 28), float("inf")),
+    ])
+    def test_smoothness_longer_than_grid_rejected(self, dims, smoothness):
+        # scipy's kernel has 2 * int(4 * sigma + 0.5) + 1 taps, so a huge
+        # length-scale used to fail, or allocate gigabytes, in the filter
+        with pytest.raises(ValidationError) as exc:
+            HarnessConfig(dims=dims, smoothness=smoothness)
+        assert str(exc.value) == f"smoothness must be in (0, max(h, w)], got {smoothness}"
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3, 5), (2, 2, 1, 2)])
+    def test_smoothness_up_to_longest_side_accepted(self, dims):
+        assert HarnessConfig(dims=dims, smoothness=max(dims[2:])).smoothness == max(dims[2:])
+
     @pytest.mark.parametrize("conditions", [(), []])
     def test_empty_conditions_rejected(self, conditions):
         # an empty selection used to run a suite that scored nothing

@@ -6,7 +6,9 @@ from seis.errors import (
     NumericalError,
     ValidationError,
 )
-from seis.linalg import _truncation_rank, cca, center_rows, row_cosines, spatial_subspace
+from seis.linalg import (
+    TruncatedSubspace, _truncation_rank, cca, center_rows, row_cosines, spatial_subspace,
+)
 from seis.metrics import seis
 from seis.tensor_io import matricize
 
@@ -365,3 +367,39 @@ class TestRowCosines:
     def test_zero_norm_raises(self):
         with pytest.raises(NumericalError):
             row_cosines(np.zeros((1, 3)), np.ones((1, 3)))
+
+    def test_overflowing_norms_raise(self):
+        a = np.array([[1e200, 1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="^non-finite cosine$"):
+                row_cosines(a, a)
+
+    def test_cosine_past_clamp_guard_raises(self):
+        # subnormal norms round so far that the cosine comes out as 2
+        a, b = np.array([[2.142857142857143e-162]]), np.array([[3.461538461538462e-162]])
+        with pytest.raises(NumericalError, match="^cosine exceeds 1 by 1.000e"):
+            row_cosines(a, b)
+
+
+class TestCcaGuards:
+    @staticmethod
+    def side(projected):
+        projected = np.asarray(projected, dtype=np.float64)
+        k = projected.shape[0]
+        return TruncatedSubspace(basis=np.eye(k), singular_values=np.ones(k),
+                                 projected=projected, retained_variance=1.0, k=k)
+
+    def test_zero_variance_variate_raises(self):
+        # the zero row whitens to an exactly zero direction
+        left = self.side([[1.0, 2.0, 3.0, 5.0], [0.0, 0.0, 0.0, 0.0]])
+        right = self.side(np.random.default_rng(0).standard_normal((2, 4)))
+        with pytest.raises(NumericalError, match="^zero-variance canonical variate$"):
+            cca(left, right)
+
+    def test_overflowing_covariance_raises(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 4))
+        x[0] *= 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="^covariance is not positive definite"):
+                cca(self.side(x), self.side(rng.standard_normal((2, 4))))

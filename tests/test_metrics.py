@@ -237,6 +237,36 @@ class TestSeisErrors:
         with pytest.raises(DegenerateRankError, match="alternate"):
             seis(b, a)
 
+    @pytest.mark.filterwarnings("error")
+    def test_magnitude_ladder_scores_or_names_values_too_small(self):
+        # both sides scaled by 2**e. Down to the Gram floor the scores match
+        # the unscaled pair: LAPACK rescales out-of-range matrices, which
+        # moved s_equiv by at most 2.3e-16 and s_inv by at most 4.6e-7
+        # (smooth_tensor seeds 0-3, every e from 505 to -335). Below the
+        # floor both used to end in overflow warnings and a non-finite
+        # cosine, and then in "all singular values are zero"
+        z = smooth_tensor((4, 8, 12, 12), seed=0)
+        a = apply_affine(z, AffineParams(angle_deg=15.0))
+        base = seis(z, a)
+        rungs = range(505, -1081, -5)
+        rejected = []
+        for e in rungs:
+            z_e, a_e = z * 2.0**e, a * 2.0**e
+            try:
+                got = seis(z_e, a_e)
+            except DegenerateRankError as exc:
+                rejected.append(e)
+                if z_e.any():
+                    assert str(exc).startswith("reference tensor: values too small to score: ")
+                else:
+                    assert str(exc) == "reference tensor: all singular values are zero"
+            else:
+                assert abs(got.s_equiv - base.s_equiv) <= 1e-15
+                assert abs(got.s_inv - base.s_inv) <= 1e-6
+        # the rejected rungs are the tail of the ladder, and include 2**-515
+        assert rejected == [e for e in rungs if e <= rejected[0]]
+        assert -515 in rejected and 0 not in rejected
+
     def test_single_observation_is_named(self):
         # the sample count is checked once, by centering, before any stage
         # that divides by n - 1

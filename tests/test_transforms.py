@@ -8,6 +8,7 @@ from seis.transforms import (
     AffineParams,
     CONDITION_ORDER,
     ConditionKind,
+    affine_operator,
     apply_affine,
     make_stream,
     sample_params,
@@ -36,7 +37,6 @@ class TestSampleParams:
     def test_identity(self):
         p = sample_params(ConditionKind.IDENTITY, make_stream(0))
         assert p == AffineParams(0.0, 0.0, 1.0, 0.0)
-        assert p.is_identity()
 
     def test_translation_range(self):
         p = sample_params(ConditionKind.TRANSLATION, make_stream(7))
@@ -172,6 +172,67 @@ class TestApplyAffine:
         z = rand_tensor((1, 1, 4, 4))
         with pytest.raises(ValidationError):
             apply_affine(z, AffineParams(scale=0.0))
+
+
+class TestExactRemaps:
+    """Identity parameters, integer translations, half turns and quarter
+    turns of square grids store one 1.0 per output cell that reads inside
+    the grid, so each input value reaches only the cell it moves to."""
+
+    @pytest.mark.parametrize("h,w,params,stored", [
+        (5, 7, AffineParams(), 35),
+        (4, 4, AffineParams(angle_deg=360.0), 16),
+        (4, 6, AffineParams(tx=2 / 6, ty=-1 / 4), 3 * 4),
+        (8, 16, AffineParams(tx=-1 / 16, ty=3 / 8), 5 * 15),
+        (5, 8, AffineParams(angle_deg=180.0), 40),
+        (6, 6, AffineParams(angle_deg=90.0), 36),
+        (7, 7, AffineParams(angle_deg=270.0), 49),
+        (6, 6, AffineParams(angle_deg=-90.0), 36),
+    ])
+    def test_one_stored_one_per_in_grid_cell(self, h, w, params, stored):
+        op = affine_operator(h, w, params)
+        assert op.format == "csr" and op.shape == (h * w, h * w)
+        assert np.all(op.data == 1.0)
+        assert np.diff(op.indptr).max() == 1
+        assert op.nnz == stored
+
+    @pytest.mark.parametrize("params", [
+        AffineParams(tx=1 / 8, ty=0.3 / 5),  # integer x, fractional y
+        AffineParams(tx=0.5 / 8),            # fractional x, integer y
+        AffineParams(scale=1.3, angle_deg=33.0, tx=0.05),
+    ])
+    def test_no_zero_weight_stored(self, params):
+        op = affine_operator(5, 8, params)
+        assert op.nnz > 0 and np.all(op.data != 0.0)
+
+    @pytest.mark.parametrize("h,w,params,oracle", [
+        (5, 7, AffineParams(), lambda z: z),
+        (6, 6, AffineParams(angle_deg=90.0), lambda z: np.rot90(z, 1, axes=(2, 3))),
+        (5, 8, AffineParams(angle_deg=180.0), lambda z: np.rot90(z, 2, axes=(2, 3))),
+        (4, 6, AffineParams(tx=2 / 6, ty=-1 / 4), lambda z: shift_oracle(z, 2, -1)),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_reaches_one_cell(self, h, w, params, oracle, bad):
+        z = rand_tensor((2, 3, h, w), seed=14)
+        z[1, 2, 2, 3] = bad
+        out = apply_affine(z, params)
+        assert np.array_equal(out, oracle(z), equal_nan=True)
+        assert np.count_nonzero(~np.isfinite(out)) == 1
+
+    def test_nan_reaches_only_cells_reading_it(self):
+        # half a pixel along x: the NaN is read by its own cell and its
+        # right-hand neighbour, and by no cell of the rows above or below
+        z = np.zeros((1, 1, 5, 8))
+        z[0, 0, 2, 3] = np.nan
+        out = apply_affine(z, AffineParams(tx=0.5 / 8.0))
+        assert np.argwhere(np.isnan(out[0, 0])).tolist() == [[2, 3], [2, 4]]
+
+    def test_identity_turns_negative_zero_positive(self):
+        z = rand_tensor((1, 2, 3, 4), seed=15)
+        z[0, 1, 2, 0] = -0.0
+        out = apply_affine(z, AffineParams())
+        assert np.array_equal(out, z)
+        assert not np.signbit(out[0, 1, 2, 0])
 
 
 @st.composite
