@@ -43,9 +43,8 @@ class TruncatedSubspace:
     the projection is a linear map over the observation axis).
     """
 
-    basis: np.ndarray            # (d, k)
-    singular_values: np.ndarray  # (k,) positive, non-increasing
-    projected: np.ndarray        # (k, n)
+    basis: np.ndarray      # (d, k)
+    projected: np.ndarray  # (k, n)
     retained_variance: float
     k: int
 
@@ -56,15 +55,14 @@ class CcaResult:
 
     correlations are non-increasing values in [0, 1]; column i of
     proj_left / proj_right maps its side's projected data to the i-th
-    canonical variate, proj_left[:, i] @ left.projected, which has unit
-    sample variance, and correlations[i] is the absolute cosine between
-    the two sides' i-th variates.
+    canonical variate, proj_left[:, i] @ left.projected, whose sample
+    variance is 1 up to the ridge (see cca), and correlations[i] is the
+    absolute cosine between the two sides' i-th variates.
     """
 
-    correlations: np.ndarray    # (r,)
+    correlations: np.ndarray    # (r,), r = min(k_a, k_a_prime)
     proj_left: np.ndarray       # (k_a, r)
     proj_right: np.ndarray      # (k_a_prime, r)
-    r: int
 
 
 def row_cosines(a, b) -> np.ndarray:
@@ -159,7 +157,6 @@ def spatial_subspace(centered) -> TruncatedSubspace:
     basis = np.ascontiguousarray(vecs[:, :k])
     return TruncatedSubspace(
         basis=basis,
-        singular_values=s[:k].copy(),
         projected=basis.T @ centered,
         retained_variance=retained,
         k=k,
@@ -183,11 +180,11 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
     (rows are centered upstream and projection preserves that), each block
     is regularized by COVARIANCE_RIDGE times its mean diagonal, and the
     canonical directions come from the SVD of the whitened cross
-    covariance, mapped back through the inverse square roots. The
-    directions are rescaled so their variates have unit sample variance,
-    and each reported correlation is the absolute cosine of its centered
-    variate pair, its realized correlation. Directions keep the SVD's signs:
-    both scores read absolute cosines, so no score bit depends on them.
+    covariance, mapped back through the inverse square roots. Whitening
+    gives the variates unit sample variance up to the ridge; directions are
+    not rescaled, since both scores read cosines. Each reported correlation
+    is the absolute cosine of its centered variate pair (a zero variate
+    raises there); no score reads the directions' SVD signs either.
 
     left and right come from spatial_subspace on matrices with the same
     n >= 2 observations, which seis() and center_rows check beforehand.
@@ -214,22 +211,10 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
     w_left = inv_sqrt_x @ e[:, :r]
     v_right = inv_sqrt_y @ ft[:r].T
 
-    p = w_left.T @ x
-    q = v_right.T @ y
-    sp = np.linalg.norm(p, axis=1) / np.sqrt(n - 1)
-    sq = np.linalg.norm(q, axis=1) / np.sqrt(n - 1)
-    if np.any(sp == 0.0) or np.any(sq == 0.0):
-        raise NumericalError("zero-variance canonical variate")
-    w_left /= sp
-    v_right /= sq
-    p /= sp[:, None]
-    q /= sq[:, None]
-
-    rho = row_cosines(p, q)
+    rho = row_cosines(w_left.T @ x, v_right.T @ y)
     order = np.argsort(-rho, kind="stable")
     return CcaResult(
         correlations=rho[order],
         proj_left=np.ascontiguousarray(w_left[:, order]),
         proj_right=np.ascontiguousarray(v_right[:, order]),
-        r=r,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRankError, DegenerateSampleError, ShapeError, ValidationError
+from .errors import SeisError, ShapeError, ValidationError
 from .linalg import CcaResult, cca, center_rows, row_cosines, spatial_subspace
 from .tensor_io import _REAL_KINDS, _reject_nonfinite, matricize
 
@@ -36,10 +36,10 @@ def equivariance_score(c: CcaResult) -> float:
 
     cca() reports each correlation as the absolute cosine of its centered
     variate pair, so this is also the mean absolute cosine between paired
-    canonical variates.
+    canonical variates. Each is at most 1 and rounding is monotone, so the
+    mean needs no clamp.
     """
-    # pairwise summation of near-1 terms can round the mean past 1
-    return min(float(np.mean(c.correlations)), 1.0)
+    return float(np.mean(c.correlations))
 
 
 def invariance_score(c: CcaResult, left_basis, right_basis) -> float:
@@ -60,29 +60,30 @@ def invariance_score(c: CcaResult, left_basis, right_basis) -> float:
     lifted_left = left_basis @ c.proj_left     # (d, r)
     lifted_right = right_basis @ c.proj_right  # (d, r)
     cosines = row_cosines(lifted_left.T, lifted_right.T)
-    return min(float(np.sum(c.correlations * cosines) / c.r), 1.0)
+    return float(np.mean(c.correlations * cosines))
 
 
-def _side_subspace(role, matrix):
+def _side_subspace(role, matrix, z=None):
     """Truncated subspace of one side's (d, n) spatial matrix, which must be
-    a float64 array the caller owns: it is centered in place. The caller
-    names the side's role ("reference" or "alternate"), and a degenerate
-    side's error names it."""
+    a float64 array the caller owns: it is centered in place. With matrix
+    None, the side is the tensor z instead: it is matricized, and a failed
+    Gram check rescans it. The caller names the side's role ("reference" or
+    "alternate"), and every error raised here names it once."""
     try:
-        return spatial_subspace(center_rows(matrix))
-    except (DegenerateRankError, DegenerateSampleError) as exc:
+        try:
+            return spatial_subspace(center_rows(matricize(z) if matrix is None else matrix))
+        except ValidationError:
+            if z is not None:
+                _reject_nonfinite(z)
+            raise
+    except SeisError as exc:
         raise type(exc)(f"{role} tensor: {exc}") from exc
 
 
 def _tensor_subspace(role, z):
-    """_side_subspace of a tensor's spatial matrix, in the role the caller
-    names; a failed Gram check rescans z."""
+    """_side_subspace of the tensor z, in the role the caller names."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return _side_subspace(role, matricize(z))
-        except ValidationError:
-            _reject_nonfinite(z)
-            raise
+        return _side_subspace(role, None, z)
 
 
 def _score(left, right) -> SeisScores:
@@ -91,7 +92,7 @@ def _score(left, right) -> SeisScores:
     return SeisScores(
         s_equiv=equivariance_score(c),
         s_inv=invariance_score(c, left.basis, right.basis),
-        r=c.r,
+        r=c.correlations.size,
         k_a=left.k,
         k_a_prime=right.k,
         correlations=c.correlations,
@@ -111,8 +112,8 @@ def seis(z_ref, z_alt) -> SeisScores:
     truncate to the 99%-variance spatial subspace, checking values at its
     Gram diagonal, run CCA between the projected coordinates, then
     aggregate the equivariance and invariance scores. Deterministic.
-    seis() builds each side in its role, so a degenerate side's error
-    names it: "reference tensor: ..." or "alternate tensor: ...".
+    seis() builds each side in its role, so an error in a side's values,
+    dtype or rank names it: "reference tensor: ..." or "alternate tensor: ...".
 
     An alternate equal in value to the reference (float32 and float64
     copies of the same values included) widens to the same matrix, so it

@@ -149,7 +149,6 @@ def full_lift_subspace(centered) -> TruncatedSubspace:
     basis = np.ascontiguousarray(lifted[:, :k])
     return TruncatedSubspace(
         basis=basis,
-        singular_values=s[:k].copy(),
         projected=basis.T @ centered,
         retained_variance=retained,
         k=k,
@@ -174,7 +173,6 @@ def replace_projected(sub: TruncatedSubspace, projected) -> TruncatedSubspace:
     """Clone a subspace with different projected coordinates (CCA-level tests)."""
     return TruncatedSubspace(
         basis=sub.basis,
-        singular_values=sub.singular_values,
         projected=np.asarray(projected, dtype=np.float64),
         retained_variance=sub.retained_variance,
         k=sub.k,

@@ -93,7 +93,7 @@ class TestScore:
         write_npy_independent(path, t)
         assert run_cli("score", str(path), str(path)) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {path}: non-finite value at flat index 10\n"
+        assert err == f"error: {path}: reference tensor: non-finite value at flat index 10\n"
 
     def test_missing_file_exit_1(self, ref_file, capsys):
         assert run_cli("score", str(ref_file), "no_such.npy") == 1
@@ -629,7 +629,8 @@ class TestLayersReuse:
         np.save(dumps / "flat.npy", np.zeros_like(a))
         path, clean = dumps / f"{bad}.npy", dumps / "a.npy"
         error, messages = {
-            "nan": (ValidationError, [f"non-finite value at flat index {index}"] * 2),
+            "nan": (ValidationError, [f"{role} tensor: non-finite value at flat index {index}"
+                                      for role in ("reference", "alternate")]),
             "flat": (DegenerateRankError, ["reference tensor: all singular values",
                                            "alternate tensor: all singular values"]),
         }[bad]

@@ -156,8 +156,8 @@ class TestScoreFunctions:
         q = np.vstack([np.sin(t)])  # orthogonal to p, both centered
 
         def side(projected):
-            return TruncatedSubspace(basis=np.eye(1), singular_values=np.ones(1),
-                                     projected=projected, retained_variance=1.0, k=1)
+            return TruncatedSubspace(basis=np.eye(1), projected=projected,
+                                     retained_variance=1.0, k=1)
 
         assert equivariance_score(cca(side(p), side(q))) <= 1e-10
 
@@ -172,7 +172,6 @@ class TestScoreFunctions:
             correlations=np.array([1.0]),
             proj_left=np.zeros((2, 1)),  # lifts to the zero vector
             proj_right=np.ones((2, 1)),
-            r=1,
         )
         basis = np.eye(3)[:, :2]
         with pytest.raises(NumericalError):
@@ -189,8 +188,9 @@ class TestSeisErrors:
     def test_nonfinite_alternate_rejected(self):
         a = smooth_tensor((2, 2, 4, 4), seed=26)
         b = a.copy()
-        b[1, 0, 2, 3] = np.nan
-        with pytest.raises(ValidationError, match="non-finite"):
+        b[1, 0, 2, 3] = np.nan  # flat index 32 + 8 + 3
+        with pytest.raises(ValidationError,
+                           match="^alternate tensor: non-finite value at flat index 43$"):
             seis(a, b)
 
     def test_fortran_order_nan_names_logical_flat_index(self):
@@ -221,12 +221,13 @@ class TestSeisErrors:
 
     @pytest.mark.parametrize("kind", NON_REAL_KINDS)
     def test_non_real_dtype_rejected(self, kind):
-        # complex used to be scored on its real part, datetime64 as numbers
+        # complex used to be scored on its real part, datetime64 as numbers;
+        # the error names the side that holds it
         z = non_real_tensor(kind)
         real = smooth_tensor(z.shape, seed=27)
-        with pytest.raises(DtypeError):
+        with pytest.raises(DtypeError, match="^alternate tensor: unsupported dtype "):
             seis(real, z)
-        with pytest.raises(DtypeError):
+        with pytest.raises(DtypeError, match="^reference tensor: unsupported dtype "):
             seis(z, real)
 
     def test_degenerate_side_is_named(self):

@@ -7,7 +7,9 @@ asserted for s_equiv only: when canonical correlations cluster near 1, the
 directions inside the cluster are arbitrary and s_inv is not determined to
 better than rounding noise amplified by the cluster gaps. A non-finite
 entry put at a drawn position, on either route, must be named by its flat
-index whichever side holds it.
+index whichever side holds it, and the error names that side. Neither
+score clamps: correlations and cosines are at most 1, and rounding is
+monotone, so a mean of values a few ulps below 1 never passes 1.
 """
 
 import warnings
@@ -18,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seis.errors import ValidationError
-from seis.linalg import center_rows, spatial_subspace
+from seis.linalg import CcaResult, center_rows, spatial_subspace
 from seis.tensor_io import matricize
-from seis.metrics import seis
+from seis.metrics import equivariance_score, invariance_score, seis
 
 from helpers import permute_spatial
 
@@ -54,6 +56,25 @@ def test_scores_lie_in_unit_interval(pair):
     scores = seis(*pair)
     assert 0.0 <= scores.s_equiv <= 1.0
     assert 0.0 <= scores.s_inv <= 1.0
+
+
+@st.composite
+def near_one_results(draw):
+    """A CcaResult of 1 to 10,000 correlations at most 2 ulps below 1 whose
+    two sides' directions are equal, so each cosine rounds to about 1."""
+    r = draw(st.integers(1, 10_000))
+    rng = np.random.default_rng(draw(seeds))
+    correlations = 1.0 - rng.integers(0, 3, r) * np.finfo(np.float64).epsneg
+    directions = rng.standard_normal((3, r))
+    return CcaResult(correlations=correlations, proj_left=directions, proj_right=directions)
+
+
+@PROPERTY
+@given(near_one_results())
+def test_unclamped_scores_of_near_one_correlations_stay_in_unit_interval(res):
+    basis = np.eye(3)
+    assert 0.0 <= equivariance_score(res) <= 1.0
+    assert 0.0 <= invariance_score(res, basis, basis) <= 1.0
 
 
 @PROPERTY
@@ -148,6 +169,7 @@ def test_nonfinite_entry_named_by_flat_index(case):
     clean, bad, index = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for pair in ((bad, clean), (clean, bad)):
-            with pytest.raises(ValidationError, match=f"flat index {index}$"):
+        for pair, role in (((bad, clean), "reference"), ((clean, bad), "alternate")):
+            with pytest.raises(ValidationError,
+                               match=f"^{role} tensor: non-finite value at flat index {index}$"):
                 seis(*pair)
