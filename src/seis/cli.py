@@ -105,23 +105,24 @@ def _load_config_file(path):
 
 
 def _score_paths(ref_path, alt_path, sides):
-    """Scores of the dumps at two paths. Each built (dims, subspace) is kept
-    in sides by resolved path, so an alt that resolves to its ref, or a dump
-    a later call names, reuses it. A dump not in sides is built in the role
-    its path has in this pair, so its error names that role; a side that
-    fails is not kept, and its error is raised, as in seis(), after the dims
-    check."""
+    """Scores of the dumps at two paths. Each built (dims, subspace) is kept in
+    sides by resolved path, so an alt that resolves to its ref, or a dump a
+    later call names, reuses it. A dump not in sides is built in the role its
+    path has in this pair, so its error names that role; a side that fails is
+    not kept, and its error is raised, as in seis(), after the dims check."""
     paths = (ref_path, alt_path)
     keys = [os.path.realpath(p) for p in paths]
     failed = {}
     for path, key, role in zip(paths, keys, ("reference", "alternate")):
         if key not in sides and key not in failed:
             t = read_tensor(path)
+            dims, m = t.shape, matricize(t)
+            del t  # the dump goes before its side is built, and its matrix after
             try:
-                sides[key] = t.shape, metrics._tensor_subspace(role, t)
+                sides[key] = dims, metrics._side_subspace(role, m)
             except SeisError as exc:
-                failed[key] = t.shape, type(exc)(f"{path}: {exc}")
-            del t  # no dump outlives its side
+                failed[key] = dims, type(exc)(f"{path}: {exc}")
+            del m
     (ref_dims, ref), (alt_dims, alt) = (sides.get(key) or failed[key] for key in keys)
     metrics._same_dims(ref_dims, alt_dims)
     for side in (ref, alt):

@@ -105,15 +105,16 @@ def center_rows(a: np.ndarray) -> np.ndarray:
     a is a 2-D float64 matrix the caller owns, such as matricize's result;
     it is overwritten and returned. Centering happens here, before any
     SVD, so the truncated basis is a true principal subspace and the
-    canonical variates downstream come out centered. Idempotent. This is
-    where the pipeline first checks the sample count: at least two
-    observations are required.
+    canonical variates downstream come out centered. Idempotent. It needs
+    n >= 2 observations, and a NaN, an inf or an overflowing sum, which makes
+    its row's mean non-finite, raises ValidationError before a is changed.
     """
     if a.shape[1] < 2:
-        raise DegenerateSampleError(
-            f"centering needs at least 2 observations, got {a.shape[1]}"
-        )
-    a -= a.mean(axis=1)[:, None]
+        raise DegenerateSampleError(f"centering needs at least 2 observations, got {a.shape[1]}")
+    mean = a.mean(axis=1)
+    if not np.isfinite(mean).all():
+        raise ValidationError("matrix contains non-finite entries or its row sums overflow")
+    a -= mean[:, None]
     return a
 
 
@@ -126,10 +127,10 @@ def spatial_subspace(centered) -> TruncatedSubspace:
     only down to about sqrt(eps) * sigma_max (~1e-8); the noise directions
     below that carry ~1e-16 of sigma^2, and those under 1e-12 * sigma_max
     under min(d, n) * 1e-24, too little to move the 99% cut, which needs no
-    rank floor. The Gram diagonal is the one finite check: a NaN, an inf or
-    an overflowing square at centered[i, j] reaches G[i, i] (wide) or
-    G[j, j] (tall), and while it is finite no other entry or partial sum
-    can overflow (Cauchy-Schwarz, term by term: |ab| <= (a^2 + b^2) / 2).
+    rank floor. With values checked by center_rows, the Gram diagonal guards
+    against overflow: a square that overflows at centered[i, j] reaches
+    G[i, i] (wide) or G[j, j] (tall), and while the diagonal is finite no
+    entry or partial sum can overflow (Cauchy-Schwarz: |ab| <= (a^2 + b^2) / 2).
     A nonzero matrix whose Gram diagonal stays below GRAM_FLOOR is too small.
 
     A tall (d > n) matrix is eigendecomposed through its (n, n) Gram, and

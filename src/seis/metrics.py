@@ -63,27 +63,31 @@ def invariance_score(c: CcaResult, left_basis, right_basis) -> float:
     return float(np.mean(c.correlations * cosines))
 
 
-def _side_subspace(role, matrix, z=None):
-    """Truncated subspace of one side's (d, n) spatial matrix, which must be
-    a float64 array the caller owns: it is centered in place. With matrix
-    None, the side is the tensor z instead: it is matricized, and a failed
-    Gram check rescans it. The caller names the side's role ("reference" or
-    "alternate"), and every error raised here names it once."""
+@np.errstate(over="ignore", invalid="ignore")
+def _side_subspace(role, matrix):
+    """Truncated subspace of one side's (d, n) spatial matrix, a float64 array
+    the caller owns, centered in place. A non-finite value fails at the row
+    means, and the uncentered matrix.T, whose C order is the tensor's, names
+    its flat index. Every error names the side's role, "reference" or "alternate"."""
     try:
         try:
-            return spatial_subspace(center_rows(matricize(z) if matrix is None else matrix))
+            centered = center_rows(matrix)
         except ValidationError:
-            if z is not None:
-                _reject_nonfinite(z)
+            _reject_nonfinite(matrix.T)
             raise
+        return spatial_subspace(centered)
     except SeisError as exc:
         raise type(exc)(f"{role} tensor: {exc}") from exc
 
 
+@np.errstate(over="ignore")  # a value beyond float64's range widens to inf
 def _tensor_subspace(role, z):
-    """_side_subspace of the tensor z, in the role the caller names."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _side_subspace(role, None, z)
+    """_side_subspace of the tensor z, whose structure errors name the role too."""
+    try:
+        matrix = matricize(z)
+    except SeisError as exc:
+        raise type(exc)(f"{role} tensor: {exc}") from exc
+    return _side_subspace(role, matrix)
 
 
 def _score(left, right) -> SeisScores:
@@ -108,10 +112,10 @@ def seis(z_ref, z_alt) -> SeisScores:
     """Score a pair of equally-shaped activation tensors.
 
     Pipeline: matricize both tensors spatially (checking their structure
-    and widening them to float64), center each row over the observations,
-    truncate to the 99%-variance spatial subspace, checking values at its
-    Gram diagonal, run CCA between the projected coordinates, then
-    aggregate the equivariance and invariance scores. Deterministic.
+    and widening them to float64), center each row over the observations
+    (checking values at the row means), truncate to the 99%-variance spatial
+    subspace, run CCA between the projected coordinates, then aggregate
+    the equivariance and invariance scores. Deterministic.
     seis() builds each side in its role, so an error in a side's values,
     dtype or rank names it: "reference tensor: ..." or "alternate tensor: ...".
 

@@ -6,7 +6,7 @@ it. Only 4-D float32/float64 arrays are accepted. read_tensor and
 validate_tensor check structure and keep a tensor's precision and order;
 matricize reshapes a tensor into its spatial matrix in the one copy that
 widens to float64. Values are checked where they are used: at each side's
-Gram diagonal, and by write_tensor.
+row means and Gram diagonal, and by write_tensor.
 """
 
 import csv
@@ -68,24 +68,23 @@ def matricize(z) -> np.ndarray:
 
 
 def _reject_nonfinite(t) -> None:
-    """ValidationError naming t's first C-order flat index not finite in float64."""
-    bad = np.flatnonzero(~np.isfinite(np.asarray(t, dtype=np.float64)))
+    """ValidationError naming the float64 array t's first C-order flat index not finite."""
+    bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
         raise ValidationError(f"non-finite value at flat index {int(bad[0])}")
 
 
 def read_tensor(path) -> np.ndarray:
-    """Load a 4-D activation tensor from an NPY file at its stored precision.
+    """Map a 4-D float32/float64 tensor, in C or Fortran order, from an NPY file.
 
-    Accepts v1.0/v2.0 containers of float32/float64 data in C or Fortran
-    order and returns the array as stored, checked by validate_tensor. A
-    file numpy's reader rejects is a FormatError; every error names the path.
+    Returns a copy-on-write map of the regular file, checked by validate_tensor:
+    writes stay in memory, and the file must not be truncated while the array
+    is in use. A file numpy cannot map is a FormatError; errors name the path.
     """
-    with open(path, "rb") as fh:
-        try:
-            arr = np.lib.format.read_array(fh, allow_pickle=False)
-        except ValueError as exc:
-            raise FormatError(f"{path}: not a readable NPY file ({exc})") from exc
+    try:
+        arr = np.lib.format.open_memmap(path, mode="c")
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a readable NPY file ({exc})") from exc
     if arr.dtype.kind != "f" or arr.dtype.itemsize not in (4, 8):
         raise DtypeError(f"{path}: unsupported dtype {arr.dtype}, need float32/float64")
     try:

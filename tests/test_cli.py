@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seis import metrics
+from seis import cli, metrics
 from seis.cli import _score_paths, main
 from seis.errors import DegenerateRankError, SeisError, ValidationError
 from seis.metrics import seis
@@ -595,6 +596,28 @@ class TestLayersReuse:
             for label, ref, alt in pairs if label != "lost"
         ], want)
         assert out.read_bytes() == want.read_bytes()
+
+    def test_each_dump_released_before_its_gram(self, dumps, monkeypatch):
+        # read_tensor maps each dump, and only its matrix reaches the side, so
+        # no mapping is alive once a Gram is formed
+        maps = []
+        read, build = cli.read_tensor, metrics.spatial_subspace
+
+        def mapped(path):
+            t = read(path)
+            assert isinstance(t.base, np.memmap)
+            maps.append(weakref.ref(t.base))
+            return t
+
+        def released(centered):
+            assert all(m() is None for m in maps)
+            return build(centered)
+
+        monkeypatch.setattr(cli, "read_tensor", mapped)
+        monkeypatch.setattr(metrics, "spatial_subspace", released)
+        man = self.manifest(dumps, [("a_rot", "a", "a_rot"), ("b_rot", "b", "b_rot")])
+        assert run_cli("layers", "--manifest", str(man), "--out", str(dumps / "rows.csv")) == 0
+        assert len(maps) == 4
 
     def test_unreadable_reference_named_again_fails_each_entry_alike(self, dumps, capsys):
         man = self.manifest(dumps, [("x", "missing", "a"), ("y", "a", "a"),

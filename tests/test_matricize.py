@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seis.errors import DegenerateSampleError, DtypeError, ShapeError
+from seis.errors import DegenerateSampleError, DtypeError, ShapeError, ValidationError
 from seis.linalg import center_rows
 from seis.tensor_io import matricize
 
@@ -108,3 +108,18 @@ class TestCenterRows:
     def test_too_few_observations(self):
         with pytest.raises(DegenerateSampleError):
             center_rows(np.ones((4, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+    def test_non_finite_row_mean_raises_before_centering(self, bad):
+        # a non-finite entry, or finite ones whose sum overflows, leaves its
+        # row's mean non-finite; the matrix is left as it came
+        a = np.random.default_rng(10).standard_normal((4, 6))
+        if bad == "overflow":
+            a[2] = 1e308
+        else:
+            a[2, 3] = bad
+        before = a.copy()
+        with pytest.raises(ValidationError, match="or its row sums overflow$"):
+            center_rows(a)
+        assert np.array_equal(a, before, equal_nan=True)

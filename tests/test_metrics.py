@@ -13,7 +13,9 @@ from seis.errors import (
     ValidationError,
 )
 from seis.linalg import CcaResult, TruncatedSubspace, cca
-from seis.metrics import _score, _tensor_subspace, equivariance_score, invariance_score, seis
+from seis.metrics import (
+    _score, _side_subspace, _tensor_subspace, equivariance_score, invariance_score, seis,
+)
 from seis.tensor_io import matricize
 from seis.transforms import AffineParams, apply_affine
 
@@ -217,6 +219,26 @@ class TestSeisErrors:
         z = alternating_huge(dims)
         with pytest.raises(ValidationError, match="Gram matrix overflows$") as exc:
             seis(z, smooth_tensor(dims, seed=36))
+        assert "flat index" not in str(exc.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_matrix_side_names_the_tensor_flat_index(self):
+        # the harness builds sides from (d, n) matrices: matrix.T's C order is
+        # the tensor's, so cell 3 of observation 4 is flat index 4 * 16 + 3
+        m = np.random.default_rng(37).standard_normal((16, 6))
+        m[3, 4] = np.nan
+        with pytest.raises(ValidationError,
+                           match="^alternate tensor: non-finite value at flat index 67$"):
+            _side_subspace("alternate", m)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_row_sum_names_no_flat_index(self):
+        # finite entries whose row sum overflows: the row means' own error
+        m = np.random.default_rng(38).standard_normal((16, 6))
+        m[5] = 1e308
+        with pytest.raises(ValidationError,
+                           match="^reference tensor: .*row sums overflow$") as exc:
+            _side_subspace("reference", m)
         assert "flat index" not in str(exc.value)
 
     @pytest.mark.parametrize("kind", NON_REAL_KINDS)

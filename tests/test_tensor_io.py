@@ -1,3 +1,4 @@
+import io
 import json
 import warnings
 
@@ -27,6 +28,13 @@ from helpers import NON_REAL_KINDS, non_real_tensor, write_npy_independent
 def rand_tensor(shape, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape)
+
+
+def saved_bytes(save):
+    """The bytes that np.save or np.savez writes for a (2, 3, 4, 4) tensor."""
+    buf = io.BytesIO()
+    save(buf, rand_tensor((2, 3, 4, 4)))
+    return buf.getvalue()
 
 
 class TestReadWriteTensor:
@@ -86,12 +94,25 @@ class TestReadWriteTensor:
         with pytest.raises(FormatError):
             read_tensor(path)
 
-    @pytest.mark.parametrize("content", [b"", b"label,ref\n", b"\x93NUMPY\x01"])
+    @pytest.mark.parametrize("content", [
+        b"", b"label,ref\n", b"\x93NUMPY\x01",
+        pytest.param(saved_bytes(np.save)[:-40], id="data-40-bytes-short"),
+        pytest.param(saved_bytes(np.savez), id="npz"),
+    ])
     def test_not_npy_names_path(self, tmp_path, content):
         path = tmp_path / "bad.npy"
         path.write_bytes(content)
         with pytest.raises(FormatError, match=r"bad\.npy: not a readable NPY file \("):
             read_tensor(path)
+
+    def test_returns_a_private_copy_on_write_map(self, tmp_path):
+        t = rand_tensor((1, 2, 3, 3))
+        path = tmp_path / "t.npy"
+        write_tensor(t, path)
+        back = read_tensor(path)
+        assert isinstance(back.base, np.memmap)
+        back[0, 1, 2, 2] = 7.0  # the write stays in memory
+        assert np.array_equal(read_tensor(path), t)
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 0, 2, 2)])
     def test_shape_errors_name_path(self, tmp_path, shape):
@@ -159,7 +180,7 @@ class TestValidateTensor:
             validate_tensor(non_real_tensor(kind))
 
     def test_values_not_checked(self):
-        # non-finite values are caught at the Gram diagonal (see test_metrics)
+        # non-finite values are caught at the row means (see test_metrics)
         t = rand_tensor((1, 2, 3, 3))
         t[0, 1, 0, 1] = np.nan
         assert validate_tensor(t) is t
