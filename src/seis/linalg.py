@@ -53,11 +53,12 @@ class TruncatedSubspace:
 class CcaResult:
     """Canonical system between two projected data sets.
 
-    correlations are non-increasing values in [0, 1]; column i of
-    proj_left / proj_right maps its side's projected data to the i-th
-    canonical variate, proj_left[:, i] @ left.projected, whose sample
-    variance is 1 up to the ridge (see cca), and correlations[i] is the
-    absolute cosine between the two sides' i-th variates.
+    correlations are non-increasing values in [0, 1], one per thin-SVD pair
+    of cca's whitened cross covariance; column i of proj_left / proj_right
+    maps its side's projected data to the i-th canonical variate,
+    proj_left[:, i] @ left.projected, whose sample variance is 1 up to the
+    ridge (see cca), and correlations[i] is the absolute cosine between the
+    two sides' i-th variates.
     """
 
     correlations: np.ndarray    # (r,), r = min(k_a, k_a_prime)
@@ -164,8 +165,12 @@ def spatial_subspace(centered) -> TruncatedSubspace:
     )
 
 
-def _sym_inv_sqrt(c):
-    """Symmetric inverse square root of a symmetric positive definite matrix."""
+def _whitener(x):
+    """Symmetric inverse square root of the sample covariance of x's rows,
+    after adding COVARIANCE_RIDGE times its mean diagonal to the diagonal."""
+    k, n = x.shape
+    c = x @ x.T / (n - 1)
+    c[np.diag_indices(k)] += COVARIANCE_RIDGE * np.trace(c) / k
     w, v = np.linalg.eigh(c)
     if w[0] <= 0.0 or not np.all(np.isfinite(w)):
         raise NumericalError(
@@ -178,39 +183,28 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
     """Canonical correlation analysis between two truncated subspaces.
 
     Sample covariances of the projected rows are formed without re-centering
-    (rows are centered upstream and projection preserves that), each block
-    is regularized by COVARIANCE_RIDGE times its mean diagonal, and the
-    canonical directions come from the SVD of the whitened cross
-    covariance, mapped back through the inverse square roots. Whitening
-    gives the variates unit sample variance up to the ridge; directions are
-    not rescaled, since both scores read cosines. Each reported correlation
-    is the absolute cosine of its centered variate pair (a zero variate
-    raises there); no score reads the directions' SVD signs either.
+    (rows are centered upstream and projection preserves that), each side is
+    whitened by _whitener, and the r = min(k_a, k_a') canonical directions are
+    the thin SVD factors of the whitened cross covariance, mapped back through
+    the whiteners. Whitening gives the variates unit sample variance up to the
+    ridge; directions are not rescaled, since both scores read cosines. Each
+    reported correlation is the absolute cosine of its centered variate pair
+    (a zero variate raises there); no score reads the directions' SVD signs.
 
     left and right come from spatial_subspace on matrices with the same
     n >= 2 observations, which seis() and center_rows check beforehand.
     """
     x, y = left.projected, right.projected
-    kx, n = x.shape
-    ky = y.shape[0]
-
-    cxx = x @ x.T / (n - 1)
-    cyy = y @ y.T / (n - 1)
-    cxy = x @ y.T / (n - 1)
-    cxx[np.diag_indices(kx)] += COVARIANCE_RIDGE * np.trace(cxx) / kx
-    cyy[np.diag_indices(ky)] += COVARIANCE_RIDGE * np.trace(cyy) / ky
-
-    inv_sqrt_x = _sym_inv_sqrt(cxx)
-    inv_sqrt_y = _sym_inv_sqrt(cyy)
-    whitened = inv_sqrt_x @ cxy @ inv_sqrt_y
+    inv_sqrt_x = _whitener(x)
+    inv_sqrt_y = _whitener(y)
+    whitened = inv_sqrt_x @ (x @ y.T / (x.shape[1] - 1)) @ inv_sqrt_y
     # finite positive-definite blocks never reach this: the ridge bounds every product term
     if not np.all(np.isfinite(whitened)):
         raise NumericalError("whitened cross covariance contains non-finite entries")
 
-    e, _, ft = np.linalg.svd(whitened)
-    r = min(kx, ky)
-    w_left = inv_sqrt_x @ e[:, :r]
-    v_right = inv_sqrt_y @ ft[:r].T
+    e, _, ft = np.linalg.svd(whitened, full_matrices=False)
+    w_left = inv_sqrt_x @ e
+    v_right = inv_sqrt_y @ ft.T
 
     rho = row_cosines(w_left.T @ x, v_right.T @ y)
     order = np.argsort(-rho, kind="stable")

@@ -10,6 +10,7 @@ row means and Gram diagonal, and by write_tensor.
 """
 
 import csv
+import errno
 import json
 import os
 from contextlib import contextmanager
@@ -79,11 +80,14 @@ def read_tensor(path) -> np.ndarray:
 
     Returns a copy-on-write map of the regular file, checked by validate_tensor:
     writes stay in memory, and the file must not be truncated while the array
-    is in use. A file numpy cannot map is a FormatError; errors name the path.
+    is in use. A file numpy cannot map, such as a pipe, is a FormatError; a
+    missing file or a directory keeps its OSError. Errors name the path.
     """
     try:
         arr = np.lib.format.open_memmap(path, mode="c")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        if not isinstance(exc, ValueError) and exc.errno != errno.ESPIPE:  # a pipe cannot seek
+            raise
         raise FormatError(f"{path}: not a readable NPY file ({exc})") from exc
     if arr.dtype.kind != "f" or arr.dtype.itemsize not in (4, 8):
         raise DtypeError(f"{path}: unsupported dtype {arr.dtype}, need float32/float64")

@@ -100,13 +100,16 @@ def smooth_tensor(dims, sigma=1.5, seed=0):
     return (x - mean) / std
 
 
-def random_conv_stack(x, seed, widths=(16, 32, 64, 64)) -> list:
+def random_conv_stack(x, seed, widths=(16, 32, 64, 64), c4=False) -> list:
     """Activations after each block of a seeded random CNN.
 
     Each block is a 3x3 "same" convolution (zero padding, no bias) with
     He-scaled normal weights, a ReLU and 2x2 average pooling, so it halves
     h and w (both must stay even). The weights depend only on seed, so
-    inputs passed with one seed go through one network. Returns the
+    inputs passed with one seed go through one network. With c4, each
+    filter of those same draws is averaged over its four 90-degree
+    rotations, the filter-level form of rotation augmentation, so every
+    block commutes with an exact rot90 of a square input. Returns the
     (b, c_out, h, w) output of every block.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
@@ -114,6 +117,8 @@ def random_conv_stack(x, seed, widths=(16, 32, 64, 64)) -> list:
     for c_out in widths:
         c_in = x.shape[1]
         weights = rng.standard_normal((c_out, c_in, 3, 3)) * math.sqrt(2.0 / (9 * c_in))
+        if c4:
+            weights = sum(np.rot90(weights, k, axes=(2, 3)) for k in range(4)) / 4.0
         padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         windows = sliding_window_view(padded, (3, 3), axis=(2, 3))
         x = np.maximum(np.einsum("bchwij,ocij->bohw", windows, weights, optimize=True), 0.0)

@@ -74,6 +74,19 @@ DOSE_SWEEPS = {
 DOSE_INV_STEP = 0.01            # s_inv fall from one magnitude to the next
 DOSE_EQUIV_FLOOR = 0.95         # s_equiv at every point
 DOSE_INV_OVER_CONTROL = 0.1     # s_inv over the independent control, every point
+# Rank-reducing loss at default dims, seeds 0-4: re-encodings read 1 on both
+# coverages (s_equiv within 3.3e-16 of 1), while blur and the half-grid mask
+# read s_equiv >= 0.9774 at reference coverage <= 0.5464 (k_a' 41, 18 and 44
+# against k_a 79).
+REENCODING_EQUIV_TOL = 1e-12    # 1 - s_equiv and 1 - coverage, re-encodings
+LOSS_EQUIV_FLOOR = 0.97         # s_equiv of a lossy alternate
+LOSS_COVERAGE_CEILING = 0.6     # reference coverage r * s_equiv / k_a, lossy alternates
+# C4-averaged random_conv_stack against the plain one, seeds 0-2: on rotate
+# 20 degrees the smallest L4 s_inv rise is 0.153 and the smallest s_equiv
+# rise at any layer 0.051; on an exact rot90 the C4 stack's s_equiv is within
+# 2.5e-15 of 1 at every layer.
+C4_INV_RISE = 0.1               # L4 s_inv, C4 over plain, rotate 20 degrees
+C4_ROT90_EQUIV_TOL = 1e-12      # 1 - s_equiv of the C4 stack on rot90, every layer
 
 
 def report(num, ok, detail):
@@ -425,3 +438,64 @@ def test_dose_response_s_inv_tracks_warp_magnitude(seed):
         assert np.all(-np.diff(inv) >= DOSE_INV_STEP), where
         assert min(s.s_equiv for s in points) >= DOSE_EQUIV_FLOOR, where
         assert min(inv) - control.s_inv >= DOSE_INV_OVER_CONTROL, where
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rank_reducing_loss_is_invisible_to_both_scores(seed):
+    # r = min(k_a, k_a'), so an alternate whose subspace lies inside the
+    # reference's reads s_equiv near 1 however much it lost; only the
+    # reference's coverage, sum(rho) / k_a = r * s_equiv / k_a, shows the
+    # loss, while re-encodings keep both coverages at 1
+    cfg = HarnessConfig()
+    h, w = cfg.dims[2:]
+    z = gen_synthetic_activations(cfg, make_stream(seed, 0, 0))
+    ref = metrics._tensor_subspace("reference", z)
+
+    def score(alt):
+        s = metrics._score(ref, metrics._tensor_subspace("alternate", alt))
+        return s, s.r * s.s_equiv / s.k_a, s.r * s.s_equiv / s.k_a_prime
+
+    half = z.copy()
+    half[..., w // 2:] = 0.0
+    for name, alt in {
+        "permutation": permute_spatial(z, np.random.default_rng(seed).permutation(h * w)),
+        "rot90": np.rot90(z, axes=(2, 3)),
+    }.items():
+        s, cov_ref, cov_alt = score(alt)
+        where = f"{name}, seed {seed}: {s}"
+        assert 1.0 - s.s_equiv <= REENCODING_EQUIV_TOL, where
+        assert 1.0 - min(cov_ref, cov_alt) <= REENCODING_EQUIV_TOL, where
+    for name, alt in {
+        "blur 2": ndimage.gaussian_filter(z, sigma=(0.0, 0.0, 2.0, 2.0)),
+        "blur 4": ndimage.gaussian_filter(z, sigma=(0.0, 0.0, 4.0, 4.0)),
+        "right half zeroed": half,
+    }.items():
+        s, cov_ref, _ = score(alt)
+        where = f"{name}, seed {seed}: reference coverage {cov_ref:.4f}, {s}"
+        assert s.s_equiv >= LOSS_EQUIV_FLOOR, where
+        assert cov_ref <= LOSS_COVERAGE_CEILING, where
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_c4_augmentation_raises_invariance_and_keeps_equivariance(seed):
+    # averaging each filter over its four 90-degree rotations is rotation
+    # augmentation at the filter level: deep s_inv rises on a 20-degree
+    # rotation, s_equiv does not fall at any layer, and an exact rot90
+    # passes through every block unchanged up to rounding. rot90's s_inv
+    # sits on exact ties, so nothing is asserted on it
+    ref = smooth_tensor((64, 3, 64, 64), sigma=2.0, seed=2 * seed)
+    rotated = ndimage.rotate(ref, 20.0, axes=(2, 3), reshape=False, order=1)
+
+    def sides(role, x, c4):
+        return [metrics._tensor_subspace(role, z) for z in random_conv_stack(x, seed, c4=c4)]
+
+    def scores(refs, x, c4):
+        return [metrics._score(a, b) for a, b in zip(refs, sides("alternate", x, c4))]
+
+    plain_ref, c4_ref = sides("reference", ref, False), sides("reference", ref, True)
+    plain, c4 = scores(plain_ref, rotated, False), scores(c4_ref, rotated, True)
+    where = f"seed {seed}: plain {plain}, C4 {c4}"
+    assert c4[3].s_inv - plain[3].s_inv >= C4_INV_RISE, where
+    assert all(a.s_equiv >= p.s_equiv for p, a in zip(plain, c4)), where
+    exact = scores(c4_ref, np.rot90(ref, axes=(2, 3)), True)
+    assert all(1.0 - s.s_equiv <= C4_ROT90_EQUIV_TOL for s in exact), f"seed {seed}: {exact}"

@@ -340,10 +340,22 @@ class TestCcaOracle:
                              - cca_oracle(left, right))) <= 1e-8
 
     def test_matches_cca_rectangular(self):
-        left = subspace_of_matrix(np.random.default_rng(60).standard_normal((3, 50)))
-        right = subspace_of_matrix(np.random.default_rng(61).standard_normal((4, 50)))
-        assert np.max(np.abs(cca(left, right).correlations
-                             - cca_oracle(left, right))) <= 1e-8
+        # k_a < k_a' and k_a > k_a': the thin SVD sets the direction shapes
+        n = 50
+        for k_left, k_right in [(3, 4), (4, 3)]:
+            left = subspace_of_matrix(np.random.default_rng(60).standard_normal((k_left, n)))
+            right = subspace_of_matrix(np.random.default_rng(61).standard_normal((k_right, n)))
+            res = cca(left, right)
+            r = min(k_left, k_right)
+            assert res.correlations.shape == (r,)
+            assert res.proj_left.shape == (k_left, r)
+            assert res.proj_right.shape == (k_right, r)
+            assert np.max(np.abs(res.correlations - cca_oracle(left, right))) <= 1e-8
+            p, q = variates(res, left, right)
+            assert np.allclose(np.sum(p**2, axis=1) / (n - 1), 1.0, atol=1e-9)
+            assert np.allclose(np.sum(q**2, axis=1) / (n - 1), 1.0, atol=1e-9)
+            for i in range(r):
+                assert abs(abs(np.corrcoef(p[i], q[i])[0, 1]) - res.correlations[i]) <= 1e-8
 
     def test_singular_covariance(self):
         p = center_rows(np.random.default_rng(22).standard_normal((3, 40)))

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import warnings
 
 import numpy as np
@@ -104,6 +105,26 @@ class TestReadWriteTensor:
         path.write_bytes(content)
         with pytest.raises(FormatError, match=r"bad\.npy: not a readable NPY file \("):
             read_tensor(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_format_error_naming_path(self):
+        # a whole NPY fits the pipe buffer, so the write never blocks; numpy
+        # reads the header, then cannot seek back to map the data
+        r, w = os.pipe()
+        try:
+            os.write(w, saved_bytes(np.save))
+            path = f"/dev/fd/{r}"
+            with pytest.raises(FormatError, match=rf"^{path}: not a readable NPY file \("):
+                read_tensor(path)
+        finally:
+            os.close(r)
+            os.close(w)
+
+    def test_missing_file_and_directory_keep_os_errors(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="No such file"):
+            read_tensor(tmp_path / "missing.npy")
+        with pytest.raises(IsADirectoryError):
+            read_tensor(tmp_path)
 
     def test_returns_a_private_copy_on_write_map(self, tmp_path):
         t = rand_tensor((1, 2, 3, 3))
