@@ -33,7 +33,7 @@ from .harness import (
     run_validation_suite,
 )
 from .tensor_io import (
-    RESULT_FORMATS, ResultRow, _read_json, load_manifest, matricize, read_tensor,
+    RESULT_FORMATS, ResultRow, _check_text, _read_json, load_manifest, matricize, read_tensor,
     write_results, write_tensor,
 )
 from .transforms import ConditionKind, make_stream
@@ -101,6 +101,8 @@ def _load_config_file(path):
         if isinstance(value, bool) or not isinstance(value, kinds):
             expected = " or ".join(k.__name__ for k in kinds)
             raise ValidationError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+    if "out" in doc:
+        _check_text(doc["out"], f"{path}: config key 'out'")
     return doc
 
 
@@ -109,25 +111,21 @@ def _score_paths(ref_path, alt_path, sides):
     sides by resolved path, so an alt that resolves to its ref, or a dump a
     later call names, reuses it. A dump not in sides is built in the role its
     path has in this pair, so its error names that role; a side that fails is
-    not kept, and its error is raised, as in seis(), after the dims check."""
+    not kept. The pair stops at its first fault: reference, alternate, dims."""
     paths = (ref_path, alt_path)
     keys = [os.path.realpath(p) for p in paths]
-    failed = {}
     for path, key, role in zip(paths, keys, ("reference", "alternate")):
-        if key not in sides and key not in failed:
+        if key not in sides:
             t = read_tensor(path)
             dims, m = t.shape, matricize(t)
             del t  # the dump goes before its side is built, and its matrix after
             try:
                 sides[key] = dims, metrics._side_subspace(role, m)
             except SeisError as exc:
-                failed[key] = dims, type(exc)(f"{path}: {exc}")
+                raise type(exc)(f"{path}: {exc}") from exc
             del m
-    (ref_dims, ref), (alt_dims, alt) = (sides.get(key) or failed[key] for key in keys)
+    (ref_dims, ref), (alt_dims, alt) = (sides[key] for key in keys)
     metrics._same_dims(ref_dims, alt_dims)
-    for side in (ref, alt):
-        if isinstance(side, SeisError):
-            raise side
     return metrics._score(ref, alt)
 
 
@@ -176,7 +174,7 @@ def cmd_layers(args) -> int:
     for i, (entry, pair) in enumerate(zip(entries, paths)):
         try:
             scores = _score_paths(*pair, sides)
-        except (SeisError, OSError) as exc:
+        except (SeisError, OSError, MemoryError) as exc:
             logger.warning("skipping entry %r: %s", entry.label, exc)
             failures += 1
         else:
@@ -267,7 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SeisError, OSError) as exc:
+    except (SeisError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ import csv
 import errno
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
@@ -126,14 +127,27 @@ def _replacing(path, mode, **kwargs):
 
 def _read_json(path):
     """The JSON document in a UTF-8 file; ParseError, naming the path, if
-    the bytes are not UTF-8 or the text is not JSON."""
+    the bytes are not UTF-8 or the decoder cannot finish the text: not
+    JSON, nested past the recursion limit, or an integer past Python's
+    digit limit."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
+# a NUL cannot be in a path, and a lone surrogate cannot be encoded as UTF-8
+_NOT_TEXT = re.compile("[\0\ud800-\udfff]")
+
+
+def _check_text(value, where) -> None:
+    """ParseError unless the string value can name a file and be written as
+    UTF-8 output; where names the file and key it came from."""
+    if _NOT_TEXT.search(value):
+        raise ParseError(f"{where} must hold no NUL or lone surrogate, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +162,10 @@ def load_manifest(path) -> tuple:
     into its tuple of ManifestEntry.
 
     File order is preserved, and other top-level keys are ignored. label,
-    ref and alt must be JSON strings. Duplicate labels are rejected so
-    result rows stay unambiguous; an empty entries array is a valid (empty)
-    manifest.
+    ref and alt must be JSON strings with no NUL or lone surrogate, so each
+    can name a file and be written to the result table. Duplicate labels are
+    rejected so result rows stay unambiguous; an empty entries array is a
+    valid (empty) manifest.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict) or "entries" not in doc:
@@ -169,6 +184,7 @@ def load_manifest(path) -> tuple:
                 raise ParseError(
                     f"{path}: entry {i} key {key!r} must be a string, got {json.dumps(raw[key])}"
                 )
+            _check_text(raw[key], f"{path}: entry {i} key {key!r}")
         entry = ManifestEntry(raw["label"], raw["ref"], raw["alt"])
         if entry.label in seen:
             raise ValidationError(f"{path}: duplicate label {entry.label!r}")

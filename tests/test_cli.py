@@ -11,7 +11,7 @@ import pytest
 
 from seis import cli, metrics
 from seis.cli import _score_paths, main
-from seis.errors import DegenerateRankError, SeisError, ValidationError
+from seis.errors import DegenerateRankError, ValidationError
 from seis.metrics import seis
 from seis.tensor_io import ResultRow, matricize, read_tensor, write_results, write_tensor
 from seis.transforms import AffineParams, apply_affine
@@ -256,6 +256,26 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(cfg_path) in err
 
+    @pytest.mark.parametrize("out", ["\0.csv", "rows\ud800.csv"])
+    def test_config_out_that_cannot_be_a_path_is_fatal(self, tmp_path, capsys, out):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"trials": 1, "dims": "2,2,8,8", "conditions": "identity", "out": out}))
+        assert run_cli("synth", "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: config key 'out' must hold no NUL or lone surrogate, "
+            f"got {json.dumps(out)}\n")
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("text", ["[" * 200_000, '{"trials": ' + "1" * 4301 + "}"],
+                             ids=["nested-200000-deep", "integer-of-4301-digits"])
+    def test_config_the_decoder_cannot_finish_is_fatal(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert run_cli("synth", "--config", str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: invalid JSON (") and err.count("\n") == 1
+
     def test_missing_out_is_fatal(self, capsys):
         assert run_cli("synth", "--trials", "1", "--dims", "4,8,10,10",
                        "--conditions", "identity") == 1
@@ -390,6 +410,16 @@ class TestGen:
             "error: smoothness must be in (0, max(h, w)], got 1e+20\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["gen", "synth"])
+    def test_allocation_that_cannot_be_made_exit_1_writes_nothing(self, tmp_path, capsys, command):
+        # 728 TiB is beyond the 47-bit user address space, so the request
+        # fails at once under any overcommit setting and touches no memory
+        code = run_cli(command, "--dims", "100000,100000,100,100", "--out", str(tmp_path / "t.npy"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 728. TiB ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_directory_exit_1(self, tmp_path, capsys):
         assert run_cli("gen", "--dims", "4,4,8,8",
                        "--out", str(tmp_path / "nodir" / "t.npy")) == 1
@@ -482,6 +512,42 @@ class TestLayers:
         assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: {man}: entry 1 is not an object\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,text", [("ref", "\0"), ("alt", "a\0.npy"),
+                                          ("ref", "\ud800"), ("label", "\ud800")])
+    def test_string_that_cannot_be_a_path_or_output_is_fatal(
+            self, tmp_path, capsys, monkeypatch, key, text):
+        # a NUL used to end in os.path.realpath's ValueError, and a lone
+        # surrogate label in write_results' UnicodeEncodeError after scoring
+        entries = self.make_pair_files(tmp_path, n=2)
+        entries[1][key] = text
+        man = self.write_manifest(tmp_path, entries)
+        reads = []
+        read = cli.read_tensor
+        monkeypatch.setattr(cli, "read_tensor", lambda path: reads.append(path) or read(path))
+        out = tmp_path / "rows.csv"
+        assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {man}: entry 1 key {key!r} must hold no NUL or lone surrogate, "
+            f"got {json.dumps(text)}\n")
+        assert reads == []
+        assert not out.exists()
+
+    def test_allocation_that_cannot_be_made_skips_its_entry(self, tmp_path, capsys, monkeypatch):
+        # a zero-stride view of 728 TiB, beyond the 47-bit user address space,
+        # so widening it fails at once and touches no memory
+        entries = self.make_pair_files(tmp_path, n=2)
+        huge = np.broadcast_to(np.zeros((1, 1, 1, 1)), (100000, 100000, 100, 100))
+        read = cli.read_tensor
+        monkeypatch.setattr(cli, "read_tensor",
+                            lambda path: huge if path.name == "l1_ref.npy" else read(path))
+        man = self.write_manifest(tmp_path, entries)
+        out = tmp_path / "rows.csv"
+        assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 2
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["layer0"]
+        err = capsys.readouterr().err
+        assert err.startswith("WARNING seis.cli: skipping entry 'layer1': Unable to allocate ")
+        assert err.count("\n") == 1
 
     def test_relative_paths_resolve_against_manifest_dir(self, tmp_path, monkeypatch):
         data = tmp_path / "m"
@@ -629,19 +695,31 @@ class TestLayersReuse:
         assert warnings[0].replace("'x'", "'z'") == warnings[1]
         assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["y"]
 
-    @pytest.mark.parametrize("alt,message", [("missing", "No such file"),
-                                             ("b", "tensor dims differ"),
-                                             ("a", "reference tensor: all singular values")])
-    def test_degenerate_reference_reported_where_seis_reports_it(
-            self, dumps, capsys, alt, message):
-        # the reference's subspace error comes after the alternate's read
-        # and the dims check, as in seis() on the two read dumps
+    @pytest.mark.parametrize("alt", ["missing", "b", "a"])
+    def test_degenerate_reference_fails_its_pair_first(self, dumps, capsys, alt):
+        # the reference is built first, so its fault is reported ahead of a
+        # missing or dims-mismatched alternate
         write_tensor(np.zeros((3, 4, 8, 8)), dumps / "flat.npy")
         man = self.manifest(dumps, [("x", "flat", alt), ("y", "flat", "flat")])
         assert run_cli("layers", "--manifest", str(man), "--out", str(dumps / "r.csv")) == 1
         warnings = [line for line in capsys.readouterr().err.splitlines() if "skipping" in line]
-        assert message in warnings[0]
-        assert "reference tensor: all singular values" in warnings[1]
+        assert len(warnings) == 2
+        for warning in warnings:
+            assert "flat.npy: reference tensor: all singular values" in warning
+
+    def test_failed_reference_reads_nothing_more(self, dumps, monkeypatch):
+        reads = []
+        read = cli.read_tensor
+        monkeypatch.setattr(cli, "read_tensor", lambda path: reads.append(path) or read(path))
+        write_tensor(np.zeros((3, 4, 8, 8)), dumps / "flat.npy")
+        flat = dumps / "flat.npy"
+        with pytest.raises(DegenerateRankError) as failed:
+            _score_paths(flat, dumps / "a.npy", {})
+        assert reads == [flat]
+        cause = failed.value.__cause__
+        assert type(cause) is DegenerateRankError
+        assert str(cause).startswith("reference tensor: all singular values")
+        assert str(failed.value) == f"{flat}: {cause}"
 
     @pytest.mark.parametrize("bad", ["nan", "flat"])
     def test_failed_dump_is_not_kept_and_fails_later_entry_in_its_role(self, dumps, bad):
@@ -661,9 +739,8 @@ class TestLayersReuse:
         with pytest.raises(error) as first:
             _score_paths(path, clean, sides)
         assert str(first.value).startswith(f"{path}: {messages[0]}")
-        # only the clean alternate's subspace is kept, not the failure
-        assert list(sides) == [os.path.realpath(clean)]
-        assert not any(isinstance(side, SeisError) for _, side in sides.values())
+        # the failed reference is not kept, and its pair stops before the alternate
+        assert sides == {}
         with pytest.raises(error) as later:
             _score_paths(clean, path, sides)
         assert str(later.value).startswith(f"{path}: {messages[1]}")

@@ -288,6 +288,24 @@ class TestManifest:
         with pytest.raises(ParseError, match=r"m\.json: not UTF-8"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("text", ["[" * 200_000, '{"entries": ' + "1" * 4301 + "}"],
+                             ids=["nested-200000-deep", "integer-of-4301-digits"])
+    def test_json_the_decoder_cannot_finish(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=r"m\.json: invalid JSON \("):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("key", ["label", "ref", "alt"])
+    @pytest.mark.parametrize("text", ["\0", "a\0b", "\ud800", "x\udcff"])
+    def test_string_that_cannot_be_a_path_or_output(self, tmp_path, key, text):
+        raw = {"label": "x", "ref": "a.npy", "alt": "b.npy", key: text}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"entries": [{"label": "ok", "ref": "a.npy", "alt": "b.npy"},
+                                                raw]}))
+        with pytest.raises(ParseError, match=rf"m\.json: entry 1 key '{key}' must hold no NUL"):
+            load_manifest(path)
+
     def test_empty_entries_ok(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"entries": []}')
