@@ -11,7 +11,8 @@ against known ground-truth regimes, and the CLI batch-scores externally
 dumped layer activations.
 
 seis() checks its inputs once; the stages it runs (in seis.linalg and
-seis.metrics) are unexported internals that trust them.
+seis.metrics) are unexported internals that trust them. Side.of builds a
+side once for any number of seis() calls.
 """
 
 from .errors import (
@@ -35,7 +36,7 @@ from .harness import (
     make_alternate,
     run_validation_suite,
 )
-from .metrics import SeisScores, seis
+from .metrics import SeisScores, Side, seis
 from .tensor_io import (
     ManifestEntry,
     ResultRow,
@@ -77,6 +78,7 @@ __all__ = [
     "SeisError",
     "SeisScores",
     "ShapeError",
+    "Side",
     "ValidationError",
     "apply_affine",
     "gen_synthetic_activations",

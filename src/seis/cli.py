@@ -22,7 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import metrics
 from .errors import ParseError, SeisError, ValidationError
 from .harness import (
     HarnessConfig,
@@ -32,6 +31,7 @@ from .harness import (
     make_alternate,
     run_validation_suite,
 )
+from .metrics import Side, seis
 from .tensor_io import (
     RESULT_FORMATS, ResultRow, _check_text, _read_json, load_manifest, matricize, read_tensor,
     write_results, write_tensor,
@@ -100,33 +100,30 @@ def _load_config_file(path):
         kinds = _CONFIG_KEYS[key][0]
         if isinstance(value, bool) or not isinstance(value, kinds):
             expected = " or ".join(k.__name__ for k in kinds)
-            raise ValidationError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+            raise ValidationError(f"{path}: config key {key!r} must be {expected}, "
+                                  f"got {json.dumps(value)}")
     if "out" in doc:
         _check_text(doc["out"], f"{path}: config key 'out'")
     return doc
 
 
 def _score_paths(ref_path, alt_path, sides):
-    """Scores of the dumps at two paths. Each built (dims, subspace) is kept in
-    sides by resolved path, so an alt that resolves to its ref, or a dump a
-    later call names, reuses it. A dump not in sides is built in the role its
-    path has in this pair, so its error names that role; a side that fails is
-    not kept. The pair stops at its first fault: reference, alternate, dims."""
+    """seis() of the dumps at two paths. Each built Side is kept in sides by
+    resolved path, so an alt that resolves to its ref, or a dump a later call
+    names, reuses it. A dump not in sides is built in the role its path has in
+    this pair, so its error names that role; a side that fails is not kept.
+    The pair stops at its first fault: reference, alternate, dims."""
     paths = (ref_path, alt_path)
     keys = [os.path.realpath(p) for p in paths]
     for path, key, role in zip(paths, keys, ("reference", "alternate")):
         if key not in sides:
-            t = read_tensor(path)
-            dims, m = t.shape, matricize(t)
-            del t  # the dump goes before its side is built, and its matrix after
+            dump = [read_tensor(path)]
             try:
-                sides[key] = dims, metrics._side_subspace(role, m)
+                # popped into Side.of, which drops the dump before its Gram
+                sides[key] = Side.of(dump.pop(), role)
             except SeisError as exc:
                 raise type(exc)(f"{path}: {exc}") from exc
-            del m
-    (ref_dims, ref), (alt_dims, alt) = (sides[key] for key in keys)
-    metrics._same_dims(ref_dims, alt_dims)
-    return metrics._score(ref, alt)
+    return seis(*(sides[key] for key in keys))
 
 
 def cmd_score(args) -> int:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
 from .errors import DtypeError, SeisError, ShapeError, ValidationError
+from .metrics import Side, seis
 from .tensor_io import _REAL_KINDS, ResultRow, matricize
 from .transforms import (
     CONDITION_ORDER,
@@ -163,9 +163,9 @@ def run_validation_suite(cfg: HarnessConfig):
     Trial t draws its reference from stream (seed, t, 0) and each
     condition's alternate material from a fresh stream (seed, t, 1), so
     trials are independent and a row does not depend on which other
-    conditions run. Each trial's reference is matricized and its subspace
-    built once; every condition's alternate is made from that matrix, and
-    identity scores the reference subspace against itself. Conditions
+    conditions run. Each trial's reference is matricized and its Side built
+    once; every alternate is made from that matrix, and seis() scores each
+    against that Side, identity the Side against itself. Conditions
     report in the canonical order identity, translation, scaling,
     rotation, affine, random_baseline regardless of the order they appear
     in the config.
@@ -180,16 +180,16 @@ def run_validation_suite(cfg: HarnessConfig):
             ref = matricize(gen_synthetic_activations(
                 cfg, make_stream(cfg.master_seed, trial, ROLE_REFERENCE)
             ))
-            ref_side = metrics._side_subspace("reference", ref.copy())
+            ref_side = Side.of(ref.T.reshape(cfg.dims), "reference")
             for kind in kinds:
                 where = f"condition {kind.value}, trial {trial}"
                 alt_side = ref_side
                 if kind is not ConditionKind.IDENTITY:
-                    alt = make_alternate(
+                    # the alternate's view stays a temporary, freed once Side.of copies it
+                    alt_side = Side.of(make_alternate(
                         cfg, ref, kind, make_stream(cfg.master_seed, trial, ROLE_ALTERNATE)
-                    )
-                    alt_side = metrics._side_subspace("alternate", alt)
-                scores = metrics._score(ref_side, alt_side)
+                    ).T.reshape(cfg.dims), "alternate")
+                scores = seis(ref_side, alt_side)
                 k_max = max(scores.k_a, scores.k_a_prime)
                 if kind not in warned and n_obs < CHANCE_HEADROOM * k_max:
                     logger.warning(

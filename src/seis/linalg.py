@@ -90,10 +90,8 @@ def row_cosines(a, b) -> np.ndarray:
 
 
 def _truncation_rank(s):
-    """(k, retained variance) of a non-increasing spectrum: the fewest leading
-    values holding 99% of sigma^2 over the whole spectrum, with no rank floor."""
-    if s.size == 0 or s[0] <= 0.0:
-        raise DegenerateRankError("all singular values are zero")
+    """(k, retained variance) of a non-increasing spectrum with s[0] > 0: the fewest
+    leading values holding 99% of sigma^2 over the whole spectrum, with no rank floor."""
     power = s**2
     frac = np.cumsum(power) / np.sum(power)
     k = int(np.searchsorted(frac, VARIANCE_THRESHOLD) + 1)
@@ -132,7 +130,7 @@ def spatial_subspace(centered) -> TruncatedSubspace:
     against overflow: a square that overflows at centered[i, j] reaches
     G[i, i] (wide) or G[j, j] (tall), and while the diagonal is finite no
     entry or partial sum can overflow (Cauchy-Schwarz: |ab| <= (a^2 + b^2) / 2).
-    A nonzero matrix whose Gram diagonal stays below GRAM_FLOOR is too small.
+    A zero or too small matrix (Gram diagonal below GRAM_FLOOR) raises before the eigensolve.
 
     A tall (d > n) matrix is eigendecomposed through its (n, n) Gram, and
     only the k retained eigenvectors are lifted to the spatial basis,
@@ -143,8 +141,9 @@ def spatial_subspace(centered) -> TruncatedSubspace:
     gram = centered.T @ centered if tall else centered @ centered.T
     if not np.isfinite(gram.diagonal()).all():
         raise ValidationError("matrix contains non-finite entries or its Gram matrix overflows")
-    if gram.diagonal().max() < GRAM_FLOOR and centered.any():
-        raise DegenerateRankError(f"values too small to score: Gram diagonal below {GRAM_FLOOR}")
+    if gram.diagonal().max() < GRAM_FLOOR:
+        raise DegenerateRankError("all singular values are zero" if not centered.any() else
+                                  f"values too small to score: Gram diagonal below {GRAM_FLOOR}")
     lam, vecs = np.linalg.eigh(gram)
     s = np.sqrt(np.clip(lam[::-1], 0.0, None))
     vecs = vecs[:, ::-1]

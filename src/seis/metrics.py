@@ -7,7 +7,8 @@ correlation (the SVCCA similarity), which cca() computes as the absolute
 cosine of each centered variate pair. The invariance score asks the stronger
 question of whether the spatial basis itself stayed put: it compares the
 canonical projection directions of the two sides, weighted by how much
-shared information each direction actually carries.
+shared information each direction actually carries. A Side is one tensor
+built for scoring, so seis() can score it against many alternates.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeisError, ShapeError, ValidationError
-from .linalg import CcaResult, cca, center_rows, row_cosines, spatial_subspace
+from .linalg import CcaResult, TruncatedSubspace, cca, center_rows, row_cosines, spatial_subspace
 from .tensor_io import _REAL_KINDS, _reject_nonfinite, matricize
 
 
@@ -63,70 +64,66 @@ def invariance_score(c: CcaResult, left_basis, right_basis) -> float:
     return float(np.mean(c.correlations * cosines))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _side_subspace(role, matrix):
-    """Truncated subspace of one side's (d, n) spatial matrix, a float64 array
-    the caller owns, centered in place. A non-finite value fails at the row
-    means, and the uncentered matrix.T, whose C order is the tensor's, names
-    its flat index. Every error names the side's role, "reference" or "alternate"."""
-    try:
-        try:
-            centered = center_rows(matrix)
-        except ValidationError:
-            _reject_nonfinite(matrix.T)
-            raise
-        return spatial_subspace(centered)
-    except SeisError as exc:
-        raise type(exc)(f"{role} tensor: {exc}") from exc
+@dataclass(frozen=True)
+class Side:
+    """A tensor's (b, c, h, w) dims and the truncated principal subspace of its
+    centered spatial matrix: built once by Side.of, scored by seis()."""
 
+    dims: tuple
+    subspace: TruncatedSubspace
 
-@np.errstate(over="ignore")  # a value beyond float64's range widens to inf
-def _tensor_subspace(role, z):
-    """_side_subspace of the tensor z, whose structure errors name the role too."""
-    try:
-        matrix = matricize(z)
-    except SeisError as exc:
-        raise type(exc)(f"{role} tensor: {exc}") from exc
-    return _side_subspace(role, matrix)
-
-
-def _score(left, right) -> SeisScores:
-    """Scores between two sides' truncated subspaces (see seis)."""
-    c = cca(left, right)
-    return SeisScores(
-        s_equiv=equivariance_score(c),
-        s_inv=invariance_score(c, left.basis, right.basis),
-        r=c.correlations.size,
-        k_a=left.k,
-        k_a_prime=right.k,
-        correlations=c.correlations,
-    )
-
-
-def _same_dims(ref_dims, alt_dims):
-    if ref_dims != alt_dims:
-        raise ShapeError(f"tensor dims differ: {ref_dims} vs {alt_dims}")
+    @classmethod
+    def of(cls, z, role="reference") -> "Side":
+        """The Side of tensor z: matricize it (checking its structure, widening
+        to float64), center its rows (checking values at the row means) and keep
+        its 99%-variance subspace. Every SeisError names the role, "reference"
+        or "alternate", and a non-finite value its flat index in z. z is dropped
+        once matricized, so a temporary tensor is freed before the Gram."""
+        # a value beyond float64's range widens to inf, which the row means report
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                dims = np.shape(z)
+                matrix = matricize(z)
+                del z
+                try:
+                    centered = center_rows(matrix)
+                except ValidationError:
+                    _reject_nonfinite(matrix.T)  # matrix.T's C order is the tensor's
+                    raise
+                return cls(dims, spatial_subspace(centered))
+            except SeisError as exc:
+                raise type(exc)(f"{role} tensor: {exc}") from exc
 
 
 def seis(z_ref, z_alt) -> SeisScores:
-    """Score a pair of equally-shaped activation tensors.
+    """Score two equally-shaped activation tensors, or Sides built from them.
 
-    Pipeline: matricize both tensors spatially (checking their structure
-    and widening them to float64), center each row over the observations
-    (checking values at the row means), truncate to the 99%-variance spatial
-    subspace, run CCA between the projected coordinates, then aggregate
-    the equivariance and invariance scores. Deterministic.
-    seis() builds each side in its role, so an error in a side's values,
-    dtype or rank names it: "reference tensor: ..." or "alternate tensor: ...".
-
-    An alternate equal in value to the reference (float32 and float64
-    copies of the same values included) widens to the same matrix, so it
-    is scored against the reference subspace itself rather than a rebuilt
-    copy of it, as the harness scores identity.
+    Dims are compared first, so a mismatch builds nothing. Side.of builds each
+    tensor in its positional role, so an error names it ("reference tensor:
+    ..."), and CCA between the two subspaces gives both scores. A Side scores
+    with the bits of its tensor, and a tensor alternate equal in value to a
+    tensor reference (float32 and float64 copies included) is scored against
+    the reference side itself, as the harness scores identity. Deterministic.
     """
-    _same_dims(np.shape(z_ref), np.shape(z_alt))
-    ref = _tensor_subspace("reference", z_ref)
+    ref_dims, alt_dims = (z.dims if isinstance(z, Side) else np.shape(z) for z in (z_ref, z_alt))
+    if ref_dims != alt_dims:
+        raise ShapeError(f"tensor dims differ: {ref_dims} vs {alt_dims}")
+    left = z_ref if isinstance(z_ref, Side) else Side.of(z_ref, "reference")
+    if isinstance(z_alt, Side):
+        right = z_alt
     # the reference is valid here, so an equal alternate of a real dtype is too
-    if np.asarray(z_alt).dtype.kind in _REAL_KINDS and np.array_equal(z_ref, z_alt):
-        return _score(ref, ref)
-    return _score(ref, _tensor_subspace("alternate", z_alt))
+    elif (not isinstance(z_ref, Side) and np.asarray(z_alt).dtype.kind in _REAL_KINDS
+          and np.array_equal(z_ref, z_alt)):
+        right = left
+    else:
+        right = Side.of(z_alt, "alternate")
+    a, b = left.subspace, right.subspace
+    c = cca(a, b)
+    return SeisScores(
+        s_equiv=equivariance_score(c),
+        s_inv=invariance_score(c, a.basis, b.basis),
+        r=c.correlations.size,
+        k_a=a.k,
+        k_a_prime=b.k,
+        correlations=c.correlations,
+    )

@@ -16,6 +16,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from tokenize import TokenError
 
 import numpy as np
 
@@ -81,13 +82,15 @@ def read_tensor(path) -> np.ndarray:
 
     Returns a copy-on-write map of the regular file, checked by validate_tensor:
     writes stay in memory, and the file must not be truncated while the array
-    is in use. A file numpy cannot map, such as a pipe, is a FormatError; a
-    missing file or a directory keeps its OSError. Errors name the path.
+    is in use. A file numpy cannot map (a pipe, a malformed header) is a
+    FormatError; a missing file or a directory keeps its OSError. Errors name the path.
     """
     try:
         arr = np.lib.format.open_memmap(path, mode="c")
-    except (ValueError, OSError) as exc:
-        if not isinstance(exc, ValueError) and exc.errno != errno.ESPIPE:  # a pipe cannot seek
+    except (ValueError, SyntaxError, TokenError, OverflowError, TypeError, OSError) as exc:
+        # besides ValueError, numpy raises TokenError or IndentationError for an
+        # unclosed header dict, OverflowError for a negative dim, TypeError for a bool one
+        if isinstance(exc, OSError) and exc.errno != errno.ESPIPE:  # a pipe cannot seek
             raise
         raise FormatError(f"{path}: not a readable NPY file ({exc})") from exc
     if arr.dtype.kind != "f" or arr.dtype.itemsize not in (4, 8):

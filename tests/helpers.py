@@ -1,6 +1,7 @@
 """Shared test utilities.
 
-write_npy_independent is a from-scratch NPY v1.0 emitter used as the
+write_npy_independent is a from-scratch NPY v1.0 emitter (npy_bytes, which
+also writes the malformed headers of MALFORMED_NPY_HEADERS) used as the
 oracle for the reader: it never touches numpy's own format module, so a
 bug there cannot hide in both routes. cca_oracle plays the same role for
 the whitened CCA, bilinear_gather_oracle for the sparse warp operator, and
@@ -58,6 +59,14 @@ def permute_spatial(z, perm) -> np.ndarray:
     return (op @ m).T.reshape(np.shape(z))
 
 
+def npy_bytes(header, payload) -> bytes:
+    """NPY v1.0 bytes: magic, version, the header text padded with spaces and
+    a newline to a multiple of 64 bytes (preamble included), then payload."""
+    header += " " * ((64 - (10 + len(header) + 1) % 64) % 64) + "\n"
+    return (b"\x93NUMPY" + bytes([1, 0]) + struct.pack("<H", len(header))
+            + header.encode("latin1") + payload)
+
+
 def write_npy_independent(path, arr, fortran_order=False, descr="<f8"):
     """Hand-rolled NPY v1.0 writer (magic + padded ASCII header + payload)."""
     arr = np.asarray(arr)
@@ -68,17 +77,26 @@ def write_npy_independent(path, arr, fortran_order=False, descr="<f8"):
         f"{{'descr': '{descr}', 'fortran_order': {fortran_order}, "
         f"'shape': ({shape}), }}"
     )
-    # total header block (incl. 10 preamble bytes) padded to a multiple of 64
-    unpadded = 10 + len(header) + 1
-    pad = (64 - unpadded % 64) % 64
-    header = header + " " * pad + "\n"
     payload = arr.astype(descr).tobytes(order="F" if fortran_order else "C")
     with open(path, "wb") as fh:
-        fh.write(b"\x93NUMPY")
-        fh.write(bytes([1, 0]))
-        fh.write(struct.pack("<H", len(header)))
-        fh.write(header.encode("latin1"))
-        fh.write(payload)
+        fh.write(npy_bytes(header, payload))
+
+
+# NPY headers numpy cannot read, one for each exception class other than
+# ValueError that numpy raises on them
+_HEADER = "{'descr': '<f8', 'fortran_order': False, 'shape': "
+MALFORMED_NPY_HEADERS = {
+    "unclosed": _HEADER + "(2, 3, 4, 4), ",                 # tokenize.TokenError
+    "negative-dim": _HEADER + "(2, -3, 4, 4), }",           # OverflowError
+    "bool-dim": _HEADER + "(2, True, 4, 4), }",             # TypeError
+    "dedent": _HEADER + "(2, 3, 4, 4), }\n  1\n 2",         # IndentationError
+}
+
+
+def write_malformed_npy(path, name) -> None:
+    """A (2, 3, 4, 4) float64 dump whose header is MALFORMED_NPY_HEADERS[name]."""
+    with open(path, "wb") as fh:
+        fh.write(npy_bytes(MALFORMED_NPY_HEADERS[name], bytes(2 * 3 * 4 * 4 * 8)))
 
 
 def dematricize(a, dims) -> np.ndarray:

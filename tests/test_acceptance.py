@@ -15,11 +15,10 @@ import pytest
 from scipy import ndimage
 
 import seis as package
-from seis import metrics
 from seis.cli import main as cli_main
 from seis.harness import HarnessConfig, gen_synthetic_activations, run_validation_suite
 from seis.linalg import cca, center_rows, spatial_subspace
-from seis.metrics import seis
+from seis.metrics import Side, seis
 from seis.tensor_io import RESULT_FIELDS, matricize, write_tensor
 from seis.transforms import (
     AffineParams,
@@ -425,10 +424,10 @@ def test_dose_response_s_inv_tracks_warp_magnitude(seed):
     cfg = HarnessConfig()
     h, w = cfg.dims[2:]
     m = matricize(gen_synthetic_activations(cfg, make_stream(seed, 0, 0)))
-    ref = metrics._side_subspace("reference", m.copy())
+    ref = Side.of(m.T.reshape(cfg.dims))
 
     def score(alt):
-        return metrics._score(ref, metrics._side_subspace("alternate", alt))
+        return seis(ref, alt.T.reshape(cfg.dims))
 
     control = score(matricize(gen_synthetic_activations(cfg, make_stream(seed, 0, 1))))
     for name, sweep in DOSE_SWEEPS.items():
@@ -449,10 +448,10 @@ def test_rank_reducing_loss_is_invisible_to_both_scores(seed):
     cfg = HarnessConfig()
     h, w = cfg.dims[2:]
     z = gen_synthetic_activations(cfg, make_stream(seed, 0, 0))
-    ref = metrics._tensor_subspace("reference", z)
+    ref = Side.of(z)
 
     def score(alt):
-        s = metrics._score(ref, metrics._tensor_subspace("alternate", alt))
+        s = seis(ref, alt)
         return s, s.r * s.s_equiv / s.k_a, s.r * s.s_equiv / s.k_a_prime
 
     half = z.copy()
@@ -486,13 +485,13 @@ def test_c4_augmentation_raises_invariance_and_keeps_equivariance(seed):
     ref = smooth_tensor((64, 3, 64, 64), sigma=2.0, seed=2 * seed)
     rotated = ndimage.rotate(ref, 20.0, axes=(2, 3), reshape=False, order=1)
 
-    def sides(role, x, c4):
-        return [metrics._tensor_subspace(role, z) for z in random_conv_stack(x, seed, c4=c4)]
+    def sides(x, c4):
+        return [Side.of(z) for z in random_conv_stack(x, seed, c4=c4)]
 
     def scores(refs, x, c4):
-        return [metrics._score(a, b) for a, b in zip(refs, sides("alternate", x, c4))]
+        return [seis(a, z) for a, z in zip(refs, random_conv_stack(x, seed, c4=c4))]
 
-    plain_ref, c4_ref = sides("reference", ref, False), sides("reference", ref, True)
+    plain_ref, c4_ref = sides(ref, False), sides(ref, True)
     plain, c4 = scores(plain_ref, rotated, False), scores(c4_ref, rotated, True)
     where = f"seed {seed}: plain {plain}, C4 {c4}"
     assert c4[3].s_inv - plain[3].s_inv >= C4_INV_RISE, where

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -252,7 +254,7 @@ class TestRunCondition:
         def boom(left, right):
             raise DegenerateRankError("synthetic failure")
 
-        monkeypatch.setattr(metrics, "_score", boom)
+        monkeypatch.setattr(metrics, "cca", boom)
         with pytest.raises(DegenerateRankError, match="condition identity, trial 0"):
             run_condition(SMALL, ConditionKind.IDENTITY)
 
@@ -324,6 +326,26 @@ class TestRunSuite:
         cfg = HarnessConfig(dims=(4, 8, 10, 10), trials=3, master_seed=26)
         run_validation_suite(cfg)
         assert len(calls) == 6 * cfg.trials
+
+    def test_each_alternate_released_before_its_gram(self, monkeypatch):
+        # an alternate reaches Side.of only as a temporary view, which it drops
+        # once matricized, so no alternate is alive while a Gram is formed
+        alternates = []
+        make, build = harness.make_alternate, metrics.spatial_subspace
+
+        def made(*args):
+            alt = make(*args)
+            alternates.append(weakref.ref(alt))
+            return alt
+
+        def released(centered):
+            assert all(alt() is None for alt in alternates)
+            return build(centered)
+
+        monkeypatch.setattr(harness, "make_alternate", made)
+        monkeypatch.setattr(metrics, "spatial_subspace", released)
+        run_validation_suite(HarnessConfig(dims=(4, 8, 10, 10), trials=2, master_seed=27))
+        assert len(alternates) == 10
 
     def test_summary_stats_match_rows(self):
         cfg = HarnessConfig(dims=(4, 8, 10, 10), trials=4, master_seed=24,

@@ -77,10 +77,6 @@ class TestTruncate99:
         assert k == 1
         assert retained == 1.0
 
-    def test_all_zero_spectrum(self):
-        with pytest.raises(DegenerateRankError):
-            _truncation_rank(np.zeros(2))
-
     def test_projection_contents(self):
         m = centered_noise(6, 40, seed=3)
         sub = spatial_subspace(m)
@@ -162,6 +158,16 @@ class TestSpatialSubspace:
     def test_zero_matrix(self):
         with pytest.raises(DegenerateRankError):
             spatial_subspace(np.zeros((5, 8)))
+
+    def test_all_zero_side_skips_its_eigensolve(self, monkeypatch):
+        # a zero Gram diagonal already proves every singular value zero
+        def eigh(a):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for shape in ((5, 8), (8, 5)):
+            with pytest.raises(DegenerateRankError, match="^all singular values are zero$"):
+                spatial_subspace(np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite(self, bad):

@@ -12,12 +12,13 @@ from seis.errors import (
     ShapeError,
     ValidationError,
 )
+from seis.harness import HarnessConfig, make_alternate
 from seis.linalg import CcaResult, TruncatedSubspace, cca
-from seis.metrics import (
-    _score, _side_subspace, _tensor_subspace, equivariance_score, invariance_score, seis,
-)
+from seis.metrics import Side, equivariance_score, invariance_score, seis
 from seis.tensor_io import matricize
-from seis.transforms import AffineParams, apply_affine
+from seis.transforms import (
+    CONDITION_ORDER, AffineParams, ConditionKind, apply_affine, make_stream,
+)
 
 from helpers import (
     NON_REAL_KINDS,
@@ -223,13 +224,14 @@ class TestSeisErrors:
 
     @pytest.mark.filterwarnings("error")
     def test_matrix_side_names_the_tensor_flat_index(self):
-        # the harness builds sides from (d, n) matrices: matrix.T's C order is
-        # the tensor's, so cell 3 of observation 4 is flat index 4 * 16 + 3
+        # the harness builds sides from the tensor views of (d, n) matrices:
+        # matrix.T's C order is the tensor's, so cell 3 of observation 4 is
+        # flat index 4 * 16 + 3
         m = np.random.default_rng(37).standard_normal((16, 6))
         m[3, 4] = np.nan
         with pytest.raises(ValidationError,
                            match="^alternate tensor: non-finite value at flat index 67$"):
-            _side_subspace("alternate", m)
+            Side.of(m.T.reshape(2, 3, 4, 4), "alternate")
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_row_sum_names_no_flat_index(self):
@@ -238,7 +240,7 @@ class TestSeisErrors:
         m[5] = 1e308
         with pytest.raises(ValidationError,
                            match="^reference tensor: .*row sums overflow$") as exc:
-            _side_subspace("reference", m)
+            Side.of(m.T.reshape(2, 3, 4, 4))
         assert "flat index" not in str(exc.value)
 
     @pytest.mark.parametrize("kind", NON_REAL_KINDS)
@@ -298,16 +300,17 @@ class TestSeisErrors:
             seis(a, a)
 
 
+def count_subspaces(monkeypatch):
+    """The list of matrices each later spatial_subspace call appends to."""
+    calls = []
+    build = metrics.spatial_subspace
+    monkeypatch.setattr(metrics, "spatial_subspace", lambda c: calls.append(c) or build(c))
+    return calls
+
+
 class TestSeisReuse:
     """An alternate equal in value to the reference is scored against the
     reference subspace itself."""
-
-    @staticmethod
-    def count_subspaces(monkeypatch):
-        calls = []
-        build = metrics.spatial_subspace
-        monkeypatch.setattr(metrics, "spatial_subspace", lambda c: calls.append(c) or build(c))
-        return calls
 
     @pytest.mark.parametrize("dims", [DIMS, (8, 16, 5, 5)])  # tall and wide
     @pytest.mark.parametrize("widen", [False, True])
@@ -317,13 +320,13 @@ class TestSeisReuse:
             z = z.astype(np.float32)
         alt = z.astype(np.float64) if widen else z.copy()
         got = seis(z, alt)
-        want = _score(_tensor_subspace("reference", z), _tensor_subspace("alternate", alt))
+        want = seis(Side.of(z), Side.of(alt, "alternate"))
         assert (got.k_a, got.k_a_prime, got.r) == (want.k_a, want.k_a_prime, want.r)
         assert got.s_equiv == want.s_equiv
         assert abs(got.s_inv - want.s_inv) <= 1e-15
 
     def test_one_subspace_for_equal_inputs(self, monkeypatch):
-        calls = self.count_subspaces(monkeypatch)
+        calls = count_subspaces(monkeypatch)
         z = smooth_tensor(DIMS, seed=32)
         seis(z, z.copy())
         assert len(calls) == 1
@@ -346,6 +349,50 @@ class TestSeisReuse:
         z = smooth_tensor((2, 2, 4, 4), seed=34)
         with pytest.raises(DtypeError):
             seis(z, z.astype(dtype))
+
+
+def score_bits(s):
+    """Every field of a SeisScores, the correlations as their bytes."""
+    return s.s_equiv, s.s_inv, s.r, s.k_a, s.k_a_prime, s.correlations.tobytes()
+
+
+class TestSide:
+    """A Side is built once and scores with the bits of its tensor."""
+
+    @pytest.mark.parametrize("dims", ROUTE_DIMS)
+    def test_side_scores_like_its_tensor_in_either_position(self, dims):
+        z = smooth_tensor(dims, seed=50)
+        alt = apply_affine(z, AffineParams(angle_deg=20.0))
+        want = score_bits(seis(z, alt))
+        ref_side, alt_side = Side.of(z), Side.of(alt, "alternate")
+        assert ref_side.dims == alt_side.dims == dims
+        for got in (seis(ref_side, alt), seis(z, alt_side), seis(ref_side, alt_side)):
+            assert score_bits(got) == want
+
+    def test_one_side_against_five_alternates_matches_five_calls(self, monkeypatch):
+        cfg = HarnessConfig(dims=DIMS, trials=1)
+        z = smooth_tensor(DIMS, seed=51)
+        alts = [make_alternate(cfg, matricize(z), kind, make_stream(51, 0, 1)).T.reshape(DIMS)
+                for kind in CONDITION_ORDER if kind is not ConditionKind.IDENTITY]
+        want = [score_bits(seis(z, alt)) for alt in alts]
+        calls = count_subspaces(monkeypatch)
+        side = Side.of(z)
+        assert [score_bits(seis(side, alt)) for alt in alts] == want
+        assert len(calls) == 1 + len(alts) == 6
+
+    def test_dims_mismatch_raises_before_anything_is_built(self, monkeypatch):
+        side = Side.of(smooth_tensor(DIMS, seed=52))
+        other = smooth_tensor((6, 8, 12, 11), seed=53)
+
+        def matricize(z):
+            raise AssertionError("a side was built")
+
+        monkeypatch.setattr(metrics, "matricize", matricize)
+        for ref, alt in ((side, other), (other, side)):
+            with pytest.raises(ShapeError) as exc:
+                seis(ref, alt)
+            dims = [x.dims if isinstance(x, Side) else x.shape for x in (ref, alt)]
+            assert str(exc.value) == f"tensor dims differ: {dims[0]} vs {dims[1]}"
 
 
 def test_every_exported_name_resolves():

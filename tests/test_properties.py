@@ -7,11 +7,16 @@ asserted for s_equiv only: when canonical correlations cluster near 1, the
 directions inside the cluster are arbitrary and s_inv is not determined to
 better than rounding noise amplified by the cluster gaps. A non-finite
 entry put at a drawn position, on either route, must be named by its flat
-index whichever side holds it, and the error names that side. Neither
+index whichever side holds it, and the error names that side. A dump
+whose header bytes are mutated scores, or fails in one error line naming
+its path: `score` exits 0 or 1, and `layers` skips its entry. Neither
 score clamps: correlations and cosines are at most 1, and rounding is
 monotone, so a mean of values a few ulps below 1 never passes 1.
 """
 
+import contextlib
+import io
+import json
 import warnings
 
 import numpy as np
@@ -19,9 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seis.cli import main
 from seis.errors import ValidationError
 from seis.linalg import CcaResult, center_rows, spatial_subspace
-from seis.tensor_io import matricize
+from seis.tensor_io import matricize, write_tensor
 from seis.metrics import equivariance_score, invariance_score, seis
 
 from helpers import permute_spatial
@@ -173,3 +179,58 @@ def test_nonfinite_entry_named_by_flat_index(case):
             with pytest.raises(ValidationError,
                                match=f"^{role} tensor: non-finite value at flat index {index}$"):
                 seis(*pair)
+
+
+# a valid float32 dump, whose header the mutations below work on
+VALID_DUMP = io.BytesIO()
+np.save(VALID_DUMP, np.random.default_rng(0).standard_normal((2, 3, 4, 4)).astype(np.float32))
+VALID_DUMP = VALID_DUMP.getvalue()
+HEADER_END = 10 + int.from_bytes(VALID_DUMP[8:10], "little")
+HEADER_BYTES = sorted(set(VALID_DUMP[:HEADER_END]) | set(b"-0123456789[]TN"))
+
+
+@st.composite
+def mutated_dumps(draw):
+    """VALID_DUMP with 1 to 4 header bytes replaced, deleted or inserted."""
+    dump = bytearray(VALID_DUMP)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, HEADER_END - 1))
+        op = draw(st.sampled_from(("replace", "delete", "insert")))
+        if op == "delete":
+            del dump[at]
+        else:
+            dump[at:at + (op == "replace")] = bytes([draw(st.sampled_from(HEADER_BYTES))])
+    return bytes(dump)
+
+
+@pytest.fixture(scope="module")
+def dump_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("dumps")
+    write_tensor(np.load(io.BytesIO(VALID_DUMP)), work / "clean.npy")
+    entries = [{"label": "clean", "ref": "clean.npy", "alt": "clean.npy"},
+               {"label": "mutated", "ref": "mutated.npy", "alt": "clean.npy"}]
+    (work / "manifest.json").write_text(json.dumps({"entries": entries}))
+    return work
+
+
+def run_main(*argv):
+    """main(argv)'s exit code and the lines it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dump=mutated_dumps())
+def test_mutated_header_scores_or_fails_in_one_line(dump_dir, dump):
+    mutated, out = dump_dir / "mutated.npy", dump_dir / "rows.csv"
+    mutated.write_bytes(dump)
+    code, err = run_main("score", mutated, dump_dir / "clean.npy")
+    assert code in (0, 1) and len(err) == code
+    if code:  # a header that parses to other dims reads as a valid dump
+        assert err[0].startswith((f"error: {mutated}: ", "error: tensor dims differ: ")), err
+    out.unlink(missing_ok=True)
+    code, err = run_main("layers", "--manifest", dump_dir / "manifest.json", "--out", out)
+    assert code in (0, 2) and len(err) == code // 2
+    assert out.read_text().splitlines()[1].startswith("clean,")

@@ -23,7 +23,10 @@ from seis.tensor_io import (
     write_tensor,
 )
 
-from helpers import NON_REAL_KINDS, non_real_tensor, write_npy_independent
+from helpers import (
+    MALFORMED_NPY_HEADERS, NON_REAL_KINDS, non_real_tensor, write_malformed_npy,
+    write_npy_independent,
+)
 
 
 def rand_tensor(shape, seed=0):
@@ -105,6 +108,15 @@ class TestReadWriteTensor:
         path.write_bytes(content)
         with pytest.raises(FormatError, match=r"bad\.npy: not a readable NPY file \("):
             read_tensor(path)
+
+    @pytest.mark.parametrize("header", sorted(MALFORMED_NPY_HEADERS))
+    def test_malformed_header_names_path(self, tmp_path, header):
+        path = tmp_path / "bad.npy"
+        write_malformed_npy(path, header)
+        with pytest.raises(FormatError) as exc:
+            read_tensor(path)
+        assert str(exc.value).startswith(f"{path}: not a readable NPY file (")
+        assert str(exc.value) == f"{path}: not a readable NPY file ({exc.value.__cause__})"
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_format_error_naming_path(self):
