@@ -117,11 +117,12 @@ def _score_paths(ref_path, alt_path, sides):
     keys = [os.path.realpath(p) for p in paths]
     for path, key, role in zip(paths, keys, ("reference", "alternate")):
         if key not in sides:
-            dump = [read_tensor(path)]
             try:
-                # popped into Side.of, which drops the dump before its Gram
-                sides[key] = Side.of(dump.pop(), role)
+                # Side.of drops the dump before its Gram
+                sides[key] = Side.of(read_tensor(path), role)
             except SeisError as exc:
+                if str(exc).startswith(f"{path}: "):  # read_tensor's errors name it
+                    raise
                 raise type(exc)(f"{path}: {exc}") from exc
     return seis(*(sides[key] for key in keys))
 

@@ -35,30 +35,15 @@ CLAMP_GUARD = 1e-10
 
 
 @dataclass(frozen=True)
-class TruncatedSubspace:
-    """Leading principal subspace of a centered spatial matrix.
-
-    basis has orthonormal columns; projected = basis.T @ centered are the
-    coordinates of the data in that subspace (rows stay centered because
-    the projection is a linear map over the observation axis).
-    """
-
-    basis: np.ndarray      # (d, k)
-    projected: np.ndarray  # (k, n)
-    retained_variance: float
-    k: int
-
-
-@dataclass(frozen=True)
 class CcaResult:
     """Canonical system between two projected data sets.
 
     correlations are non-increasing values in [0, 1], one per thin-SVD pair
     of cca's whitened cross covariance; column i of proj_left / proj_right
-    maps its side's projected data to the i-th canonical variate,
-    proj_left[:, i] @ left.projected, whose sample variance is 1 up to the
-    ridge (see cca), and correlations[i] is the absolute cosine between the
-    two sides' i-th variates.
+    maps cca's x / y to the i-th canonical variate, proj_left[:, i] @ x,
+    whose sample variance is 1 up to the ridge (see cca), and
+    correlations[i] is the absolute cosine between the two sides' i-th
+    variates.
     """
 
     correlations: np.ndarray    # (r,), r = min(k_a, k_a_prime)
@@ -117,8 +102,8 @@ def center_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def spatial_subspace(centered) -> TruncatedSubspace:
-    """Truncated principal subspace of a centered matrix, via the Gram route.
+def spatial_subspace(centered) -> tuple:
+    """(basis, projected, retained_variance) of a centered matrix's Side, via the Gram route.
 
     centered is a 2-D float64 matrix with rows centered by center_rows, as
     seis() builds it; it is not checked here. Faster than a thin SVD on the
@@ -156,12 +141,7 @@ def spatial_subspace(centered) -> TruncatedSubspace:
         # basis can differ from the full lift by about 1e-16
         vecs = (np.ascontiguousarray(vecs[:, :k]).T @ centered.T).T / s[:k]
     basis = np.ascontiguousarray(vecs[:, :k])
-    return TruncatedSubspace(
-        basis=basis,
-        projected=basis.T @ centered,
-        retained_variance=retained,
-        k=k,
-    )
+    return basis, basis.T @ centered, retained
 
 
 def _whitener(x):
@@ -178,8 +158,8 @@ def _whitener(x):
     return (v / np.sqrt(w)) @ v.T
 
 
-def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
-    """Canonical correlation analysis between two truncated subspaces.
+def cca(x, y) -> CcaResult:
+    """Canonical correlation analysis between two projected data sets.
 
     Sample covariances of the projected rows are formed without re-centering
     (rows are centered upstream and projection preserves that), each side is
@@ -190,10 +170,10 @@ def cca(left: TruncatedSubspace, right: TruncatedSubspace) -> CcaResult:
     reported correlation is the absolute cosine of its centered variate pair
     (a zero variate raises there); no score reads the directions' SVD signs.
 
-    left and right come from spatial_subspace on matrices with the same
-    n >= 2 observations, which seis() and center_rows check beforehand.
+    x and y are the (k_a, n) and (k_a', n) projected matrices of two Sides
+    with the same n >= 2 observations, which seis() and center_rows check
+    beforehand.
     """
-    x, y = left.projected, right.projected
     inv_sqrt_x = _whitener(x)
     inv_sqrt_y = _whitener(y)
     whitened = inv_sqrt_x @ (x @ y.T / (x.shape[1] - 1)) @ inv_sqrt_y

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeisError, ShapeError, ValidationError
-from .linalg import CcaResult, TruncatedSubspace, cca, center_rows, row_cosines, spatial_subspace
+from .linalg import CcaResult, cca, center_rows, row_cosines, spatial_subspace
 from .tensor_io import _REAL_KINDS, _reject_nonfinite, matricize
 
 
@@ -26,10 +26,13 @@ class SeisScores:
 
     s_equiv: float
     s_inv: float
-    r: int
     k_a: int
     k_a_prime: int
     correlations: np.ndarray
+
+    @property
+    def r(self) -> int:  # the number of canonical pairs, min(k_a, k_a_prime)
+        return self.correlations.size
 
 
 def equivariance_score(c: CcaResult) -> float:
@@ -58,19 +61,26 @@ def invariance_score(c: CcaResult, left_basis, right_basis) -> float:
     The bases are those of the two subspaces c was computed from, so their
     shapes fit c's projection vectors; they are not checked here.
     """
-    lifted_left = left_basis @ c.proj_left     # (d, r)
-    lifted_right = right_basis @ c.proj_right  # (d, r)
-    cosines = row_cosines(lifted_left.T, lifted_right.T)
+    cosines = row_cosines((left_basis @ c.proj_left).T, (right_basis @ c.proj_right).T)
     return float(np.mean(c.correlations * cosines))
 
 
 @dataclass(frozen=True)
 class Side:
     """A tensor's (b, c, h, w) dims and the truncated principal subspace of its
-    centered spatial matrix: built once by Side.of, scored by seis()."""
+    centered spatial matrix, built once by Side.of and scored by seis(). basis
+    has orthonormal columns; projected = basis.T @ centered are the coordinates
+    of the data in that subspace (rows stay centered because the projection is
+    a linear map over the observation axis); k is the subspace size."""
 
     dims: tuple
-    subspace: TruncatedSubspace
+    basis: np.ndarray      # (d, k)
+    projected: np.ndarray  # (k, n)
+    retained_variance: float
+
+    @property
+    def k(self) -> int:
+        return self.basis.shape[1]
 
     @classmethod
     def of(cls, z, role="reference") -> "Side":
@@ -90,7 +100,7 @@ class Side:
                 except ValidationError:
                     _reject_nonfinite(matrix.T)  # matrix.T's C order is the tensor's
                     raise
-                return cls(dims, spatial_subspace(centered))
+                return cls(dims, *spatial_subspace(centered))
             except SeisError as exc:
                 raise type(exc)(f"{role} tensor: {exc}") from exc
 
@@ -117,13 +127,6 @@ def seis(z_ref, z_alt) -> SeisScores:
         right = left
     else:
         right = Side.of(z_alt, "alternate")
-    a, b = left.subspace, right.subspace
-    c = cca(a, b)
-    return SeisScores(
-        s_equiv=equivariance_score(c),
-        s_inv=invariance_score(c, a.basis, b.basis),
-        r=c.correlations.size,
-        k_a=a.k,
-        k_a_prime=b.k,
-        correlations=c.correlations,
-    )
+    c = cca(left.projected, right.projected)
+    return SeisScores(equivariance_score(c), invariance_score(c, left.basis, right.basis),
+                      left.k, right.k, c.correlations)

@@ -12,8 +12,10 @@ row means and Gram diagonal, and by write_tensor.
 import csv
 import errno
 import json
+import logging
 import os
 import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from tokenize import TokenError
@@ -83,16 +85,20 @@ def read_tensor(path) -> np.ndarray:
     Returns a copy-on-write map of the regular file, checked by validate_tensor:
     writes stay in memory, and the file must not be truncated while the array
     is in use. A file numpy cannot map (a pipe, a malformed header) is a
-    FormatError; a missing file or a directory keeps its OSError. Errors name the path.
+    FormatError; a missing file or a directory keeps its OSError. Errors name the
+    path, and so does the log line of each numpy warning, such as on a Python 2 header.
     """
     try:
-        arr = np.lib.format.open_memmap(path, mode="c")
+        with warnings.catch_warnings(record=True, action="always") as caught:
+            arr = np.lib.format.open_memmap(path, mode="c")
     except (ValueError, SyntaxError, TokenError, OverflowError, TypeError, OSError) as exc:
         # besides ValueError, numpy raises TokenError or IndentationError for an
         # unclosed header dict, OverflowError for a negative dim, TypeError for a bool one
         if isinstance(exc, OSError) and exc.errno != errno.ESPIPE:  # a pipe cannot seek
             raise
         raise FormatError(f"{path}: not a readable NPY file ({exc})") from exc
+    for w in caught:
+        logging.getLogger(__name__).warning("%s: %s", path, w.message)
     if arr.dtype.kind != "f" or arr.dtype.itemsize not in (4, 8):
         raise DtypeError(f"{path}: unsupported dtype {arr.dtype}, need float32/float64")
     try:

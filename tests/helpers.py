@@ -6,6 +6,8 @@ oracle for the reader: it never touches numpy's own format module, so a
 bug there cannot hide in both routes. cca_oracle plays the same role for
 the whitened CCA, bilinear_gather_oracle for the sparse warp operator, and
 full_lift_subspace for the k-column lift of spatial_subspace's tall route.
+The subspace_of_* helpers build Sides for stage-level tests, and
+warp_alignment scores candidate warps between two Sides.
 random_conv_stack is a small seeded CNN whose layers give a depth profile
 without trained weights. run_condition and GEOMETRIC_CONDITIONS are
 shorthands for running the harness one condition at a time, and
@@ -22,7 +24,8 @@ from scipy import ndimage, sparse
 
 from seis.errors import SeisError, ShapeError, ValidationError
 from seis.harness import HarnessConfig, run_validation_suite
-from seis.linalg import TruncatedSubspace, _truncation_rank, center_rows, spatial_subspace
+from seis.linalg import _truncation_rank, cca, center_rows, row_cosines, spatial_subspace
+from seis.metrics import Side
 from seis.tensor_io import matricize
 from seis.transforms import ConditionKind
 
@@ -146,16 +149,17 @@ def random_conv_stack(x, seed, widths=(16, 32, 64, 64), c4=False) -> list:
     return outputs
 
 
-def subspace_of_tensor(z) -> TruncatedSubspace:
-    return spatial_subspace(center_rows(matricize(z)))
+def subspace_of_matrix(m) -> Side:
+    """Side of a raw matrix after row centering; it has no tensor dims."""
+    return subspace_of_centered(center_rows(np.array(m, dtype=np.float64)))
 
 
-def subspace_of_matrix(m) -> TruncatedSubspace:
-    """Truncated subspace of a raw matrix after row centering."""
-    return spatial_subspace(center_rows(np.array(m, dtype=np.float64)))
+def subspace_of_centered(centered) -> Side:
+    """Side of an already centered matrix; it has no tensor dims."""
+    return Side(None, *spatial_subspace(centered))
 
 
-def full_lift_subspace(centered) -> TruncatedSubspace:
+def full_lift_subspace(centered) -> Side:
     """spatial_subspace of a tall (d > n) centered matrix, lifting every
     eigenvector above 1e-12 * sigma_max, centered @ v / s, and then keeping
     the first k lifted columns."""
@@ -170,12 +174,20 @@ def full_lift_subspace(centered) -> TruncatedSubspace:
     k, retained = _truncation_rank(s)
     lifted = (centered @ vecs[:, kept]) / s[kept]
     basis = np.ascontiguousarray(lifted[:, :k])
-    return TruncatedSubspace(
-        basis=basis,
-        projected=basis.T @ centered,
-        retained_variance=retained,
-        k=k,
-    )
+    return Side(None, basis, basis.T @ centered, retained)
+
+
+def warp_alignment(ref: Side, alt: Side, operators) -> np.ndarray:
+    """a(W) = mean_i rho_i |cos(W B_L p_i, B_R q_i)| for each candidate warp
+    operator W: s_inv's formula after the reference's lifted canonical
+    directions B_L p_i are moved by W. Canonical directions move by W^-T,
+    close to W for a nearly orthogonal warp, so the candidate of largest a
+    estimates the warp from ref to alt without being told it."""
+    c = cca(ref.projected, alt.projected)
+    lifted_ref = ref.basis @ c.proj_left
+    lifted_alt = (alt.basis @ c.proj_right).T
+    return np.array([np.mean(c.correlations * row_cosines((op @ lifted_ref).T, lifted_alt))
+                     for op in operators])
 
 
 # dtype kinds without real values, which the tensor contract rejects
@@ -192,21 +204,11 @@ def non_real_tensor(kind) -> np.ndarray:
     }[kind]
 
 
-def replace_projected(sub: TruncatedSubspace, projected) -> TruncatedSubspace:
-    """Clone a subspace with different projected coordinates (CCA-level tests)."""
-    return TruncatedSubspace(
-        basis=sub.basis,
-        projected=np.asarray(projected, dtype=np.float64),
-        retained_variance=sub.retained_variance,
-        k=sub.k,
-    )
-
-
 class OracleError(SeisError):
     """The brute-force reference computation could not run on this instance."""
 
 
-def cca_oracle(left: TruncatedSubspace, right: TruncatedSubspace) -> np.ndarray:
+def cca_oracle(x, y) -> np.ndarray:
     """Reference canonical correlations via the generalized eigenproblem.
 
     Brute force and test-oriented: explicit inverses, dense eigen-solve,
@@ -215,8 +217,8 @@ def cca_oracle(left: TruncatedSubspace, right: TruncatedSubspace) -> np.ndarray:
     conditioned instances; on a singular covariance it raises OracleError
     and the caller should regenerate the instance.
     """
-    x = np.asarray(left.projected, dtype=np.float64)
-    y = np.asarray(right.projected, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     kx = x.shape[0]
     cov = np.cov(x, y)
     cxx = cov[:kx, :kx]

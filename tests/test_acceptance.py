@@ -17,7 +17,7 @@ from scipy import ndimage
 import seis as package
 from seis.cli import main as cli_main
 from seis.harness import HarnessConfig, gen_synthetic_activations, run_validation_suite
-from seis.linalg import cca, center_rows, spatial_subspace
+from seis.linalg import cca, center_rows
 from seis.metrics import Side, seis
 from seis.tensor_io import RESULT_FIELDS, matricize, write_tensor
 from seis.transforms import (
@@ -36,8 +36,9 @@ from helpers import (
     random_conv_stack,
     run_condition,
     smooth_tensor,
+    subspace_of_centered,
     subspace_of_matrix,
-    subspace_of_tensor,
+    warp_alignment,
 )
 
 MASTER_SEED = 42
@@ -86,6 +87,11 @@ LOSS_COVERAGE_CEILING = 0.6     # reference coverage r * s_equiv / k_a, lossy al
 # 2.5e-15 of 1 at every layer.
 C4_INV_RISE = 0.1               # L4 s_inv, C4 over plain, rotate 20 degrees
 C4_ROT90_EQUIV_TOL = 1e-12      # 1 - s_equiv of the C4 stack on rot90, every layer
+# Warp recovery by warp_alignment at default dims, seeds 0-2: the smallest
+# margins measured are 0.408 of a at the recovered warp over s_inv (zoom-out)
+# and 0.904 over the independent control's largest a (shift).
+RECOVERY_OVER_S_INV = 0.4       # a(recovered) - s_inv, every warp
+RECOVERY_OVER_CONTROL = 0.9     # a(recovered) - max a of the independent control
 
 
 def report(num, ok, detail):
@@ -211,8 +217,8 @@ def test_criterion_4_cca_oracle_equivalence():
         n = 50 * max(k_left, k_right)
         left = subspace_of_matrix(rng.standard_normal((k_left, n)))
         right = subspace_of_matrix(rng.standard_normal((k_right, n)))
-        expected = cca_oracle(left, right)
-        got = cca(left, right).correlations
+        expected = cca_oracle(left.projected, right.projected)
+        got = cca(left.projected, right.projected).correlations
         worst = max(worst, float(np.max(np.abs(got - expected))))
         checked += 1
     ok = worst <= ORACLE_TOL
@@ -236,8 +242,8 @@ def test_criterion_5_equivariance_equals_mean_correlation():
         scores = seis(ref, alt)
         # the variates rebuilt from the canonical directions, and their mean
         # absolute cosine in plain numpy
-        left, right = subspace_of_tensor(ref), subspace_of_tensor(alt)
-        c = cca(left, right)
+        left, right = Side.of(ref), Side.of(alt)
+        c = cca(left.projected, right.projected)
         p = c.proj_left.T @ left.projected
         q = c.proj_right.T @ right.projected
         cosines = np.abs(np.sum(p * q, axis=1)) / (
@@ -302,7 +308,7 @@ def test_criterion_8_truncation_contract():
         n = int(rng.integers(4, 60))
         scale = 10.0 ** rng.integers(-3, 4)
         m = center_rows(scale * rng.standard_normal((d, n)))
-        sub = spatial_subspace(m)
+        sub = subspace_of_centered(m)
         s = np.linalg.svd(m, compute_uv=False)
         power = s[s >= 1e-12 * s[0]] ** 2
         frac = np.cumsum(power) / power.sum()
@@ -498,3 +504,51 @@ def test_c4_augmentation_raises_invariance_and_keeps_equivariance(seed):
     assert all(a.s_equiv >= p.s_equiv for p, a in zip(plain, c4)), where
     exact = scores(c4_ref, np.rot90(ref, axes=(2, 3)), True)
     assert all(1.0 - s.s_equiv <= C4_ROT90_EQUIV_TOL for s in exact), f"seed {seed}: {exact}"
+
+
+@pytest.fixture(scope="module")
+def candidate_warps():
+    """Each grid's candidate warp operators on the default 28 x 28 grid, keyed
+    by degrees (1 degree steps), whole-pixel (dx, dy) shifts and zoom in
+    hundredths."""
+    h, w = HarnessConfig().dims[2:]
+    grids = {
+        "rotation": {a: AffineParams(angle_deg=float(a)) for a in range(360)},
+        "shift": {(dx, dy): AffineParams(tx=dx / w, ty=dy / h)
+                  for dy in range(-5, 6) for dx in range(-5, 6)},
+        "zoom": {z: AffineParams(scale=z / 100) for z in range(70, 131)},
+    }
+    return {name: {key: affine_operator(h, w, p) for key, p in grid.items()}
+            for name, grid in grids.items()}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_warp_recovered_without_being_told(seed, candidate_warps):
+    # the paper's claim that SEIS needs no knowledge of the transformation:
+    # moving the reference's canonical directions by each candidate warp and
+    # re-reading s_inv's formula peaks at the warp applied, far above both
+    # s_inv and an independent field. Zoom-in crops content and reads a flat
+    # top below its true scale, so nothing is asserted on it
+    cfg = HarnessConfig()
+    h, w = cfg.dims[2:]
+    z = gen_synthetic_activations(cfg, make_stream(seed, 0, 0))
+    ref = Side.of(z)
+    control = Side.of(gen_synthetic_activations(cfg, make_stream(seed, 0, 1)))
+    control_max = max(float(warp_alignment(ref, control, ops.values()).max())
+                      for ops in candidate_warps.values())
+    for grid, params, recovered in (
+        ("rotation", AffineParams(angle_deg=37.0), lambda a: a == 37),
+        ("rotation", AffineParams(angle_deg=123.0), lambda a: a == 123),
+        ("shift", AffineParams(tx=2.8 / w, ty=-1.4 / h), lambda d: d == (3, -1)),
+        ("zoom", AffineParams(scale=0.87), lambda z: abs(z - 87) <= 1),
+    ):
+        alt = Side.of(apply_affine(z, params))
+        keys = list(candidate_warps[grid])
+        a = warp_alignment(ref, alt, candidate_warps[grid].values())
+        best = int(np.argmax(a))
+        s_inv = seis(ref, alt).s_inv
+        where = (f"{params}, seed {seed}: recovered {keys[best]} at a={a[best]:.4f}, "
+                 f"s_inv {s_inv:.4f}, control max {control_max:.4f}")
+        assert recovered(keys[best]), where
+        assert a[best] - s_inv >= RECOVERY_OVER_S_INV, where
+        assert a[best] - control_max >= RECOVERY_OVER_CONTROL, where

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from seis.tensor_io import ResultRow, matricize, read_tensor, write_results, wri
 from seis.transforms import AffineParams, apply_affine
 
 from helpers import (
-    MALFORMED_NPY_HEADERS, permute_spatial, smooth_tensor, write_malformed_npy,
+    MALFORMED_NPY_HEADERS, npy_bytes, permute_spatial, smooth_tensor, write_malformed_npy,
     write_npy_independent,
 )
 
@@ -779,6 +780,52 @@ class TestLayersReuse:
         warnings = [line for line in capsys.readouterr().err.splitlines() if "skipping" in line]
         assert "flat.npy: alternate tensor: all singular values" in warnings[0]
         assert "flat.npy: reference tensor: all singular values" in warnings[1]
+
+
+class TestRepairedHeader:
+    """A dump whose header numpy must repair, Python 2's 2L dims, scores as
+    usual, and numpy's warning becomes one log line naming the path."""
+
+    @pytest.fixture()
+    def dumps(self, tmp_path):
+        z = smooth_tensor((3, 4, 8, 8), seed=50)
+        old, new = tmp_path / "py2.npy", tmp_path / "new.npy"
+        header = "{'descr': '<f8', 'fortran_order': False, 'shape': (3L, 4L, 8L, 8L), }"
+        old.write_bytes(npy_bytes(header, z.astype("<f8").tobytes()))
+        write_tensor(z, new)
+        return old, new
+
+    @staticmethod
+    def run_strict(*argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli(*argv)
+
+    @staticmethod
+    def assert_one_log_line(err, path):
+        assert err.startswith(f"WARNING seis.tensor_io: {path}: Reading "), err
+        assert err.count("\n") == 1, err
+
+    def test_score(self, dumps, capsys):
+        old, new = dumps
+        assert run_cli("score", str(new), str(new)) == 0
+        want = capsys.readouterr().out
+        assert self.run_strict("score", str(old), str(new)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == want
+        self.assert_one_log_line(captured.err, old)
+
+    def test_layers(self, dumps, capsys, tmp_path):
+        old, new = dumps
+        rows = {}
+        for ref in (new, old):
+            man = tmp_path / "manifest.json"
+            man.write_text(json.dumps({"entries": [{"label": "x", "ref": str(ref),
+                                                     "alt": str(new)}]}))
+            rows[ref] = tmp_path / f"{ref.stem}.csv"
+            assert self.run_strict("layers", "--manifest", str(man), "--out", str(rows[ref])) == 0
+        self.assert_one_log_line(capsys.readouterr().err, old)
+        assert rows[old].read_bytes() == rows[new].read_bytes()
 
 
 class TestParsing:

@@ -6,9 +6,7 @@ from seis.errors import (
     NumericalError,
     ValidationError,
 )
-from seis.linalg import (
-    TruncatedSubspace, _truncation_rank, cca, center_rows, row_cosines, spatial_subspace,
-)
+from seis.linalg import _truncation_rank, cca, center_rows, row_cosines, spatial_subspace
 from seis.metrics import seis
 from seis.tensor_io import matricize
 
@@ -16,8 +14,8 @@ from helpers import (
     OracleError,
     cca_oracle,
     full_lift_subspace,
-    replace_projected,
     smooth_tensor,
+    subspace_of_centered,
     subspace_of_matrix,
 )
 
@@ -39,7 +37,7 @@ def assert_matches_svd_route(m):
     power = s[s >= 1e-12 * s[0]] ** 2
     frac = np.cumsum(power) / power.sum()
     k = int(np.searchsorted(frac, 0.99) + 1)
-    via_gram = spatial_subspace(m)
+    via_gram = subspace_of_centered(m)
     assert via_gram.k == k
     assert np.allclose(np.linalg.norm(via_gram.projected, axis=1), s[:k],
                        rtol=1e-9, atol=1e-12)
@@ -79,7 +77,7 @@ class TestTruncate99:
 
     def test_projection_contents(self):
         m = centered_noise(6, 40, seed=3)
-        sub = spatial_subspace(m)
+        sub = subspace_of_centered(m)
         assert sub.projected.shape == (sub.k, 40)
         assert np.allclose(sub.projected, sub.basis.T @ m)
         assert np.allclose(sub.basis.T @ sub.basis, np.eye(sub.k), atol=1e-10)
@@ -88,7 +86,7 @@ class TestTruncate99:
     @pytest.mark.parametrize("seed", range(10))
     def test_threshold_is_tight(self, seed):
         m = centered_noise(12, 60, seed=seed)
-        sub = spatial_subspace(m)
+        sub = subspace_of_centered(m)
         s = np.linalg.svd(m, compute_uv=False)
         power = s**2
         frac = np.cumsum(power) / power.sum()
@@ -132,7 +130,7 @@ class TestSpatialSubspace:
     def test_tall_lift_matches_full_lift(self, case):
         m = center_rows(TALL_CASES[case]())
         assert m.shape[0] > m.shape[1]
-        sub = spatial_subspace(m)
+        sub = subspace_of_centered(m)
         ref = full_lift_subspace(m)
         assert sub.k == ref.k
         assert sub.retained_variance == ref.retained_variance
@@ -152,7 +150,7 @@ class TestSpatialSubspace:
         assert_matches_svd_route(m)
 
     def test_basis_orthonormal_tall(self):
-        sub = spatial_subspace(centered_noise(80, 20, seed=1))
+        sub = subspace_of_centered(centered_noise(80, 20, seed=1))
         assert np.allclose(sub.basis.T @ sub.basis, np.eye(sub.k), atol=1e-10)
 
     def test_zero_matrix(self):
@@ -234,39 +232,35 @@ class TestLowRankInputs:
 class TestCca:
     def test_identical_subspaces(self):
         sub = subspace_of_matrix(np.random.default_rng(0).standard_normal((20, 200)))
-        res = cca(sub, sub)
+        res = cca(sub.projected, sub.projected)
         assert np.all(res.correlations >= 1.0 - 1e-8)
         assert res.correlations.size == sub.k
 
     def test_invertible_map_invariance(self):
         left = subspace_of_matrix(np.random.default_rng(1).standard_normal((15, 120)))
         right = subspace_of_matrix(np.random.default_rng(2).standard_normal((15, 120)))
-        base = cca(left, right).correlations
+        base = cca(left.projected, right.projected).correlations
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             q = rng.standard_normal((right.k, right.k))
             q += right.k * np.eye(right.k)  # keep it comfortably invertible
-            mixed = replace_projected(right, q @ right.projected)
-            got = cca(left, mixed).correlations
+            got = cca(left.projected, q @ right.projected).correlations
             assert np.max(np.abs(got - base)) <= 1e-8
 
     def test_shared_column_permutation_invariance(self):
         left = subspace_of_matrix(np.random.default_rng(30).standard_normal((6, 90)))
         right = subspace_of_matrix(np.random.default_rng(31).standard_normal((5, 90)))
-        base = cca(left, right).correlations
+        base = cca(left.projected, right.projected).correlations
         perm = np.random.default_rng(32).permutation(90)
-        got = cca(
-            replace_projected(left, left.projected[:, perm]),
-            replace_projected(right, right.projected[:, perm]),
-        ).correlations
+        got = cca(left.projected[:, perm], right.projected[:, perm]).correlations
         assert np.max(np.abs(got - base)) <= 1e-8
 
     def test_positive_scaling_invariance(self):
         left = subspace_of_matrix(np.random.default_rng(33).standard_normal((6, 90)))
         right = subspace_of_matrix(np.random.default_rng(34).standard_normal((6, 90)))
-        base = cca(left, right).correlations
+        base = cca(left.projected, right.projected).correlations
         for alpha in (1e-4, 7.3, 2.0**20):
-            got = cca(left, replace_projected(right, alpha * right.projected)).correlations
+            got = cca(left.projected, alpha * right.projected).correlations
             assert np.max(np.abs(got - base)) <= 1e-8
 
     def test_chance_level_small_k(self):
@@ -278,13 +272,13 @@ class TestCca:
                 np.random.default_rng(2 * seed).standard_normal((5, 2000)))
             right = subspace_of_matrix(
                 np.random.default_rng(2 * seed + 1).standard_normal((5, 2000)))
-            means.append(cca(left, right).correlations.mean())
+            means.append(cca(left.projected, right.projected).correlations.mean())
         assert np.mean(means) <= 0.1
 
     def test_correlations_sorted_in_range(self):
         left = subspace_of_matrix(np.random.default_rng(3).standard_normal((8, 100)))
         right = subspace_of_matrix(np.random.default_rng(4).standard_normal((6, 100)))
-        res = cca(left, right)
+        res = cca(left.projected, right.projected)
         assert res.correlations.size == min(left.k, right.k)
         assert np.all(res.correlations >= 0.0)
         assert np.all(res.correlations <= 1.0)
@@ -293,7 +287,7 @@ class TestCca:
     def test_variates_unit_variance(self):
         left = subspace_of_matrix(np.random.default_rng(5).standard_normal((7, 90)))
         right = subspace_of_matrix(np.random.default_rng(6).standard_normal((7, 90)))
-        res = cca(left, right)
+        res = cca(left.projected, right.projected)
         n = left.projected.shape[1]
         p, q = variates(res, left, right)
         var_p = np.sum(p**2, axis=1) / (n - 1)
@@ -304,7 +298,7 @@ class TestCca:
     def test_variate_correlation_equals_rho(self):
         left = subspace_of_matrix(np.random.default_rng(7).standard_normal((6, 80)))
         right = subspace_of_matrix(np.random.default_rng(8).standard_normal((5, 80)))
-        res = cca(left, right)
+        res = cca(left.projected, right.projected)
         p, q = variates(res, left, right)
         for i in range(res.correlations.size):
             c = np.corrcoef(p[i], q[i])[0, 1]
@@ -313,7 +307,7 @@ class TestCca:
     def test_cross_variates_uncorrelated(self):
         left = subspace_of_matrix(np.random.default_rng(9).standard_normal((6, 150)))
         right = subspace_of_matrix(np.random.default_rng(10).standard_normal((6, 150)))
-        res = cca(left, right)
+        res = cca(left.projected, right.projected)
         p, q = variates(res, left, right)
         n = p.shape[1]
         cross = p @ q.T / (n - 1)
@@ -324,15 +318,13 @@ class TestCca:
 class TestCcaOracle:
     def test_identical(self):
         sub = subspace_of_matrix(np.random.default_rng(20).standard_normal((4, 100)))
-        rho = cca_oracle(sub, sub)
+        rho = cca_oracle(sub.projected, sub.projected)
         assert np.allclose(rho, 1.0, atol=1e-8)
 
     def test_anticorrelated_pair(self):
         # correlation magnitude: a 1-D pair with q = -p still gives rho = 1
         p = center_rows(np.random.default_rng(21).standard_normal((1, 60)))
-        left = replace_projected(subspace_of_matrix(p), p)
-        right = replace_projected(left, -p)
-        rho = cca_oracle(left, right)
+        rho = cca_oracle(p, -p)
         assert rho.shape == (1,)
         assert rho[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -342,8 +334,8 @@ class TestCcaOracle:
             np.random.default_rng(3 * seed).standard_normal((3, 50)))
         right = subspace_of_matrix(
             np.random.default_rng(3 * seed + 1).standard_normal((3, 50)))
-        assert np.max(np.abs(cca(left, right).correlations
-                             - cca_oracle(left, right))) <= 1e-8
+        assert np.max(np.abs(cca(left.projected, right.projected).correlations
+                             - cca_oracle(left.projected, right.projected))) <= 1e-8
 
     def test_matches_cca_rectangular(self):
         # k_a < k_a' and k_a > k_a': the thin SVD sets the direction shapes
@@ -351,12 +343,13 @@ class TestCcaOracle:
         for k_left, k_right in [(3, 4), (4, 3)]:
             left = subspace_of_matrix(np.random.default_rng(60).standard_normal((k_left, n)))
             right = subspace_of_matrix(np.random.default_rng(61).standard_normal((k_right, n)))
-            res = cca(left, right)
+            res = cca(left.projected, right.projected)
             r = min(k_left, k_right)
             assert res.correlations.shape == (r,)
             assert res.proj_left.shape == (k_left, r)
             assert res.proj_right.shape == (k_right, r)
-            assert np.max(np.abs(res.correlations - cca_oracle(left, right))) <= 1e-8
+            rho = cca_oracle(left.projected, right.projected)
+            assert np.max(np.abs(res.correlations - rho)) <= 1e-8
             p, q = variates(res, left, right)
             assert np.allclose(np.sum(p**2, axis=1) / (n - 1), 1.0, atol=1e-9)
             assert np.allclose(np.sum(q**2, axis=1) / (n - 1), 1.0, atol=1e-9)
@@ -366,9 +359,8 @@ class TestCcaOracle:
     def test_singular_covariance(self):
         p = center_rows(np.random.default_rng(22).standard_normal((3, 40)))
         p[2] = p[1]  # exactly dependent rows -> singular covariance
-        left = replace_projected(subspace_of_matrix(p[:2]), p)
         with pytest.raises(OracleError):
-            cca_oracle(left, left)
+            cca_oracle(p, p)
 
 
 class TestRowCosines:
@@ -399,19 +391,12 @@ class TestRowCosines:
 
 
 class TestCcaGuards:
-    @staticmethod
-    def side(projected):
-        projected = np.asarray(projected, dtype=np.float64)
-        k = projected.shape[0]
-        return TruncatedSubspace(basis=np.eye(k), projected=projected,
-                                 retained_variance=1.0, k=k)
-
     def test_zero_variance_variate_raises(self):
         # the zero row whitens to an exactly zero direction
-        left = self.side([[1.0, 2.0, 3.0, 5.0], [0.0, 0.0, 0.0, 0.0]])
-        right = self.side(np.random.default_rng(0).standard_normal((2, 4)))
+        x = np.array([[1.0, 2.0, 3.0, 5.0], [0.0, 0.0, 0.0, 0.0]])
+        y = np.random.default_rng(0).standard_normal((2, 4))
         with pytest.raises(NumericalError, match="^zero-norm vector in cosine computation$"):
-            cca(left, right)
+            cca(x, y)
 
     def test_overflowing_covariance_raises(self):
         rng = np.random.default_rng(0)
@@ -419,4 +404,4 @@ class TestCcaGuards:
         x[0] *= 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="^covariance is not positive definite"):
-                cca(self.side(x), self.side(rng.standard_normal((2, 4))))
+                cca(x, rng.standard_normal((2, 4)))

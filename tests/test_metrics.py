@@ -13,7 +13,7 @@ from seis.errors import (
     ValidationError,
 )
 from seis.harness import HarnessConfig, make_alternate
-from seis.linalg import CcaResult, TruncatedSubspace, cca
+from seis.linalg import CcaResult, cca
 from seis.metrics import Side, equivariance_score, invariance_score, seis
 from seis.tensor_io import matricize
 from seis.transforms import (
@@ -26,7 +26,6 @@ from helpers import (
     non_real_tensor,
     permute_spatial,
     smooth_tensor,
-    subspace_of_tensor,
 )
 
 DIMS = (6, 8, 12, 12)  # d=144, n=48
@@ -149,7 +148,7 @@ class TestScoreFunctions:
     def test_equiv_equals_mean_rho(self):
         a = smooth_tensor(DIMS, seed=20)
         b = apply_affine(a, AffineParams(angle_deg=45.0))
-        res = cca(subspace_of_tensor(a), subspace_of_tensor(b))
+        res = cca(Side.of(a).projected, Side.of(b).projected)
         assert abs(equivariance_score(res) - res.correlations.mean()) <= 1e-10
 
     def test_orthogonal_variates_score_zero(self):
@@ -157,17 +156,12 @@ class TestScoreFunctions:
         t = np.linspace(0, 2 * np.pi, n, endpoint=False)
         p = np.vstack([np.cos(t)])
         q = np.vstack([np.sin(t)])  # orthogonal to p, both centered
-
-        def side(projected):
-            return TruncatedSubspace(basis=np.eye(1), projected=projected,
-                                     retained_variance=1.0, k=1)
-
-        assert equivariance_score(cca(side(p), side(q))) <= 1e-10
+        assert equivariance_score(cca(p, q)) <= 1e-10
 
     def test_invariance_identity_bases(self):
         a = smooth_tensor(DIMS, seed=21)
-        left = subspace_of_tensor(a)
-        res = cca(left, left)
+        left = Side.of(a)
+        res = cca(left.projected, left.projected)
         assert invariance_score(res, left.basis, left.basis) >= 0.99
 
     def test_invariance_zero_lifted_vector(self):

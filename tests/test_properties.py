@@ -26,11 +26,11 @@ from hypothesis import strategies as st
 
 from seis.cli import main
 from seis.errors import ValidationError
-from seis.linalg import CcaResult, center_rows, spatial_subspace
+from seis.linalg import CcaResult, center_rows
 from seis.tensor_io import matricize, write_tensor
 from seis.metrics import equivariance_score, invariance_score, seis
 
-from helpers import permute_spatial
+from helpers import permute_spatial, subspace_of_centered
 
 # s_equiv is the mean canonical correlation, well conditioned even when
 # the correlations cluster, so it moves only by rounding.
@@ -139,8 +139,8 @@ def test_subspaces_ignore_shared_observation_permutation(pair, perm_seed):
     b, c, h, w = pair[0].shape
     perm = np.random.default_rng(perm_seed).permutation(b * c)
     for z in pair:
-        base = spatial_subspace(center_rows(matricize(z)))
-        moved = spatial_subspace(center_rows(matricize(z)[:, perm]))
+        base = subspace_of_centered(center_rows(matricize(z)))
+        moved = subspace_of_centered(center_rows(matricize(z)[:, perm]))
         assert moved.k == base.k
         signs = np.where(np.sum(base.basis * moved.basis, axis=0) < 0.0, -1.0, 1.0)
         assert np.max(np.abs(moved.basis * signs - base.basis)) <= BASIS_TOL
