@@ -33,7 +33,7 @@ from .harness import (
 )
 from .metrics import Side, seis
 from .tensor_io import (
-    RESULT_FORMATS, ResultRow, _check_text, _read_json, load_manifest, matricize, read_tensor,
+    RESULT_FORMATS, ResultRow, _check_text, _read_json, load_manifest, read_tensor,
     write_results, write_tensor,
 )
 from .transforms import ConditionKind, make_stream
@@ -202,10 +202,9 @@ def cmd_gen(args) -> int:
             rng = make_stream(warp_seed, 0, ROLE_ALTERNATE)
         except ValidationError as exc:
             raise ValidationError(f"--warp-seed: {exc}") from exc
-        alt = make_alternate(cfg, matricize(ref), kind, rng)
         out = Path(args.out)
-        # the (b, c, h, w) tensor view of the (h*w, b*c) spatial matrix
-        tensors.append((out.with_name(out.stem + "_alt" + out.suffix), alt.T.reshape(cfg.dims)))
+        tensors.append((out.with_name(out.stem + "_alt" + out.suffix),
+                        make_alternate(cfg, ref, kind, rng)))
     for path, t in tensors:
         write_tensor(t, path)
         logger.info("wrote %s with dims %s", path, cfg.dims)

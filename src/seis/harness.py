@@ -15,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DtypeError, SeisError, ShapeError, ValidationError
+from .errors import SeisError, ShapeError, ValidationError
 from .metrics import Side, seis
-from .tensor_io import _REAL_KINDS, ResultRow, matricize
+from .tensor_io import ResultRow, matricize, validate_tensor
 from .transforms import (
     CONDITION_ORDER,
     ConditionKind,
     _integer,
     _master_seed,
-    affine_operator,
+    apply_affine,
     make_stream,
     sample_params,
 )
@@ -124,37 +124,29 @@ def gen_synthetic_activations(cfg: HarnessConfig, rng: np.random.Generator) -> n
     return x
 
 
-def make_alternate(cfg: HarnessConfig, ref: np.ndarray, kind, rng) -> np.ndarray:
-    """Build the comparison matrix for one condition.
+def make_alternate(cfg: HarnessConfig, ref, kind, rng) -> np.ndarray:
+    """Build the comparison tensor for one condition.
 
-    ref is the reference's (h*w, b*c) spatial matrix (see matricize), and
-    the result is a new matrix of the same layout. identity copies the
-    reference bit-exactly; the geometric conditions warp it by the
-    affine_operator of freshly sampled parameters, one sparse product for
-    all slices; the random baseline draws an independent field from the
-    same smooth ensemble. Matching the null's spectrum to the reference
-    keeps both truncated subspaces at comparable rank, so chance-level
-    scores sit at the sqrt(k/n) floor instead of being inflated by the
-    near-full-rank spectrum a raw white-noise alternate would retain.
-    Raises ShapeError when ref is not (h*w, b*c) for cfg.dims and
-    DtypeError when its dtype has no real values, whatever the condition.
+    ref is the (b, c, h, w) reference tensor of cfg.dims, and the result is
+    a new tensor of the same dims. identity copies the reference
+    bit-exactly; the geometric conditions warp it by apply_affine with
+    freshly sampled parameters; the random baseline draws an independent
+    field from the same smooth ensemble. Matching the null's spectrum to the
+    reference keeps both truncated subspaces at comparable rank, so
+    chance-level scores sit at the sqrt(k/n) floor instead of being inflated
+    by the near-full-rank spectrum a raw white-noise alternate would retain.
+    Whatever the condition, validate_tensor checks ref and a ShapeError
+    reports dims other than cfg.dims.
     """
     kind = ConditionKind(kind)
-    ref = np.asarray(ref)
-    b, c, h, w = cfg.dims
-    if ref.shape != (h * w, b * c):
-        raise ShapeError(
-            f"reference matrix must be {(h * w, b * c)} for dims {cfg.dims}, got {ref.shape}"
-        )
-    if ref.dtype.kind not in _REAL_KINDS:
-        raise DtypeError(
-            f"unsupported reference matrix dtype {ref.dtype}, need bool, integer or float values"
-        )
+    ref = validate_tensor(ref)
+    if ref.shape != cfg.dims:
+        raise ShapeError(f"reference tensor must have dims {cfg.dims}, got {ref.shape}")
     if kind is ConditionKind.IDENTITY:
         return ref.copy()
     if kind is ConditionKind.RANDOM_BASELINE:
-        return matricize(gen_synthetic_activations(cfg, rng))
-    return affine_operator(h, w, sample_params(kind, rng)) @ ref
+        return gen_synthetic_activations(cfg, rng)
+    return apply_affine(ref, sample_params(kind, rng))
 
 
 def run_validation_suite(cfg: HarnessConfig):
@@ -163,12 +155,11 @@ def run_validation_suite(cfg: HarnessConfig):
     Trial t draws its reference from stream (seed, t, 0) and each
     condition's alternate material from a fresh stream (seed, t, 1), so
     trials are independent and a row does not depend on which other
-    conditions run. Each trial's reference is matricized and its Side built
-    once; every alternate is made from that matrix, and seis() scores each
-    against that Side, identity the Side against itself. Conditions
-    report in the canonical order identity, translation, scaling,
-    rotation, affine, random_baseline regardless of the order they appear
-    in the config.
+    conditions run. Each trial's reference Side is built once; make_alternate
+    makes every alternate from the reference tensor, and seis() scores each
+    against that Side, identity the Side against itself. Conditions report
+    in the canonical order identity, translation, scaling, rotation, affine,
+    random_baseline regardless of the order they appear in the config.
     """
     kinds = [kind for kind in CONDITION_ORDER if kind in cfg.conditions]
     n_obs = cfg.dims[0] * cfg.dims[1]
@@ -177,18 +168,19 @@ def run_validation_suite(cfg: HarnessConfig):
     for trial in range(cfg.trials):
         where = f"trial {trial}"
         try:
+            # a view of the spatial matrix, so each matricize of it copies without transposing
             ref = matricize(gen_synthetic_activations(
                 cfg, make_stream(cfg.master_seed, trial, ROLE_REFERENCE)
-            ))
-            ref_side = Side.of(ref.T.reshape(cfg.dims), "reference")
+            )).T.reshape(cfg.dims)
+            ref_side = Side.of(ref, "reference")
             for kind in kinds:
                 where = f"condition {kind.value}, trial {trial}"
                 alt_side = ref_side
                 if kind is not ConditionKind.IDENTITY:
-                    # the alternate's view stays a temporary, freed once Side.of copies it
+                    # the alternate stays a temporary, freed once Side.of copies it
                     alt_side = Side.of(make_alternate(
                         cfg, ref, kind, make_stream(cfg.master_seed, trial, ROLE_ALTERNATE)
-                    ).T.reshape(cfg.dims), "alternate")
+                    ), "alternate")
                 scores = seis(ref_side, alt_side)
                 k_max = max(scores.k_a, scores.k_a_prime)
                 if kind not in warned and n_obs < CHANCE_HEADROOM * k_max:

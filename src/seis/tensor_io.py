@@ -10,11 +10,11 @@ row means and Gram diagonal, and by write_tensor.
 """
 
 import csv
-import errno
 import json
 import logging
 import os
 import re
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -84,18 +84,21 @@ def read_tensor(path) -> np.ndarray:
 
     Returns a copy-on-write map of the regular file, checked by validate_tensor:
     writes stay in memory, and the file must not be truncated while the array
-    is in use. A file numpy cannot map (a pipe, a malformed header) is a
-    FormatError; a missing file or a directory keeps its OSError. Errors name the
-    path, and so does the log line of each numpy warning, such as on a Python 2 header.
+    is in use. A path that is neither a regular file nor a directory (a FIFO,
+    a pipe, a device) is a FormatError before anything opens it, and so is a
+    file numpy cannot map (a malformed header); a missing file or a directory
+    keeps its OSError. Errors name the path, and so does the log line of each
+    numpy warning, such as on a Python 2 header.
     """
     try:
+        # opening a FIFO would block until a writer came
+        if stat.S_IFMT(os.stat(os.fspath(path)).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+            raise ValueError("not a regular file")
         with warnings.catch_warnings(record=True, action="always") as caught:
             arr = np.lib.format.open_memmap(path, mode="c")
-    except (ValueError, SyntaxError, TokenError, OverflowError, TypeError, OSError) as exc:
+    except (ValueError, SyntaxError, TokenError, OverflowError, TypeError) as exc:
         # besides ValueError, numpy raises TokenError or IndentationError for an
         # unclosed header dict, OverflowError for a negative dim, TypeError for a bool one
-        if isinstance(exc, OSError) and exc.errno != errno.ESPIPE:  # a pipe cannot seek
-            raise
         raise FormatError(f"{path}: not a readable NPY file ({exc})") from exc
     for w in caught:
         logging.getLogger(__name__).warning("%s: %s", path, w.message)

@@ -13,9 +13,10 @@ import pytest
 from seis import cli, metrics
 from seis.cli import _score_paths, main
 from seis.errors import DegenerateRankError, ValidationError
+from seis.harness import ROLE_ALTERNATE, HarnessConfig, make_alternate
 from seis.metrics import seis
 from seis.tensor_io import ResultRow, matricize, read_tensor, write_results, write_tensor
-from seis.transforms import AffineParams, apply_affine
+from seis.transforms import CONDITION_ORDER, AffineParams, apply_affine, make_stream
 
 from helpers import (
     MALFORMED_NPY_HEADERS, npy_bytes, permute_spatial, smooth_tensor, write_malformed_npy,
@@ -368,6 +369,15 @@ class TestGen:
         assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
         assert (tmp_path / "a_alt.npy").read_bytes() == (tmp_path / "b_alt.npy").read_bytes()
 
+    @pytest.mark.parametrize("kind", CONDITION_ORDER, ids=lambda kind: kind.value)
+    def test_warp_companion_is_make_alternate_bytes(self, tmp_path, kind):
+        out = tmp_path / "t.npy"
+        assert run_cli("gen", "--dims", "4,4,8,8", "--seed", "5", "--out", str(out),
+                       "--warp", kind.value, "--warp-seed", "6") == 0
+        cfg = HarnessConfig(dims=(4, 4, 8, 8), master_seed=5)
+        want = make_alternate(cfg, read_tensor(out), kind, make_stream(6, 0, ROLE_ALTERNATE))
+        assert read_tensor(tmp_path / "t_alt.npy").tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("warp", ["identity,rotation", "sideways"])
     def test_unknown_warp_writes_nothing(self, tmp_path, capsys, warp):
         out = tmp_path / "t.npy"
@@ -511,6 +521,26 @@ class TestLayers:
         )
         assert child.returncode == 2, child.stderr
         assert child.stderr.startswith(f"WARNING seis.cli: skipping entry 'layer1': {tmp_path}")
+
+    def test_fifo_entry_skipped(self, tmp_path):
+        # opening a FIFO blocks until a writer comes, so the CLI runs as a
+        # child under a timeout: a hang fails the test, not the run
+        entries = self.make_pair_files(tmp_path, n=2)
+        fifo = tmp_path / "fifo.npy"
+        os.mkfifo(fifo)
+        entries[0]["alt"] = str(fifo)
+        man = self.write_manifest(tmp_path, entries)
+        out = tmp_path / "rows.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(metrics.__file__).parents[1])}
+        env.pop("SEIS_LOG", None)
+        child = subprocess.run(
+            [sys.executable, "-m", "seis.cli", "layers", "--manifest", str(man), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 2, child.stderr
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["layer1"]
+        assert child.stderr == (f"WARNING seis.cli: skipping entry 'layer0': "
+                                f"{fifo}: not a readable NPY file (not a regular file)\n")
 
     def test_total_failure_exit_1(self, tmp_path):
         entries = [

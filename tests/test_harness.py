@@ -20,9 +20,10 @@ from seis.transforms import (
     ConditionKind,
     apply_affine,
     make_stream,
+    sample_params,
 )
 
-from helpers import run_condition
+from helpers import GEOMETRIC_CONDITIONS, bilinear_gather_oracle, run_condition
 
 SMALL = HarnessConfig(dims=(4, 8, 10, 10), trials=3, master_seed=11)
 
@@ -166,7 +167,7 @@ class TestSyntheticFields:
 
 class TestMakeAlternate:
     def setup_method(self):
-        self.ref = matricize(gen_synthetic_activations(SMALL, make_stream(5, 0, 0)))
+        self.ref = gen_synthetic_activations(SMALL, make_stream(5, 0, 0))
 
     def test_identity_copies(self):
         alt = make_alternate(SMALL, self.ref, ConditionKind.IDENTITY, make_stream(5, 0, 1))
@@ -182,8 +183,9 @@ class TestMakeAlternate:
         alt = make_alternate(
             SMALL, self.ref, ConditionKind.RANDOM_BASELINE, make_stream(5, 0, 1)
         )
-        # same smooth ensemble: standardized slices (the matrix's columns)
-        assert np.max(np.abs(alt.mean(axis=0))) <= 1e-12
+        # same smooth ensemble: standardized slices
+        assert alt.shape == SMALL.dims
+        assert np.max(np.abs(alt.mean(axis=(2, 3)))) <= 1e-12
         flat_corr = np.corrcoef(alt.ravel(), self.ref.ravel())[0, 1]
         assert abs(flat_corr) < 0.1
 
@@ -193,11 +195,14 @@ class TestMakeAlternate:
 
     @pytest.mark.parametrize("kind", CONDITION_ORDER)
     @pytest.mark.parametrize("ref, error, message", [
-        (np.zeros((10, 4)), ShapeError, r"\(64, 4\) for dims \(2, 2, 8, 8\), got \(10, 4\)"),
-        (np.zeros(64), ShapeError, r"\(64, 4\) for dims \(2, 2, 8, 8\), got \(64,\)"),
-        (np.zeros((64, 5)), ShapeError, r"\(64, 4\) for dims \(2, 2, 8, 8\), got \(64, 5\)"),
-        (np.zeros((64, 4), dtype=complex), DtypeError, "reference matrix dtype complex128"),
-    ], ids=["rows", "1-D", "columns", "complex"])
+        (np.zeros((2, 2, 9, 8)), ShapeError,
+         r"^reference tensor must have dims \(2, 2, 8, 8\), got \(2, 2, 9, 8\)$"),
+        (np.zeros(64), ShapeError, "expected a 4-D .* got ndim=1"),
+        (np.zeros((2, 2, 8, 9)), ShapeError,
+         r"^reference tensor must have dims \(2, 2, 8, 8\), got \(2, 2, 8, 9\)$"),
+        (np.zeros((2, 2, 8, 8), dtype=complex), DtypeError, "unsupported dtype complex128"),
+        (np.zeros((64, 4)), ShapeError, "expected a 4-D .* got ndim=2"),
+    ], ids=["rows", "1-D", "columns", "complex", "spatial-matrix"])
     def test_malformed_reference_rejected(self, kind, ref, error, message):
         cfg = HarnessConfig(dims=(2, 2, 8, 8))
         with pytest.raises(error, match=message):
@@ -220,15 +225,20 @@ class TestMakeAlternate:
         AffineParams(),
     ])
     def test_warp_matches_tensor_warp_bytes(self, monkeypatch, params):
-        # the matrix-path warp against the tensor warp, matricized: the same
-        # operator rows summed in the same order, so the bytes must agree
-        tensor = gen_synthetic_activations(SMALL, make_stream(5, 0, 0))
+        # the suite hands make_alternate its reference as a tensor view of the
+        # spatial matrix; the warp must give the gather oracle's bytes on the
+        # plain tensor all the same
+        ref = matricize(self.ref).T.reshape(SMALL.dims)
         monkeypatch.setattr(harness, "sample_params", lambda kind, rng: params)
-        alt = make_alternate(
-            SMALL, matricize(tensor), ConditionKind.AFFINE, make_stream(5, 0, 1)
-        )
-        expected = matricize(apply_affine(tensor, params))
-        assert alt.flags.c_contiguous
+        alt = make_alternate(SMALL, ref, ConditionKind.AFFINE, make_stream(5, 0, 1))
+        assert alt.tobytes() == bilinear_gather_oracle(self.ref, params).tobytes()
+
+    @pytest.mark.parametrize("kind", GEOMETRIC_CONDITIONS)
+    def test_geometric_kind_is_apply_affine_bytes(self, kind):
+        # the one warp path: apply_affine by the parameters the stream yields
+        alt = make_alternate(SMALL, self.ref, kind, make_stream(5, 0, 1))
+        expected = apply_affine(self.ref, sample_params(kind, make_stream(5, 0, 1)))
+        assert alt.shape == SMALL.dims
         assert alt.tobytes() == expected.tobytes()
 
 
@@ -328,7 +338,7 @@ class TestRunSuite:
         assert len(calls) == 6 * cfg.trials
 
     def test_each_alternate_released_before_its_gram(self, monkeypatch):
-        # an alternate reaches Side.of only as a temporary view, which it drops
+        # an alternate reaches Side.of only as a temporary, which it drops
         # once matricized, so no alternate is alive while a Gram is formed
         alternates = []
         make, build = harness.make_alternate, metrics.spatial_subspace

@@ -366,7 +366,7 @@ class TestSide:
     def test_one_side_against_five_alternates_matches_five_calls(self, monkeypatch):
         cfg = HarnessConfig(dims=DIMS, trials=1)
         z = smooth_tensor(DIMS, seed=51)
-        alts = [make_alternate(cfg, matricize(z), kind, make_stream(51, 0, 1)).T.reshape(DIMS)
+        alts = [make_alternate(cfg, z, kind, make_stream(51, 0, 1))
                 for kind in CONDITION_ORDER if kind is not ConditionKind.IDENTITY]
         want = [score_bits(seis(z, alt)) for alt in alts]
         calls = count_subspaces(monkeypatch)

@@ -1,11 +1,15 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seis import tensor_io
 from seis.errors import (
     DtypeError,
     FormatError,
@@ -131,6 +135,20 @@ class TestReadWriteTensor:
         finally:
             os.close(r)
             os.close(w)
+
+    def test_fifo_is_format_error_naming_path(self, tmp_path):
+        # opening a FIFO blocks until a writer comes, so a child process
+        # reads it under a timeout: a hang fails the test, not the run
+        path = tmp_path / "fifo.npy"
+        os.mkfifo(path)
+        code = ("import sys\nfrom seis.errors import FormatError\n"
+                "from seis.tensor_io import read_tensor\n"
+                "try:\n    read_tensor(sys.argv[1])\nexcept FormatError as exc:\n    print(exc)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(tensor_io.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", code, str(path)],
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == f"{path}: not a readable NPY file (not a regular file)\n"
 
     def test_missing_file_and_directory_keep_os_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="No such file"):
