@@ -15,6 +15,7 @@ the whitening path beyond covariance formation.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateRankError, DegenerateSampleError, NumericalError, ValidationError
 
@@ -83,6 +84,16 @@ def _truncation_rank(s):
     return k, float(frac[k - 1])
 
 
+def _eigh(a, failure):
+    """np.linalg.eigh(a) through its own LAPACK gufunc, the eigenvectors written over a (C-order
+    float64); a solve that does not converge raises NumericalError(failure) and warns nothing."""
+    with np.errstate(all="ignore"):
+        w, v = _umath_linalg.eigh_lo(a, out=(np.empty(a.shape[0]), a), signature="d->dd")
+    if not np.isfinite(w).all():
+        raise NumericalError(failure)
+    return w, v
+
+
 def center_rows(a: np.ndarray) -> np.ndarray:
     """Subtract each row's mean over the observations, in place.
 
@@ -115,7 +126,8 @@ def spatial_subspace(centered) -> tuple:
     against overflow: a square that overflows at centered[i, j] reaches
     G[i, i] (wide) or G[j, j] (tall), and while the diagonal is finite no
     entry or partial sum can overflow (Cauchy-Schwarz: |ab| <= (a^2 + b^2) / 2).
-    A zero or too small matrix (Gram diagonal below GRAM_FLOOR) raises before the eigensolve.
+    A zero or too small matrix (Gram diagonal below GRAM_FLOOR) raises before the eigensolve,
+    whose eigenvectors overwrite the Gram.
 
     A tall (d > n) matrix is eigendecomposed through its (n, n) Gram, and
     only the k retained eigenvectors are lifted to the spatial basis,
@@ -129,7 +141,7 @@ def spatial_subspace(centered) -> tuple:
     if gram.diagonal().max() < GRAM_FLOOR:
         raise DegenerateRankError("all singular values are zero" if not centered.any() else
                                   f"values too small to score: Gram diagonal below {GRAM_FLOOR}")
-    lam, vecs = np.linalg.eigh(gram)
+    lam, vecs = _eigh(gram, "Gram eigensolve did not converge")
     s = np.sqrt(np.clip(lam[::-1], 0.0, None))
     vecs = vecs[:, ::-1]
     k, retained = _truncation_rank(s)
@@ -150,11 +162,10 @@ def _whitener(x):
     k, n = x.shape
     c = x @ x.T / (n - 1)
     c[np.diag_indices(k)] += COVARIANCE_RIDGE * np.trace(c) / k
-    w, v = np.linalg.eigh(c)
-    if w[0] <= 0.0 or not np.all(np.isfinite(w)):
-        raise NumericalError(
-            "covariance is not positive definite even after regularization"
-        )
+    failure = "covariance is not positive definite even after regularization"
+    w, v = _eigh(c, failure)
+    if w[0] <= 0.0:
+        raise NumericalError(failure)
     return (v / np.sqrt(w)) @ v.T
 
 

@@ -12,16 +12,19 @@ random_conv_stack is a small seeded CNN whose layers give a depth profile
 without trained weights. run_condition and GEOMETRIC_CONDITIONS are
 shorthands for running the harness one condition at a time, and
 permute_spatial is the lossless spatial warp the exactness tests use.
+fail_eigensolves makes seis.linalg's eigensolves fail as unconverged ones do.
 """
 
 import math
 import struct
+import types
 from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage, sparse
 
+from seis import linalg
 from seis.errors import SeisError, ShapeError, ValidationError
 from seis.harness import HarnessConfig, run_validation_suite
 from seis.linalg import _truncation_rank, cca, center_rows, row_cosines, spatial_subspace
@@ -35,6 +38,19 @@ GEOMETRIC_CONDITIONS = (
     ConditionKind.ROTATION,
     ConditionKind.AFFINE,
 )
+
+
+def fail_eigensolves(monkeypatch):
+    """Make seis.linalg's symmetric eigensolves end as a LAPACK solve that does not
+    converge ends in numpy's gufunc: NaN in both outputs and the invalid-value flag
+    raised, which warns unless the caller's errstate ignores it."""
+    def eigh_lo(a, out, signature):
+        w, v = out
+        np.sqrt(np.full_like(w, -1.0), out=w)
+        v[...] = np.nan
+        return out
+
+    monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(eigh_lo=eigh_lo))
 
 
 def run_condition(cfg: HarnessConfig, kind) -> list:

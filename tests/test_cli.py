@@ -19,8 +19,8 @@ from seis.tensor_io import ResultRow, matricize, read_tensor, write_results, wri
 from seis.transforms import CONDITION_ORDER, AffineParams, apply_affine, make_stream
 
 from helpers import (
-    MALFORMED_NPY_HEADERS, npy_bytes, permute_spatial, smooth_tensor, write_malformed_npy,
-    write_npy_independent,
+    MALFORMED_NPY_HEADERS, fail_eigensolves, npy_bytes, permute_spatial, smooth_tensor,
+    write_malformed_npy, write_npy_independent,
 )
 
 
@@ -109,6 +109,12 @@ class TestScore:
         assert run_cli("score", str(path), str(path)) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: reference tensor: non-finite value at flat index 10\n"
+
+    def test_eigensolve_failure_exit_1_one_line(self, ref_file, capsys, monkeypatch):
+        fail_eigensolves(monkeypatch)
+        assert run_cli("score", str(ref_file), str(ref_file)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ref_file}: reference tensor: Gram eigensolve did not converge\n"
 
     def test_missing_file_exit_1(self, ref_file, capsys):
         assert run_cli("score", str(ref_file), "no_such.npy") == 1

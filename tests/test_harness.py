@@ -5,6 +5,7 @@ import pytest
 
 import seis.harness as harness
 import seis.metrics as metrics
+import seis.tensor_io as tensor_io
 from seis.errors import DegenerateRankError, DtypeError, ShapeError, ValidationError
 from seis.harness import (
     ConditionSummary,
@@ -207,6 +208,19 @@ class TestMakeAlternate:
         cfg = HarnessConfig(dims=(2, 2, 8, 8))
         with pytest.raises(error, match=message):
             make_alternate(cfg, ref, kind, make_stream(5, 0, 1))
+
+    @pytest.mark.parametrize("kind", CONDITION_ORDER)
+    def test_reference_structure_checked_once(self, monkeypatch, kind):
+        checks, check = [], tensor_io.validate_tensor
+
+        def validate_tensor(t):
+            checks.append(kind)
+            return check(t)
+
+        monkeypatch.setattr(tensor_io, "validate_tensor", validate_tensor)
+        monkeypatch.setattr(harness, "validate_tensor", validate_tensor)
+        make_alternate(SMALL, self.ref, kind, make_stream(5, 0, 1))
+        assert len(checks) == 1
 
     def test_deterministic(self):
         a = make_alternate(SMALL, self.ref, ConditionKind.AFFINE, make_stream(5, 0, 1))

@@ -1,18 +1,23 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+import seis.linalg as linalg
 from seis.errors import (
     DegenerateRankError,
     NumericalError,
     ValidationError,
 )
-from seis.linalg import _truncation_rank, cca, center_rows, row_cosines, spatial_subspace
-from seis.metrics import seis
+from seis.linalg import _eigh, _truncation_rank, cca, center_rows, row_cosines, spatial_subspace
+from seis.metrics import Side, seis
 from seis.tensor_io import matricize
 
 from helpers import (
     OracleError,
     cca_oracle,
+    fail_eigensolves,
     full_lift_subspace,
     smooth_tensor,
     subspace_of_centered,
@@ -159,10 +164,10 @@ class TestSpatialSubspace:
 
     def test_all_zero_side_skips_its_eigensolve(self, monkeypatch):
         # a zero Gram diagonal already proves every singular value zero
-        def eigh(a):
-            raise AssertionError("eigh called")
+        def eigh(a, failure):
+            raise AssertionError("eigensolve called")
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(linalg, "_eigh", eigh)
         for shape in ((5, 8), (8, 5)):
             with pytest.raises(DegenerateRankError, match="^all singular values are zero$"):
                 spatial_subspace(np.zeros(shape))
@@ -184,6 +189,44 @@ class TestSpatialSubspace:
             with pytest.raises(ValidationError, match="Gram matrix overflows$") as exc:
                 spatial_subspace(m)
             assert "flat index" not in str(exc.value)
+
+
+class TestInPlaceEigh:
+    @pytest.mark.parametrize("shape", [(60, 25), (25, 60)], ids=["tall", "wide"])
+    def test_bits_of_np_linalg_eigh_over_the_gram(self, shape):
+        m = centered_noise(*shape, seed=4)
+        gram = m.T @ m if shape[0] > shape[1] else m @ m.T
+        want_w, want_v = np.linalg.eigh(gram)
+        w, v = _eigh(gram, "unused")
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+        assert np.shares_memory(v, gram)
+
+    def test_tall_side_holds_one_gram(self):
+        # tracemalloc sees numpy's arrays but not LAPACK's own buffers (its copy
+        # of the Gram and the 2n^2 workspace of dsyevd), so the traced peak is the
+        # Gram, the eigenvalues and the lift of a rank-20 side; a separate
+        # eigenvector array would add another n^2
+        rng = np.random.default_rng(5)
+        m = center_rows(rng.standard_normal((1200, 20)) @ rng.standard_normal((20, 800)))
+        tracemalloc.start()
+        try:
+            basis, projected, _ = spatial_subspace(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = m.shape[1]
+        assert peak < 1.5 * n * n * 8 + basis.nbytes + projected.nbytes
+
+    def test_nonconvergence_raises_naming_the_role(self, monkeypatch):
+        fail_eigensolves(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match="^alternate tensor: Gram eigensolve did not converge$"):
+                Side.of(smooth_tensor((2, 4, 6, 6), seed=1), "alternate")
+            x = centered_noise(3, 10, seed=2)
+            with pytest.raises(NumericalError, match="^covariance is not positive definite"):
+                cca(x, x)
 
 
 def duplicated_channels(z):
