@@ -1,13 +1,14 @@
 """Row centering, principal-subspace truncation and a numerically stable CCA.
 
 Raw CCA on high-dimensional activations is notoriously fragile: sample
-covariances come out ill-conditioned and generalized eigensolvers fail to
-converge. The implementation here therefore keeps the classic stable
-recipe: center each side's rows (center_rows), truncate each to the
-subspace holding 99% of its squared singular spectrum, whiten both
-covariance blocks with symmetric inverse square roots (plus a tiny
-relative ridge), and read the canonical system off the SVD of the
-whitened cross covariance. The tests cross-check it
+covariances come out ill-conditioned and generalized eigensolvers fail
+to converge. The implementation here therefore keeps the classic stable
+recipe: center each side's rows (center_rows), scale each side by the
+exact power of two that brings its peak into [0.5, 1), so its magnitude
+moves no bit, truncate each to the subspace holding 99% of its squared
+singular spectrum, whiten both covariance blocks with symmetric inverse
+square roots (plus a tiny relative ridge), and read the canonical system
+off the SVD of the whitened cross covariance. The tests cross-check it
 against a brute-force generalized eigenproblem that shares nothing with
 the whitening path beyond covariance formation.
 """
@@ -24,11 +25,6 @@ VARIANCE_THRESHOLD = 0.99
 
 # Relative ridge added to each covariance diagonal before inversion.
 COVARIANCE_RIDGE = 1e-10
-
-# Floor on a nonzero side's largest Gram diagonal entry D: with m = min(d, n), the
-# 99% cut keeps s_k^2 > 0.01 * s_1^2 / m and s_1^2 >= D, so lifted canonical directions
-# have norms < 10 * sqrt((n - 1) * m / D), whose products stay under 1e308 for (n - 1) * m < 1e100.
-GRAM_FLOOR = 1e-200
 
 # Clamping correlations into [0, 1] may move a value at most this far;
 # anything larger is a real numerical failure and must not be hidden.
@@ -117,30 +113,32 @@ def spatial_subspace(centered) -> tuple:
     """(basis, projected, retained_variance) of a centered matrix's Side, via the Gram route.
 
     centered is a 2-D float64 matrix with rows centered by center_rows, as
-    seis() builds it; it is not checked here. Faster than a thin SVD on the
-    wide matrices the pipeline produces, but it resolves singular values
-    only down to about sqrt(eps) * sigma_max (~1e-8); the noise directions
-    below that carry ~1e-16 of sigma^2, and those under 1e-12 * sigma_max
-    under min(d, n) * 1e-24, too little to move the 99% cut, which needs no
-    rank floor. With values checked by center_rows, the Gram diagonal guards
-    against overflow: a square that overflows at centered[i, j] reaches
-    G[i, i] (wide) or G[j, j] (tall), and while the diagonal is finite no
-    entry or partial sum can overflow (Cauchy-Schwarz: |ab| <= (a^2 + b^2) / 2).
-    A zero or too small matrix (Gram diagonal below GRAM_FLOOR) raises before the eigensolve,
-    whose eigenvectors overwrite the Gram.
+    seis() builds it. Like center_rows, this works in place: it scales centered
+    by the power of two that puts its peak magnitude in [0.5, 1), which is
+    exact, so the Gram cannot overflow and a side whose values stay normal
+    scores with the same bits at any power of two. An overflowed centering or an
+    all-zero matrix raises before the eigensolve, whose eigenvectors overwrite
+    the Gram. Faster than a thin SVD on the wide matrices the pipeline produces,
+    but it resolves singular values only down to about sqrt(eps) * sigma_max
+    (~1e-8); the noise directions below that carry ~1e-16 of sigma^2, and those
+    under 1e-12 * sigma_max under min(d, n) * 1e-24, too little to move the 99%
+    cut, which needs no rank floor.
 
     A tall (d > n) matrix is eigendecomposed through its (n, n) Gram, and
     only the k retained eigenvectors are lifted to the spatial basis,
     centered @ v_i / s_i: a (d, n, k) product instead of (d, n, n).
     """
+    # max and min, since np.abs would allocate a second matrix
+    peak = max(centered.max(), -centered.min())
+    if not np.isfinite(peak):
+        raise ValidationError("matrix contains non-finite entries or its centering overflows")
+    if peak == 0.0:
+        raise DegenerateRankError("all singular values are zero")
+    # ldexp, since 2.0**-e overflows for a subnormal peak
+    np.ldexp(centered, -np.frexp(peak)[1], out=centered)
     d, n = centered.shape
     tall = d > n
     gram = centered.T @ centered if tall else centered @ centered.T
-    if not np.isfinite(gram.diagonal()).all():
-        raise ValidationError("matrix contains non-finite entries or its Gram matrix overflows")
-    if gram.diagonal().max() < GRAM_FLOOR:
-        raise DegenerateRankError("all singular values are zero" if not centered.any() else
-                                  f"values too small to score: Gram diagonal below {GRAM_FLOOR}")
     lam, vecs = _eigh(gram, "Gram eigensolve did not converge")
     s = np.sqrt(np.clip(lam[::-1], 0.0, None))
     vecs = vecs[:, ::-1]

@@ -70,8 +70,8 @@ class Side:
     """A tensor's (b, c, h, w) dims and the truncated principal subspace of its
     centered spatial matrix, built once by Side.of and scored by seis(). basis
     has orthonormal columns; projected = basis.T @ centered are the coordinates
-    of the data in that subspace (rows stay centered because the projection is
-    a linear map over the observation axis); k is the subspace size."""
+    in it of that matrix scaled by a power of two to a peak in [0.5, 1), whose
+    rows stay centered under this linear map; k is the subspace size."""
 
     dims: tuple
     basis: np.ndarray      # (d, k)
@@ -84,11 +84,12 @@ class Side:
 
     @classmethod
     def of(cls, z, role="reference") -> "Side":
-        """The Side of tensor z: matricize it (checking its structure, widening
-        to float64), center its rows (checking values at the row means) and keep
-        its 99%-variance subspace. Every SeisError names the role, "reference"
-        or "alternate", and a non-finite value its flat index in z. z is dropped
-        once matricized, so a temporary tensor is freed before the Gram."""
+        """The Side of tensor z: matricize it (checking its structure, widening to
+        float64), center its rows (checking values at the row means) and keep its
+        99%-variance subspace, which rejects an all-zero or overflowed centering.
+        Every SeisError names the role, "reference" or "alternate", and a
+        non-finite value its flat index in z. z is dropped once matricized, so a
+        temporary tensor is freed before the Gram."""
         # a value beyond float64's range widens to inf, which the row means report
         with np.errstate(over="ignore", invalid="ignore"):
             try:

@@ -6,7 +6,7 @@ it. Only 4-D float32/float64 arrays are accepted. read_tensor and
 validate_tensor check structure and keep a tensor's precision and order;
 matricize reshapes a tensor into its spatial matrix in the one copy that
 widens to float64. Values are checked where they are used: at each side's
-row means and Gram diagonal, and by write_tensor.
+row means and centered peak, and by write_tensor.
 """
 
 import csv

@@ -165,6 +165,13 @@ def random_conv_stack(x, seed, widths=(16, 32, 64, 64), c4=False) -> list:
     return outputs
 
 
+def assert_same_bits(got, want) -> None:
+    """Two SeisScores agree in every bit: both scores, both k and every correlation."""
+    assert (got.s_equiv, got.s_inv, got.k_a, got.k_a_prime) == (
+        want.s_equiv, want.s_inv, want.k_a, want.k_a_prime)
+    assert np.array_equal(got.correlations, want.correlations)
+
+
 def subspace_of_matrix(m) -> Side:
     """Side of a raw matrix after row centering; it has no tensor dims."""
     return subspace_of_centered(center_rows(np.array(m, dtype=np.float64)))

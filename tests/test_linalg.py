@@ -36,13 +36,17 @@ def variates(res, left, right):
 
 
 def assert_matches_svd_route(m):
-    """Check spatial_subspace(m) against a LAPACK thin SVD that drops values
-    under 1e-12 * sigma_max before the 99% budget; returns the reference k."""
+    """Check spatial_subspace on a copy of m against a LAPACK thin SVD that
+    drops values under 1e-12 * sigma_max before the 99% budget; returns the
+    reference k. projected is compared with m and s under the power-of-two
+    scale that spatial_subspace applies, which is exact."""
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     power = s[s >= 1e-12 * s[0]] ** 2
     frac = np.cumsum(power) / power.sum()
     k = int(np.searchsorted(frac, 0.99) + 1)
-    via_gram = subspace_of_centered(m)
+    via_gram = subspace_of_centered(m.copy())
+    scale = 2.0 ** -np.frexp(np.abs(m).max())[1]
+    m, s = m * scale, s * scale
     assert via_gram.k == k
     assert np.allclose(np.linalg.norm(via_gram.projected, axis=1), s[:k],
                        rtol=1e-9, atol=1e-12)
@@ -181,14 +185,24 @@ class TestSpatialSubspace:
             with pytest.raises(ValidationError):
                 spatial_subspace(m)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    @pytest.mark.filterwarnings("error")
     def test_gram_overflow(self):
-        # finite entries whose squares overflow reach the diagonal on both routes
+        # finite entries whose squares overflow are scaled before the Gram, on
+        # both routes, to the bits of the same matrix scaled by 2**-700
         for shape in ((3, 4), (4, 3)):
             m = 1e200 * (-1.0) ** np.arange(12).reshape(shape)
-            with pytest.raises(ValidationError, match="Gram matrix overflows$") as exc:
-                spatial_subspace(m)
-            assert "flat index" not in str(exc.value)
+            small = m * 2.0**-700
+            got, want = spatial_subspace(m), spatial_subspace(small)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert np.array_equal(m, small)  # both were scaled in place to one matrix
+
+    def test_scales_in_place_to_a_peak_in_half_open_unit(self):
+        m = centered_noise(6, 20, seed=8) * 2.0**-1070  # subnormal peak
+        assert np.abs(m).max() < np.finfo(float).tiny
+        expected = np.ldexp(m, -np.frexp(np.abs(m).max())[1])
+        spatial_subspace(m)
+        assert np.array_equal(m, expected)
+        assert 0.5 <= np.abs(m).max() < 1.0
 
 
 class TestInPlaceEigh:

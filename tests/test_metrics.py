@@ -13,7 +13,7 @@ from seis.errors import (
     ValidationError,
 )
 from seis.harness import HarnessConfig, make_alternate
-from seis.linalg import CcaResult, cca
+from seis.linalg import CcaResult, cca, center_rows
 from seis.metrics import Side, equivariance_score, invariance_score, seis
 from seis.tensor_io import matricize
 from seis.transforms import (
@@ -22,6 +22,7 @@ from seis.transforms import (
 
 from helpers import (
     NON_REAL_KINDS,
+    assert_same_bits,
     dematricize,
     non_real_tensor,
     permute_spatial,
@@ -37,8 +38,13 @@ ROUTE_DIMS = [(4, 8, 5, 5), (2, 4, 5, 5)]
 def alternating_huge(dims):
     """A finite tensor of +-1e200 alternating in C order. With h*w odd each
     spatial cell alternates across observations too, so centering keeps it
-    at 1e200 and every Gram diagonal entry overflows."""
+    at 1e200 and every Gram diagonal entry of the unscaled matrix overflows."""
     return 1e200 * (-1.0) ** np.arange(np.prod(dims)).reshape(dims)
+
+
+def is_normal(z):
+    """Whether every nonzero value of z is a normal float64."""
+    return bool(np.all((z == 0.0) | (np.abs(z) >= np.finfo(np.float64).tiny)))
 
 
 class TestSeisRegimes:
@@ -209,12 +215,11 @@ class TestSeisErrors:
 
     @pytest.mark.parametrize("dims", ROUTE_DIMS)
     @pytest.mark.filterwarnings("error")
-    def test_gram_overflow_names_no_flat_index(self, dims):
-        # finite entries whose squares overflow: the Gram guard's own error
+    def test_gram_overflow_scores_with_the_bits_of_a_smaller_scale(self, dims):
+        # finite entries whose squares overflow: the side is scaled before its Gram
         z = alternating_huge(dims)
-        with pytest.raises(ValidationError, match="Gram matrix overflows$") as exc:
-            seis(z, smooth_tensor(dims, seed=36))
-        assert "flat index" not in str(exc.value)
+        other = smooth_tensor(dims, seed=36)
+        assert_same_bits(seis(z, other), seis(z * 2.0**-700, other))
 
     @pytest.mark.filterwarnings("error")
     def test_matrix_side_names_the_tensor_flat_index(self):
@@ -237,6 +242,17 @@ class TestSeisErrors:
             Side.of(m.T.reshape(2, 3, 4, 4))
         assert "flat index" not in str(exc.value)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_centering_names_no_flat_index(self):
+        # the row [1.7e308, -1.7e308, -1.7e308] has a finite mean, but its
+        # first entry minus that mean overflows: the centered peak's own error
+        m = np.random.default_rng(39).standard_normal((16, 3))
+        m[5] = [1.7e308, -1.7e308, -1.7e308]
+        with pytest.raises(ValidationError,
+                           match="^alternate tensor: .*its centering overflows$") as exc:
+            Side.of(m.T.reshape(1, 3, 4, 4), "alternate")
+        assert "flat index" not in str(exc.value)
+
     @pytest.mark.parametrize("kind", NON_REAL_KINDS)
     def test_non_real_dtype_rejected(self, kind):
         # complex used to be scored on its real part, datetime64 as numbers;
@@ -257,34 +273,32 @@ class TestSeisErrors:
             seis(b, a)
 
     @pytest.mark.filterwarnings("error")
-    def test_magnitude_ladder_scores_or_names_values_too_small(self):
-        # both sides scaled by 2**e. Down to the Gram floor the scores match
-        # the unscaled pair: LAPACK rescales out-of-range matrices, which
-        # moved s_equiv by at most 2.3e-16 and s_inv by at most 4.6e-7
-        # (smooth_tensor seeds 0-3, every e from 505 to -335). Below the
-        # floor both used to end in overflow warnings and a non-finite
-        # cosine, and then in "all singular values are zero"
+    def test_magnitude_ladder_keeps_every_bit(self):
+        # both sides scaled by 2**e: each side is scaled by the power of two
+        # that puts its centered peak in [0.5, 1), which is exact, so every
+        # rung whose values stay normal scores with the unscaled pair's bits,
+        # 2**506 to 2**508 included, where the unscaled Gram nears overflow
         z = smooth_tensor((4, 8, 12, 12), seed=0)
         a = apply_affine(z, AffineParams(angle_deg=15.0))
         base = seis(z, a)
-        rungs = range(505, -1081, -5)
-        rejected = []
-        for e in rungs:
-            z_e, a_e = z * 2.0**e, a * 2.0**e
+        normal, zero = [], []
+        for e in range(1020, -1081, -1):
+            z_e, a_e = np.ldexp(z, e), np.ldexp(a, e)
             try:
                 got = seis(z_e, a_e)
             except DegenerateRankError as exc:
-                rejected.append(e)
-                if z_e.any():
-                    assert str(exc).startswith("reference tensor: values too small to score: ")
-                else:
-                    assert str(exc) == "reference tensor: all singular values are zero"
-            else:
-                assert abs(got.s_equiv - base.s_equiv) <= 1e-15
-                assert abs(got.s_inv - base.s_inv) <= 1e-6
-        # the rejected rungs are the tail of the ladder, and include 2**-515
-        assert rejected == [e for e in rungs if e <= rejected[0]]
-        assert -515 in rejected and 0 not in rejected
+                # only a side that underflowed to a constant row each raises
+                role, _, message = str(exc).partition(" tensor: ")
+                assert message == "all singular values are zero"
+                assert not center_rows(matricize(z_e if role == "reference" else a_e)).any()
+                zero.append(e)
+                continue
+            if is_normal(z_e) and is_normal(a_e):
+                normal.append(e)
+                assert_same_bits(got, base)
+        assert {506, 507, 508, 0, -335, -900} <= set(normal)
+        assert max(normal) == 1020 and min(normal) < -1000
+        assert zero == list(range(zero[0], -1081, -1))  # the tail of the ladder
 
     def test_single_observation_is_named(self):
         # the sample count is checked once, by centering, before any stage

@@ -7,7 +7,8 @@ asserted for s_equiv only: when canonical correlations cluster near 1, the
 directions inside the cluster are arbitrary and s_inv is not determined to
 better than rounding noise amplified by the cluster gaps. A non-finite
 entry put at a drawn position, on either route, must be named by its flat
-index whichever side holds it, and the error names that side. A dump
+index whichever side holds it, and the error names that side. Scaling
+either side by its own power of two moves no bit of either score. A dump
 whose header bytes are mutated scores, or fails in one error line naming
 its path: `score` exits 0 or 1, and `layers` skips its entry. Neither
 score clamps: correlations and cosines are at most 1, and rounding is
@@ -30,7 +31,7 @@ from seis.linalg import CcaResult, center_rows
 from seis.tensor_io import matricize, write_tensor
 from seis.metrics import equivariance_score, invariance_score, seis
 
-from helpers import permute_spatial, subspace_of_centered
+from helpers import assert_same_bits, permute_spatial, subspace_of_centered
 
 # s_equiv is the mean canonical correlation, well conditioned even when
 # the correlations cluster, so it moves only by rounding.
@@ -97,6 +98,17 @@ def test_equivariance_ignores_positive_scale(pair, alpha, scale_alt):
     base = seis(ref, alt).s_equiv
     scaled = seis(ref, alpha * alt) if scale_alt else seis(alpha * ref, alt)
     assert abs(scaled.s_equiv - base) <= EQUIV_TOL
+
+
+@PROPERTY
+@given(tensor_pairs(), st.integers(-900, 900), st.integers(-900, 900))
+def test_power_of_two_scales_move_no_bit(pair, e_ref, e_alt):
+    # each side is scaled to a centered peak in [0.5, 1) by an exact power of
+    # two, so scaling either side by its own 2**e, with its values kept
+    # normal, changes nothing at all
+    ref, alt = pair
+    base = seis(ref, alt)
+    assert_same_bits(seis(np.ldexp(ref, e_ref), np.ldexp(alt, e_alt)), base)
 
 
 @PROPERTY
