@@ -110,20 +110,16 @@ def _load_config_file(path):
 def _score_paths(ref_path, alt_path, sides):
     """seis() of the dumps at two paths. Each built Side is kept in sides by
     resolved path, so an alt that resolves to its ref, or a dump a later call
-    names, reuses it. A dump not in sides is built in the role its path has in
-    this pair, so its error names that role; a side that fails is not kept.
+    names, reuses it. A dump not in sides is built with the role "<path>:
+    reference" or "<path>: alternate" that it has in this pair, so its error
+    names the path as read_tensor's errors do; a side that fails is not kept.
     The pair stops at its first fault: reference, alternate, dims."""
     paths = (ref_path, alt_path)
     keys = [os.path.realpath(p) for p in paths]
     for path, key, role in zip(paths, keys, ("reference", "alternate")):
         if key not in sides:
-            try:
-                # Side.of drops the dump before its Gram
-                sides[key] = Side.of(read_tensor(path), role)
-            except SeisError as exc:
-                if str(exc).startswith(f"{path}: "):  # read_tensor's errors name it
-                    raise
-                raise type(exc)(f"{path}: {exc}") from exc
+            # Side.of drops the dump before its Gram
+            sides[key] = Side.of(read_tensor(path), f"{path}: {role}")
     return seis(*(sides[key] for key in keys))
 
 

@@ -128,22 +128,23 @@ def make_alternate(cfg: HarnessConfig, ref, kind, rng) -> np.ndarray:
     """Build the comparison tensor for one condition.
 
     ref is the (b, c, h, w) reference tensor of cfg.dims, and the result is
-    a new tensor of the same dims. identity copies the reference
-    bit-exactly; the geometric conditions warp it by apply_affine with
-    freshly sampled parameters; the random baseline draws an independent
-    field from the same smooth ensemble. Matching the null's spectrum to the
-    reference keeps both truncated subspaces at comparable rank, so
-    chance-level scores sit at the sqrt(k/n) floor instead of being inflated
-    by the near-full-rank spectrum a raw white-noise alternate would retain.
+    a new float64 tensor of the same dims. identity and the geometric kinds
+    warp it by apply_affine(ref, sample_params(kind, rng)), identity's
+    AffineParams() an exact remap that keeps every value (-0.0 comes out
+    +0.0); the random baseline draws an independent field from the same
+    smooth ensemble. Matching the null's spectrum to the reference keeps both
+    truncated subspaces at comparable rank, so chance-level scores sit at the
+    sqrt(k/n) floor instead of being inflated by the near-full-rank spectrum
+    a raw white-noise alternate would retain.
     Whatever the condition, a 4-D ref of dims other than cfg.dims raises ShapeError,
     and ref's structure is checked once: by apply_affine or else validate_tensor.
     """
     kind = ConditionKind(kind)
     if np.ndim(ref) == 4 and np.shape(ref) != cfg.dims:
         raise ShapeError(f"reference tensor must have dims {cfg.dims}, got {np.shape(ref)}")
-    if kind in (ConditionKind.IDENTITY, ConditionKind.RANDOM_BASELINE):
-        ref = validate_tensor(ref)
-        return ref.copy() if kind is ConditionKind.IDENTITY else gen_synthetic_activations(cfg, rng)
+    if kind is ConditionKind.RANDOM_BASELINE:
+        validate_tensor(ref)
+        return gen_synthetic_activations(cfg, rng)
     return apply_affine(ref, sample_params(kind, rng))
 
 

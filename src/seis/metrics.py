@@ -87,9 +87,10 @@ class Side:
         """The Side of tensor z: matricize it (checking its structure, widening to
         float64), center its rows (checking values at the row means) and keep its
         99%-variance subspace, which rejects an all-zero or overflowed centering.
-        Every SeisError names the role, "reference" or "alternate", and a
-        non-finite value its flat index in z. z is dropped once matricized, so a
-        temporary tensor is freed before the Gram."""
+        role is the name every SeisError carries ("<role> tensor: ..."):
+        "reference" or "alternate" in seis(), "<path>: reference" in the CLI. A
+        non-finite value is named by its flat index in z. z is dropped once
+        matricized, so a temporary tensor is freed before the Gram."""
         # a value beyond float64's range widens to inf, which the row means report
         with np.errstate(over="ignore", invalid="ignore"):
             try:

@@ -782,8 +782,18 @@ class TestLayersReuse:
         assert reads == [flat]
         cause = failed.value.__cause__
         assert type(cause) is DegenerateRankError
-        assert str(cause).startswith("reference tensor: all singular values")
-        assert str(failed.value) == f"{flat}: {cause}"
+        assert str(cause) == "all singular values are zero"
+        assert str(failed.value) == f"{flat}: reference tensor: {cause}"
+
+    def test_dump_path_that_reads_as_a_role_is_named(self, dumps, monkeypatch):
+        # the path is named where the side is built, so a path that reads like
+        # the role prefix still appears in the error
+        monkeypatch.chdir(dumps)
+        write_tensor(np.zeros((3, 4, 8, 8)), "reference tensor")
+        with pytest.raises(DegenerateRankError) as failed:
+            _score_paths("reference tensor", "a.npy", {})
+        assert str(failed.value) == (
+            "reference tensor: reference tensor: all singular values are zero")
 
     @pytest.mark.parametrize("bad", ["nan", "flat"])
     def test_failed_dump_is_not_kept_and_fails_later_entry_in_its_role(self, dumps, bad):

@@ -247,12 +247,17 @@ class TestMakeAlternate:
         alt = make_alternate(SMALL, ref, ConditionKind.AFFINE, make_stream(5, 0, 1))
         assert alt.tobytes() == bilinear_gather_oracle(self.ref, params).tobytes()
 
-    @pytest.mark.parametrize("kind", GEOMETRIC_CONDITIONS)
+    @pytest.mark.parametrize("kind", [ConditionKind.IDENTITY, *GEOMETRIC_CONDITIONS])
     def test_geometric_kind_is_apply_affine_bytes(self, kind):
-        # the one warp path: apply_affine by the parameters the stream yields
-        alt = make_alternate(SMALL, self.ref, kind, make_stream(5, 0, 1))
-        expected = apply_affine(self.ref, sample_params(kind, make_stream(5, 0, 1)))
+        # the one warp path: apply_affine by the parameters the stream yields,
+        # identity's AffineParams() included. A float32 reference comes out
+        # float64, and its -0.0 comes out +0.0, so a widening copy fails too
+        ref = self.ref.astype(np.float32)
+        ref[1, 2, 3, 4] = -0.0
+        alt = make_alternate(SMALL, ref, kind, make_stream(5, 0, 1))
+        expected = apply_affine(ref, sample_params(kind, make_stream(5, 0, 1)))
         assert alt.shape == SMALL.dims
+        assert alt.dtype == np.float64
         assert alt.tobytes() == expected.tobytes()
 
 

@@ -446,6 +446,15 @@ class TestRowCosines:
         with pytest.raises(NumericalError, match="^cosine exceeds 1 by 1.000e"):
             row_cosines(a, b)
 
+    def test_cosine_just_past_clamp_guard_raises(self, monkeypatch):
+        # norms shrunk by 1e-6 push parallel rows' cosines 2e-6 past 1: beyond
+        # CLAMP_GUARD, though far short of the cosine of 2 above
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda a, axis: norm(a, axis=axis) * (1 - 1e-6))
+        a = np.array([[1.0, 2.0], [3.0, -1.0]])
+        with pytest.raises(NumericalError, match="^cosine exceeds 1 by 2.000e-06, beyond"):
+            row_cosines(a, a)
+
 
 class TestCcaGuards:
     def test_zero_variance_variate_raises(self):
@@ -462,3 +471,10 @@ class TestCcaGuards:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="^covariance is not positive definite"):
                 cca(x, rng.standard_normal((2, 4)))
+
+    def test_all_zero_side_is_not_positive_definite(self):
+        # the ridge is relative to the mean diagonal, so a zero covariance stays zero
+        y = np.random.default_rng(0).standard_normal((2, 6))
+        with pytest.raises(NumericalError, match="^covariance is not positive definite even "
+                                                 "after regularization$"):
+            cca(np.zeros((2, 6)), y)

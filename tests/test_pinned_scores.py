@@ -1,0 +1,55 @@
+"""Pinned scores of fixed small inputs: the constants that define them hold.
+
+Eight harness pairs at dims (16, 32, 16, 16), master seeds 0 and 1, trial 0:
+each geometric condition's alternate scored against the reference Side. k_a
+and k_a_prime are pinned exactly, s_equiv at 1e-12 and s_inv at 1e-6. One BLAS
+thread against two moves s_inv here by at most 1.5e-8 and s_equiv by 2.2e-16,
+while a tenfold COVARIANCE_RIDGE moves s_inv by 5.8e-6 to 1.4e-3 on the
+translation, rotation and affine rows (the scaling rows move by under 5e-7).
+So the pin tells rounding from the ridge that defines s_inv. CI runs this
+file at 1 and at 2 BLAS threads.
+"""
+
+from functools import cache
+
+import pytest
+
+from seis.harness import (
+    ROLE_ALTERNATE,
+    ROLE_REFERENCE,
+    HarnessConfig,
+    gen_synthetic_activations,
+    make_alternate,
+)
+from seis.metrics import Side, seis
+from seis.transforms import make_stream
+
+# (seed, condition): (k_a, k_a_prime, s_equiv, s_inv), computed at 2 BLAS threads
+PINNED = {
+    (0, "translation"): (28, 26, 0.9888511643970811, 0.41939111569283344),
+    (0, "scaling"): (28, 26, 0.9947174909157037, 0.942536285971454),
+    (0, "rotation"): (28, 26, 0.9887897911849051, 0.27064222058572135),
+    (0, "affine"): (28, 25, 0.9778270762927482, 0.2532559622061388),
+    (1, "translation"): (28, 24, 0.9751568241248466, 0.241551265184326),
+    (1, "scaling"): (28, 27, 0.9997529748187387, 0.6208708108251424),
+    (1, "rotation"): (28, 26, 0.9830333598053406, 0.36199354508541404),
+    (1, "affine"): (28, 22, 0.9738383223895052, 0.1339569113571583),
+}
+
+
+@cache
+def reference(seed):
+    cfg = HarnessConfig(dims=(16, 32, 16, 16), master_seed=seed)
+    ref = gen_synthetic_activations(cfg, make_stream(seed, 0, ROLE_REFERENCE))
+    return cfg, ref, Side.of(ref)
+
+
+@pytest.mark.parametrize("seed, kind", list(PINNED), ids=[f"{s}-{k}" for s, k in PINNED])
+def test_pinned_scores(seed, kind):
+    cfg, ref, side = reference(seed)
+    alt = make_alternate(cfg, ref, kind, make_stream(seed, 0, ROLE_ALTERNATE))
+    scores = seis(side, alt)
+    k_a, k_a_prime, s_equiv, s_inv = PINNED[seed, kind]
+    assert (scores.k_a, scores.k_a_prime) == (k_a, k_a_prime)
+    assert scores.s_equiv == pytest.approx(s_equiv, rel=0, abs=1e-12)
+    assert scores.s_inv == pytest.approx(s_inv, rel=0, abs=1e-6)
