@@ -6,7 +6,9 @@ baseline), and aggregates per-condition statistics over independent
 trials. Smoothness matters: interpolation-based warps act almost linearly
 on the leading subspace of a smooth field, which is exactly the regime the
 geometric conditions are meant to probe. Everything is a pure function of
-the config, so two runs with the same master seed agree bit for bit.
+the config, so two runs with the same master seed agree bit for bit. Fields
+and warps need numpy only: the blur gives ndimage.gaussian_filter's
+bits, and the warp those of a CSR product (tests/ holds both oracles).
 """
 
 import logging
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import SeisError, ShapeError, ValidationError
 from .metrics import Side, seis
-from .tensor_io import ResultRow, matricize, validate_tensor
+from .tensor_io import ResultRow, validate_tensor
 from .transforms import (
     CONDITION_ORDER,
     ConditionKind,
@@ -33,6 +35,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_DIMS = (64, 32, 28, 28)
 DEFAULT_TRIALS = 50
 DEFAULT_SMOOTHNESS = 2.0
+
+# Slices drawn, blurred and standardized at a time: a block's work stays in cache.
+FIELD_BLOCK = 64
 
 # Stream roles within a trial.
 ROLE_REFERENCE = 0
@@ -104,6 +109,31 @@ class ConditionSummary:
     trials: int
 
 
+def _gaussian_taps(sigma: float) -> np.ndarray:
+    """Taps 0..r of ndimage's normalized Gaussian kernel for sigma,
+    r = int(4 * sigma + 0.5); tap j weighs the values j cells either side."""
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    return (phi / phi.sum())[r:]
+
+
+def _blur(x, taps) -> np.ndarray:
+    """x blurred along axis 0, bit for bit as ndimage.gaussian_filter1d
+    blurs it: reflected at the ends (numpy's "symmetric" padding), then the
+    center value times taps[0] plus, from the outermost tap inward, each
+    mirrored pair's sum times its tap. Returns a new C-contiguous array."""
+    r, n = len(taps) - 1, len(x)
+    p = np.pad(x, [(r, r)] + [(0, 0)] * (x.ndim - 1), mode="symmetric")
+    out = p[r:r + n] * taps[0]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(p[r - j:r - j + n], p[r + j:r + j + n], out=pair)
+        pair *= taps[j]
+        out += pair
+    return out
+
+
 def gen_synthetic_activations(cfg: HarnessConfig, rng: np.random.Generator) -> np.ndarray:
     """Smooth standardized Gaussian random fields.
 
@@ -112,16 +142,29 @@ def gen_synthetic_activations(cfg: HarnessConfig, rng: np.random.Generator) -> n
     standardized to zero mean and unit variance so covariances stay well
     conditioned and scores are comparable across seeds. As smoothness
     approaches zero the output approaches plain white noise.
-    """
-    # imported here so that scoring, which never generates, loads numpy only
-    from scipy import ndimage
 
-    x = rng.standard_normal(cfg.dims)
-    x = ndimage.gaussian_filter(x, sigma=(0.0, 0.0, cfg.smoothness, cfg.smoothness))
-    # in place, and bit-equal to (x - x.mean(...)) / x.std(...)
-    x -= x.mean(axis=(2, 3), keepdims=True)
-    x /= np.sqrt(np.mean(np.square(x), axis=(2, 3), keepdims=True))
-    return x
+    The bits are those of ndimage.gaussian_filter along h, then w, on
+    one (b, c, h, w) draw, with the slice-wise standardization after it.
+    Slices are drawn and blurred FIELD_BLOCK at a time and written into
+    the (h*w, b*c) spatial matrix of matricize, and the result is a
+    (b, c, h, w) view of that matrix.
+    """
+    b, c, h, w = cfg.dims
+    # like ndimage, no blur at sigma <= 1e-15, where the kernel could divide by zero
+    taps = _gaussian_taps(cfg.smoothness) if cfg.smoothness > 1e-15 else None
+    m = np.empty((h * w, b * c))
+    for start in range(0, b * c, FIELD_BLOCK):
+        x = rng.standard_normal((min(FIELD_BLOCK, b * c - start), h, w))
+        if taps is not None:
+            # the blurred axis leads, so each tap's slices are contiguous
+            x = _blur(x.transpose(1, 0, 2), taps)
+            x = _blur(x.transpose(2, 0, 1), taps).transpose(2, 1, 0)
+        x = np.ascontiguousarray(x).reshape(len(x), h * w)
+        # in place, and bit-equal to (x - x.mean(...)) / x.std(...)
+        x -= x.mean(axis=1, keepdims=True)
+        x /= np.sqrt(np.mean(np.square(x), axis=1, keepdims=True))
+        m[:, start:start + len(x)] = x.T
+    return m.T.reshape(cfg.dims)
 
 
 def make_alternate(cfg: HarnessConfig, ref, kind, rng) -> np.ndarray:
@@ -168,9 +211,7 @@ def run_validation_suite(cfg: HarnessConfig):
         where = f"trial {trial}"
         try:
             # a view of the spatial matrix, so each matricize of it copies without transposing
-            ref = matricize(gen_synthetic_activations(
-                cfg, make_stream(cfg.master_seed, trial, ROLE_REFERENCE)
-            )).T.reshape(cfg.dims)
+            ref = gen_synthetic_activations(cfg, make_stream(cfg.master_seed, trial, ROLE_REFERENCE))
             ref_side = Side.of(ref, "reference")
             for kind in kinds:
                 where = f"condition {kind.value}, trial {trial}"

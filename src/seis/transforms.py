@@ -4,8 +4,9 @@ Transforms act directly at the representation level: each (batch, channel)
 slice of a tensor is warped by the same affine map. Warping uses a single
 composed inverse map with bilinear interpolation, so a composite transform
 is resampled once rather than blurred by repeated interpolation. Every
-warp is a sparse linear operator on the flattened spatial axis, applied to
-the (h*w, b*c) spatial matrix of matricize in one product.
+warp is a sparse linear operator on the flattened spatial axis, a table of
+each output cell's four bilinear corners (WarpOperator), applied to the
+(h*w, b*c) spatial matrix of matricize in one product.
 
 All randomness flows through named, counter-based Philox streams so a
 (master seed, trial, role) triple yields the same draws on any machine and
@@ -129,8 +130,63 @@ def sample_params(kind, rng: np.random.Generator) -> AffineParams:
     return AffineParams(tx=tx, ty=ty, scale=scale, angle_deg=angle)
 
 
-def affine_operator(h: int, w: int, params: AffineParams):
-    """The sparse (h*w, h*w) bilinear operator of an affine warp on an h x w grid.
+# Elements of the spatial matrix gathered per chunk of WarpOperator's product,
+# small enough that a chunk's reads and sums stay in cache.
+GATHER_CHUNK = 1 << 15
+
+
+@dataclass(frozen=True, eq=False)
+class WarpOperator:
+    """A sparse (h*w, h*w) operator stored as a 4-slot table (ELL format).
+
+    Row i of sources and weights holds output cell i's bilinear corners
+    (0,0) (0,1) (1,0) (1,1), in ascending source order. A stored corner is a
+    source cell and its nonzero weight; a corner outside the grid or of zero
+    weight is unstored: it reads source h*w, past the grid, with weight 0.0.
+    """
+
+    sources: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.sources),) * 2
+
+    def __matmul__(self, m) -> np.ndarray:
+        """The (h*w, n) float64 product with an (h*w, n) matrix m, bit for bit
+        that of a CSR matrix of the stored corners.
+
+        Each output row starts at +0.0 and adds weight * source row slot by
+        slot, in corner order. A sum that starts at +0.0 is never -0.0, so
+        adding a zero of either sign leaves it unchanged. An unstored slot
+        reads source h*w, which take clips to m's last row, times 0.0: such a
+        zero, unless that row holds a non-finite value, which 0.0 would turn
+        into NaN; then a zero row is appended below m for it to read.
+        """
+        m = np.asarray(m, dtype=np.float64)
+        d = len(self.sources)
+        if m.ndim != 2 or len(m) != d:
+            raise ShapeError(f"a ({d}, {d}) operator cannot multiply shape {m.shape}")
+        n = m.shape[1]
+        if not np.isfinite(m[-1]).all():
+            m = np.vstack([m, np.zeros(n)])
+        out = np.zeros((d, n))
+        rows = max(1, GATHER_CHUNK // max(n, 1))
+        term = np.empty((min(rows, d), n))
+        for start in range(0, d, rows):
+            chunk = slice(start, start + rows)
+            acc = out[chunk]
+            t = term[:len(acc)]
+            for slot in range(4):
+                # mode="clip" lets take write into t directly; "raise" buffers it
+                np.take(m, self.sources[chunk, slot], axis=0, out=t, mode="clip")
+                t *= self.weights[chunk, slot, None]
+                acc += t
+        return out
+
+
+def affine_operator(h: int, w: int, params: AffineParams) -> WarpOperator:
+    """The (h*w, h*w) bilinear WarpOperator of an affine warp on an h x w grid.
 
     Forward model: scale about the grid center, rotate about the center,
     then translate by (tx*w, ty*h) pixels. The center is at
@@ -145,9 +201,6 @@ def affine_operator(h: int, w: int, params: AffineParams):
     Left-multiplying a (h*w, n) spatial matrix by the operator warps every
     one of its n slices.
     """
-    # imported here so that scoring, which never warps, loads numpy only
-    from scipy import sparse
-
     if h < 2 or w < 2:
         raise ShapeError(f"warping needs h >= 2 and w >= 2, got ({h}, {w})")
     for name in ("tx", "ty", "scale", "angle_deg"):
@@ -170,16 +223,16 @@ def affine_operator(h: int, w: int, params: AffineParams):
     src_x = (cos_t * ux - sin_t * uy) / params.scale + cx
     src_y = (sin_t * ux + cos_t * uy) / params.scale + cy
 
-    # one operator row per output cell; its corners (0,0) (0,1) (1,0) (1,1)
-    # come in ascending source index, the summation order of a
-    # corner-by-corner gather, and corners outside the grid or of zero weight are dropped
+    # one table row per output cell; its corners (0,0) (0,1) (1,0) (1,1)
+    # come in ascending source index, and corners outside the grid or of
+    # zero weight are unstored: source h*w, weight 0.0
     x0, y0 = np.floor(src_x)[:, None], np.floor(src_y)[:, None]
     fx, fy = src_x[:, None] - x0, src_y[:, None] - y0
     xx, yy = x0 + [0, 1, 0, 1], y0 + [0, 0, 1, 1]
     weight = np.hstack([1.0 - fy, 1.0 - fy, fy, fy]) * np.hstack([1.0 - fx, fx, 1.0 - fx, fx])
     stored = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w) & (weight != 0.0)
-    cells, sources = np.nonzero(stored)[0], (yy * w + xx)[stored].astype(np.intp)
-    return sparse.csr_array((weight[stored], (cells, sources)), shape=(h * w, h * w))
+    sources = np.where(stored, yy * w + xx, h * w).astype(np.intp)
+    return WarpOperator(sources, np.where(stored, weight, 0.0))
 
 
 def apply_affine(z, params: AffineParams) -> np.ndarray:

@@ -6,6 +6,9 @@ oracle for the reader: it never touches numpy's own format module, so a
 bug there cannot hide in both routes. cca_oracle plays the same role for
 the whitened CCA, bilinear_gather_oracle for the sparse warp operator, and
 full_lift_subspace for the k-column lift of spatial_subspace's tall route.
+The package needs numpy only; scipy serves the bit-for-bit oracles of its
+numpy code: gaussian_field_oracle for field generation and csr_of, the
+CSR matrix of a warp table's stored corners, for the warp product.
 The subspace_of_* helpers build Sides for stage-level tests, and
 warp_alignment scores candidate warps between two Sides.
 random_conv_stack is a small seeded CNN whose layers give a depth profile
@@ -125,6 +128,24 @@ def dematricize(a, dims) -> np.ndarray:
     if a.shape != (h * w, b * c):
         raise ShapeError(f"matrix shape {a.shape} does not match dims {tuple(dims)}")
     return np.ascontiguousarray(a.T).reshape(b, c, h, w)
+
+
+def gaussian_field_oracle(cfg: HarnessConfig, rng) -> np.ndarray:
+    """gen_synthetic_activations on scipy: one whole draw, blurred by
+    ndimage.gaussian_filter along h and w, each slice then standardized."""
+    x = rng.standard_normal(cfg.dims)
+    x = ndimage.gaussian_filter(x, sigma=(0.0, 0.0, cfg.smoothness, cfg.smoothness))
+    x -= x.mean(axis=(2, 3), keepdims=True)
+    x /= np.sqrt(np.mean(np.square(x), axis=(2, 3), keepdims=True))
+    return x
+
+
+def csr_of(op) -> sparse.csr_array:
+    """The CSR matrix of a WarpOperator's stored corners: each row's slots
+    whose source is a grid cell, in slot order."""
+    kept = op.sources < op.shape[0]
+    return sparse.csr_array((op.weights[kept], (np.nonzero(kept)[0], op.sources[kept])),
+                            shape=op.shape)
 
 
 def smooth_tensor(dims, sigma=1.5, seed=0):

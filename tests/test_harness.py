@@ -2,6 +2,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seis.harness as harness
 import seis.metrics as metrics
@@ -24,9 +26,27 @@ from seis.transforms import (
     sample_params,
 )
 
-from helpers import GEOMETRIC_CONDITIONS, bilinear_gather_oracle, run_condition
+from helpers import (
+    GEOMETRIC_CONDITIONS,
+    bilinear_gather_oracle,
+    gaussian_field_oracle,
+    run_condition,
+)
 
 SMALL = HarnessConfig(dims=(4, 8, 10, 10), trials=3, master_seed=11)
+
+
+@st.composite
+def field_cases(draw):
+    """A config and a seed: one-row and one-column grids, slice counts past
+    and between multiples of FIELD_BLOCK, smoothness from 1e-300 (no blur)
+    up to max(h, w), where the kernel's radius exceeds the grid."""
+    h, w = draw(st.sampled_from([(1, 2), (2, 1), (1, 9), (9, 1), (4, 4), (7, 12), (16, 5)]))
+    b = draw(st.integers(1, 3))
+    c = draw(st.integers(1, 3 * harness.FIELD_BLOCK // b))
+    smoothness = draw(st.one_of(st.sampled_from([1e-300, 1e-15, 2e-15, float(max(h, w))]),
+                                st.floats(1e-3, max(h, w))))
+    return HarnessConfig(dims=(b, c, h, w), smoothness=smoothness), draw(st.integers(0, 2**32 - 1))
 
 
 def lag1_autocorr(cfg, seed):
@@ -164,6 +184,23 @@ class TestSyntheticFields:
         stds = z.std(axis=(2, 3))
         assert np.max(np.abs(means)) <= 1e-12
         assert np.allclose(stds, 1.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(field_cases())
+    def test_matches_ndimage_oracle_bytes(self, case):
+        cfg, seed = case
+        z = gen_synthetic_activations(cfg, make_stream(seed))
+        assert z.tobytes() == gaussian_field_oracle(cfg, make_stream(seed)).tobytes()
+        b, c, h, w = cfg.dims
+        assert z.base.shape == (h * w, b * c) and z.base.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("smoothness", [1e-300, 1e-15, 1.1e-15])
+    def test_smoothness_at_ndimage_floor(self, smoothness):
+        # ndimage skips the blur at sigma <= 1e-15, where 1e-300 squared would
+        # divide by zero; just above, its kernel is the one tap 1.0
+        cfg = HarnessConfig(dims=(2, 3, 4, 5), smoothness=smoothness)
+        z = gen_synthetic_activations(cfg, make_stream(6))
+        assert z.tobytes() == gaussian_field_oracle(cfg, make_stream(6)).tobytes()
 
 
 class TestMakeAlternate:

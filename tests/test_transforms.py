@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seis.errors import ShapeError, ValidationError
+from seis.tensor_io import matricize
 from seis.transforms import (
     AffineParams,
     CONDITION_ORDER,
@@ -14,7 +15,7 @@ from seis.transforms import (
     sample_params,
 )
 
-from helpers import GEOMETRIC_CONDITIONS, bilinear_gather_oracle, permute_spatial
+from helpers import GEOMETRIC_CONDITIONS, bilinear_gather_oracle, csr_of, permute_spatial
 
 
 def rand_tensor(shape, seed=0):
@@ -177,7 +178,9 @@ class TestApplyAffine:
 class TestExactRemaps:
     """Identity parameters, integer translations, half turns and quarter
     turns of square grids store one 1.0 per output cell that reads inside
-    the grid, so each input value reaches only the cell it moves to."""
+    the grid, so each input value reaches only the cell it moves to. A
+    stored corner is a table slot whose source is a grid cell; every other
+    slot reads the zero row h*w with weight 0.0."""
 
     @pytest.mark.parametrize("h,w,params,stored", [
         (5, 7, AffineParams(), 35),
@@ -191,10 +194,13 @@ class TestExactRemaps:
     ])
     def test_one_stored_one_per_in_grid_cell(self, h, w, params, stored):
         op = affine_operator(h, w, params)
-        assert op.format == "csr" and op.shape == (h * w, h * w)
-        assert np.all(op.data == 1.0)
-        assert np.diff(op.indptr).max() == 1
-        assert op.nnz == stored
+        assert op.shape == (h * w, h * w)
+        assert op.sources.shape == op.weights.shape == (h * w, 4)
+        kept = op.sources < h * w
+        assert np.all(op.weights[kept] == 1.0)
+        assert kept.sum(axis=1).max() == 1
+        assert np.count_nonzero(kept) == stored
+        assert np.all(op.sources[~kept] == h * w) and np.all(op.weights[~kept] == 0.0)
 
     @pytest.mark.parametrize("params", [
         AffineParams(tx=1 / 8, ty=0.3 / 5),  # integer x, fractional y
@@ -203,7 +209,9 @@ class TestExactRemaps:
     ])
     def test_no_zero_weight_stored(self, params):
         op = affine_operator(5, 8, params)
-        assert op.nnz > 0 and np.all(op.data != 0.0)
+        kept = op.sources < 40
+        assert kept.any() and np.all(op.weights[kept] != 0.0)
+        assert np.all(op.weights[~kept] == 0.0)
 
     @pytest.mark.parametrize("h,w,params,oracle", [
         (5, 7, AffineParams(), lambda z: z),
@@ -226,6 +234,16 @@ class TestExactRemaps:
         z[0, 0, 2, 3] = np.nan
         out = apply_affine(z, AffineParams(tx=0.5 / 8.0))
         assert np.argwhere(np.isnan(out[0, 0])).tolist() == [[2, 3], [2, 4]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_last_cell_reaches_only_cells_storing_it(self, bad):
+        # unstored corners read past the grid, which take clips to the last
+        # cell; a non-finite one there must still reach no other cell
+        z = np.zeros((1, 2, 5, 8))
+        z[0, 1, 4, 7] = bad
+        out = apply_affine(z, AffineParams(tx=0.5 / 8.0))
+        assert np.argwhere(~np.isfinite(out)).tolist() == [[0, 1, 4, 7]]
+        assert np.array_equal(out[0, 1, 4, 7], bad, equal_nan=True)
 
     def test_identity_turns_negative_zero_positive(self):
         z = rand_tensor((1, 2, 3, 4), seed=15)
@@ -255,6 +273,28 @@ def warp_cases(draw):
 def test_apply_affine_matches_gather_oracle_bytes(case):
     z, params = case
     assert apply_affine(z, params).tobytes() == bilinear_gather_oracle(z, params).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(warp_cases(), st.lists(st.tuples(st.one_of(st.integers(0, 10**6), st.just(-1)),
+                                        st.sampled_from([np.nan, np.inf, -np.inf, -0.0])),
+                              max_size=4))
+def test_apply_affine_matches_csr_product_bytes(case, specials):
+    # the slot table's gather against scipy's CSR product of the same stored
+    # corners, on values that show any change of summation: NaN, +-inf, -0.0,
+    # also in the last cell (flat index -1), which unstored corners clip to
+    z, params = case
+    for at, value in specials:
+        z.flat[at % z.size] = value
+    want = (csr_of(affine_operator(*z.shape[2:], params)) @ matricize(z)).T.reshape(z.shape)
+    assert apply_affine(z, params).tobytes() == want.tobytes()
+
+
+def test_operator_rejects_a_matrix_of_other_order():
+    op = affine_operator(3, 4, AffineParams())
+    for m in (np.ones((11, 2)), np.ones((1, 2)), np.ones(12)):
+        with pytest.raises(ShapeError, match=r"a \(12, 12\) operator cannot multiply"):
+            op @ m
 
 
 class TestPermuteSpatial:
