@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SeisError, ShapeError, ValidationError
 from .metrics import Side, seis
-from .tensor_io import ResultRow, validate_tensor
+from .tensor_io import ResultRow, _spatial_view, validate_tensor
 from .transforms import (
     CONDITION_ORDER,
     ConditionKind,
@@ -197,11 +197,13 @@ def run_validation_suite(cfg: HarnessConfig):
     Trial t draws its reference from stream (seed, t, 0) and each
     condition's alternate material from a fresh stream (seed, t, 1), so
     trials are independent and a row does not depend on which other
-    conditions run. Each trial's reference Side is built once; make_alternate
-    makes every alternate from the reference tensor, and seis() scores each
-    against that Side, identity the Side against itself. Conditions report
-    in the canonical order identity, translation, scaling, rotation, affine,
-    random_baseline regardless of the order they appear in the config.
+    conditions run. Each trial's reference Side is built once, from a copy;
+    make_alternate makes every alternate from the reference tensor, its Side
+    is built in place on the spatial matrix that make_alternate returns a
+    view of, and seis() scores each against the reference Side, identity the
+    Side against itself. Conditions report in the canonical order identity,
+    translation, scaling, rotation, affine, random_baseline regardless of the
+    order they appear in the config.
     """
     kinds = [kind for kind in CONDITION_ORDER if kind in cfg.conditions]
     n_obs = cfg.dims[0] * cfg.dims[1]
@@ -210,17 +212,19 @@ def run_validation_suite(cfg: HarnessConfig):
     for trial in range(cfg.trials):
         where = f"trial {trial}"
         try:
-            # a view of the spatial matrix, so each matricize of it copies without transposing
+            # a view of the spatial matrix: Side.of copies it without transposing,
+            # and each warp reads it in place
             ref = gen_synthetic_activations(cfg, make_stream(cfg.master_seed, trial, ROLE_REFERENCE))
             ref_side = Side.of(ref, "reference")
             for kind in kinds:
                 where = f"condition {kind.value}, trial {trial}"
                 alt_side = ref_side
                 if kind is not ConditionKind.IDENTITY:
-                    # the alternate stays a temporary, freed once Side.of copies it
-                    alt_side = Side.of(make_alternate(
+                    # the alternate is a tensor view of a spatial matrix nothing else
+                    # holds: the view is dropped and the side built on the matrix
+                    alt_side = Side._of_spatial(_spatial_view(make_alternate(
                         cfg, ref, kind, make_stream(cfg.master_seed, trial, ROLE_ALTERNATE)
-                    ), "alternate")
+                    )), cfg.dims, "alternate")
                 scores = seis(ref_side, alt_side)
                 k_max = max(scores.k_a, scores.k_a_prime)
                 if kind not in warned and n_obs < CHANCE_HEADROOM * k_max:

@@ -11,6 +11,7 @@ shared information each direction actually carries. A Side is one tensor
 built for scoring, so seis() can score it against many alternates.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,26 +86,45 @@ class Side:
     @classmethod
     def of(cls, z, role="reference") -> "Side":
         """The Side of tensor z: matricize it (checking its structure, widening to
-        float64), center its rows (checking values at the row means) and keep its
-        99%-variance subspace, which rejects an all-zero or overflowed centering.
-        role is the name every SeisError carries ("<role> tensor: ..."):
-        "reference" or "alternate" in seis(), "<path>: reference" in the CLI. A
-        non-finite value is named by its flat index in z. z is dropped once
-        matricized, so a temporary tensor is freed before the Gram."""
-        # a value beyond float64's range widens to inf, which the row means report
-        with np.errstate(over="ignore", invalid="ignore"):
+        float64) and build the Side of that copy with _of_spatial, so z itself
+        is never changed. role is the name every SeisError carries ("<role>
+        tensor: ..."): "reference" or "alternate" in seis(), "<path>: reference"
+        in the CLI. z is dropped once matricized, so a temporary tensor is freed
+        before the Gram."""
+        dims = np.shape(z)
+        with _role_errors(role):
+            matrix = matricize(z)
+        del z
+        return cls._of_spatial(matrix, dims, role)
+
+    @classmethod
+    def _of_spatial(cls, matrix, dims, role) -> "Side":
+        """The Side of a tensor of dims dims from its (h*w, b*c) spatial matrix,
+        a C-contiguous float64 array that it overwrites: the rows are centered
+        in place (values checked at the row means, a non-finite one named by its
+        flat index in the tensor) and the 99%-variance subspace kept, which
+        rejects an all-zero or overflowed centering. Errors name role as in
+        Side.of. The harness builds each alternate's Side this way, on the
+        matrix it made, so that matrix is not copied."""
+        with _role_errors(role):
             try:
-                dims = np.shape(z)
-                matrix = matricize(z)
-                del z
-                try:
-                    centered = center_rows(matrix)
-                except ValidationError:
-                    _reject_nonfinite(matrix.T)  # matrix.T's C order is the tensor's
-                    raise
-                return cls(dims, *spatial_subspace(centered))
-            except SeisError as exc:
-                raise type(exc)(f"{role} tensor: {exc}") from exc
+                centered = center_rows(matrix)
+            except ValidationError:
+                _reject_nonfinite(matrix.T)  # matrix.T's C order is the tensor's
+                raise
+            return cls(dims, *spatial_subspace(centered))
+
+
+@contextmanager
+def _role_errors(role):
+    """Prefix each SeisError raised in the block with "<role> tensor: ", with
+    numpy's overflow and invalid-value warnings off: a value beyond float64's
+    range widens to inf, which the checks report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except SeisError as exc:
+            raise type(exc)(f"{role} tensor: {exc}") from exc
 
 
 def seis(z_ref, z_alt) -> SeisScores:

@@ -4,9 +4,9 @@ Activation tensors travel as NPY files (v1.0/v2.0 readable, v1.0 written):
 the format is unambiguous and every major numerical ecosystem can produce
 it. Only 4-D float32/float64 arrays are accepted. read_tensor and
 validate_tensor check structure and keep a tensor's precision and order;
-matricize reshapes a tensor into its spatial matrix in the one copy that
-widens to float64. Values are checked where they are used: at each side's
-row means and centered peak, and by write_tensor.
+_spatial_view reshapes a tensor into its spatial matrix without copying, and
+matricize copies that view to float64 in C order. Values are checked where
+they are used: at each side's row means and centered peak, and by write_tensor.
 """
 
 import csv
@@ -57,19 +57,29 @@ def validate_tensor(t) -> np.ndarray:
     return arr
 
 
+def _spatial_view(z) -> np.ndarray:
+    """The (h*w, b*c) spatial matrix of a (b, c, h, w) tensor, in its own dtype.
+
+    The tensor's structure is checked once, by validate_tensor. The result is
+    a view wherever numpy can reshape without copying: the tensor view of a
+    spatial matrix, such as the harness makes, gives back that matrix itself,
+    C-contiguous; a C-order tensor gives an F-order view.
+    """
+    z = validate_tensor(z)
+    b, c, h, w = z.shape
+    return z.reshape(b * c, h * w).T
+
+
 def matricize(z) -> np.ndarray:
     """Reshape a (b, c, h, w) tensor into its (h*w, b*c) spatial matrix.
 
     Rows are spatial cells, (y, x) in row y*w + x; columns are observations,
     (batch i, channel j) in column i*c + j; so a spatial transform is a
-    linear operator on the row axis. The tensor's structure is checked by
-    validate_tensor; its values are widened to float64 unchecked inside the
-    one transposing copy, so the result is a new C-contiguous array that
-    never aliases the input.
+    linear operator on the row axis. The result is _spatial_view's matrix,
+    its values widened to float64 unchecked, in one copy: a new C-contiguous
+    array that never aliases the input.
     """
-    z = validate_tensor(z)
-    b, c, h, w = z.shape
-    return np.array(z.reshape(b * c, h * w).T, dtype=np.float64, order="C")
+    return np.array(_spatial_view(z), dtype=np.float64, order="C")
 
 
 def _reject_nonfinite(t) -> None:

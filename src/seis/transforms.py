@@ -5,8 +5,8 @@ slice of a tensor is warped by the same affine map. Warping uses a single
 composed inverse map with bilinear interpolation, so a composite transform
 is resampled once rather than blurred by repeated interpolation. Every
 warp is a sparse linear operator on the flattened spatial axis, a table of
-each output cell's four bilinear corners (WarpOperator), applied to the
-(h*w, b*c) spatial matrix of matricize in one product.
+each output cell's four bilinear corners (WarpOperator), applied to a
+tensor's (h*w, b*c) spatial matrix in one product.
 
 All randomness flows through named, counter-based Philox streams so a
 (master seed, trial, role) triple yields the same draws on any machine and
@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor_io import matricize
+from .tensor_io import _spatial_view
 
 # Sampling ranges for the stochastic transform parameters.
 TRANSLATION_LIMIT = 0.15        # fraction of each spatial dimension
@@ -156,9 +156,12 @@ class WarpOperator:
         """The (h*w, n) float64 product with an (h*w, n) matrix m, bit for bit
         that of a CSR matrix of the stored corners.
 
-        Each output row starts at +0.0 and adds weight * source row slot by
-        slot, in corner order. A sum that starts at +0.0 is never -0.0, so
-        adding a zero of either sign leaves it unchanged. An unstored slot
+        Slot 0's weight * source row is written straight into the output and
+        +0.0 added to it, which gives the CSR row sum's start, +0.0 plus the
+        first term: it turns -0.0 into +0.0 and leaves every other value, NaN
+        payloads included. Slots 1-3 then add their terms in corner order. A
+        sum that starts at +0.0 is never -0.0, so adding a zero of either sign
+        leaves it unchanged. m is read, never written. An unstored slot
         reads source h*w, which take clips to m's last row, times 0.0: such a
         zero, unless that row holds a non-finite value, which 0.0 would turn
         into NaN; then a zero row is appended below m for it to read.
@@ -170,15 +173,18 @@ class WarpOperator:
         n = m.shape[1]
         if not np.isfinite(m[-1]).all():
             m = np.vstack([m, np.zeros(n)])
-        out = np.zeros((d, n))
+        out = np.empty((d, n))
         rows = max(1, GATHER_CHUNK // max(n, 1))
         term = np.empty((min(rows, d), n))
         for start in range(0, d, rows):
             chunk = slice(start, start + rows)
             acc = out[chunk]
             t = term[:len(acc)]
-            for slot in range(4):
-                # mode="clip" lets take write into t directly; "raise" buffers it
+            # mode="clip" lets take write into its out directly; "raise" buffers it
+            np.take(m, self.sources[chunk, 0], axis=0, out=acc, mode="clip")
+            acc *= self.weights[chunk, 0, None]
+            acc += 0.0
+            for slot in range(1, 4):
                 np.take(m, self.sources[chunk, slot], axis=0, out=t, mode="clip")
                 t *= self.weights[chunk, slot, None]
                 acc += t
@@ -238,10 +244,13 @@ def affine_operator(h: int, w: int, params: AffineParams) -> WarpOperator:
 def apply_affine(z, params: AffineParams) -> np.ndarray:
     """Warp every (batch, channel) slice of a tensor by the same affine map.
 
-    The tensor is matricized (structure checked, widened to float64),
-    left-multiplied by the operator of affine_operator and returned as a
-    (b, c, h, w) view of the warped matrix. A non-finite value reaches only
-    the cells that read it; an exact remap moves values unchanged, but -0.0 becomes +0.0.
+    The operator of affine_operator left-multiplies the tensor's spatial
+    matrix (structure checked) as C-contiguous float64, and the warped matrix
+    is returned as a (b, c, h, w) view. The tensor view of such a matrix, as
+    the harness makes, is read in place and left unchanged; any other tensor
+    is read from one widening copy, the same as matricize's. A non-finite
+    value reaches only the cells that read it; an exact remap moves values
+    unchanged, but -0.0 becomes +0.0.
     """
-    m = matricize(z)
+    m = np.ascontiguousarray(_spatial_view(z), dtype=np.float64)
     return (affine_operator(*np.shape(z)[2:], params) @ m).T.reshape(np.shape(z))

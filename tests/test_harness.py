@@ -393,6 +393,24 @@ class TestRunSuite:
         run_validation_suite(cfg)
         assert len(calls) == 6 * cfg.trials
 
+    def test_only_the_reference_is_matricized(self, monkeypatch):
+        # each non-identity alternate's side is built on the spatial matrix
+        # make_alternate returns a view of, so the reference is the one tensor
+        # a trial copies
+        tensors, real = [], metrics.matricize
+
+        def counting(z):
+            tensors.append(np.array(z))
+            return real(z)
+
+        monkeypatch.setattr(metrics, "matricize", counting)
+        cfg = HarnessConfig(dims=(4, 8, 10, 10), trials=3, master_seed=28)
+        run_validation_suite(cfg)
+        assert len(tensors) == cfg.trials
+        for trial, z in enumerate(tensors):
+            ref = gen_synthetic_activations(cfg, make_stream(cfg.master_seed, trial, 0))
+            assert z.tobytes() == ref.tobytes()
+
     def test_each_alternate_released_before_its_gram(self, monkeypatch):
         # an alternate reaches Side.of only as a temporary, which it drops
         # once matricized, so no alternate is alive while a Gram is formed

@@ -388,6 +388,19 @@ class TestSide:
         assert [score_bits(seis(side, alt)) for alt in alts] == want
         assert len(calls) == 1 + len(alts) == 6
 
+    @pytest.mark.parametrize("dims", ROUTE_DIMS)
+    def test_side_of_spatial_matrix_scores_like_side_of(self, dims):
+        # the harness hands over the matrix its alternate views and builds the
+        # side on it in place: the bits of Side.of on that tensor view
+        z = smooth_tensor(dims, seed=54)
+        m = matricize(apply_affine(z, AffineParams(angle_deg=20.0)))
+        want = score_bits(seis(z, Side.of(m.T.reshape(dims), "alternate")))
+        assert score_bits(seis(z, Side._of_spatial(m, dims, "alternate"))) == want
+        m[3, 4] = np.nan  # cell 3 of observation 4, as in the tensor view
+        with pytest.raises(ValidationError, match=(
+                f"^alternate tensor: non-finite value at flat index {4 * m.shape[0] + 3}$")):
+            Side._of_spatial(m, dims, "alternate")
+
     def test_dims_mismatch_raises_before_anything_is_built(self, monkeypatch):
         side = Side.of(smooth_tensor(DIMS, seed=52))
         other = smooth_tensor((6, 8, 12, 11), seed=53)

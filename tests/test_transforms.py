@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seis.errors import ShapeError, ValidationError
+from seis.harness import HarnessConfig, gen_synthetic_activations
 from seis.tensor_io import matricize
 from seis.transforms import (
     AffineParams,
@@ -97,6 +100,23 @@ class TestApplyAffine:
         out = apply_affine(z, AffineParams())
         assert np.array_equal(out, z)
         assert out is not z  # a copy, not the same buffer
+
+    def test_field_read_in_place(self):
+        # a field is the tensor view of its C-contiguous float64 spatial matrix,
+        # which the gather reads as it is: the warp allocates its output and
+        # its operator, no copy of the input, and leaves the input unchanged
+        z = gen_synthetic_activations(HarnessConfig(dims=(8, 64, 28, 28)), make_stream(2))
+        before = z.tobytes()
+        params = AffineParams(tx=0.1, scale=0.9, angle_deg=30.0)
+        tracemalloc.start()
+        try:
+            out = apply_affine(z, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * z.nbytes
+        assert out.tobytes() == bilinear_gather_oracle(z, params).tobytes()
+        assert z.tobytes() == before
 
     def test_full_turn_is_identity(self):
         z = rand_tensor((1, 1, 4, 4), seed=2)
@@ -246,8 +266,11 @@ class TestExactRemaps:
         assert np.array_equal(out[0, 1, 4, 7], bad, equal_nan=True)
 
     def test_identity_turns_negative_zero_positive(self):
+        # the unstored slots read the last cell times 0.0, -0.0 where that
+        # cell is negative, so -0.0 is the one value every term of the sum has
         z = rand_tensor((1, 2, 3, 4), seed=15)
         z[0, 1, 2, 0] = -0.0
+        z[0, 1, -1, -1] = -1.0
         out = apply_affine(z, AffineParams())
         assert np.array_equal(out, z)
         assert not np.signbit(out[0, 1, 2, 0])
