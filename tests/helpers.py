@@ -16,17 +16,22 @@ without trained weights. run_condition and GEOMETRIC_CONDITIONS are
 shorthands for running the harness one condition at a time, and
 permute_spatial is the lossless spatial warp the exactness tests use.
 fail_eigensolves makes seis.linalg's eigensolves fail as unconverged ones do.
+child_env is the environment of a child interpreter that imports this
+checkout's seis; with ONE_BLAS_THREAD it runs BLAS on one thread.
 """
 
 import math
+import os
 import struct
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage, sparse
 
+import seis
 from seis import linalg
 from seis.errors import SeisError, ShapeError, ValidationError
 from seis.harness import HarnessConfig, run_validation_suite
@@ -41,6 +46,19 @@ GEOMETRIC_CONDITIONS = (
     ConditionKind.ROTATION,
     ConditionKind.AFFINE,
 )
+
+
+# BLAS reads its thread count once, when numpy loads it
+ONE_BLAS_THREAD = {var: "1" for var in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def child_env(**overrides) -> dict:
+    """os.environ for a child interpreter that imports this checkout's seis,
+    without SEIS_LOG, so the child logs at the default level."""
+    env = {**os.environ, "PYTHONPATH": str(Path(seis.__file__).parents[1]), **overrides}
+    env.pop("SEIS_LOG", None)
+    return env
 
 
 def fail_eigensolves(monkeypatch):

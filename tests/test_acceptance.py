@@ -5,16 +5,13 @@ The heavyweight regime criteria share one module-scoped run of the full
 six-condition, 50-trial suite at default dims with master seed 42.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-import seis as package
 from seis.cli import main as cli_main
 from seis.harness import HarnessConfig, gen_synthetic_activations, run_validation_suite
 from seis.linalg import cca, center_rows
@@ -30,6 +27,8 @@ from seis.transforms import (
 
 from helpers import (
     GEOMETRIC_CONDITIONS,
+    ONE_BLAS_THREAD,
+    child_env,
     cca_oracle,
     dematricize,
     permute_spatial,
@@ -119,10 +118,9 @@ def identity_cpu_seconds():
     BLAS thread. Wall time grows with other load on the machine, and so does
     the CPU time of multithreaded OpenBLAS, whose threads spin while they
     wait for a core; a single thread does not spin."""
-    one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env = {**os.environ, **one, "PYTHONPATH": str(Path(package.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-c", IDENTITY_TIMING_CHILD, str(MASTER_SEED)],
-                           env=env, capture_output=True, text=True, timeout=600)
+                           env=child_env(**ONE_BLAS_THREAD), capture_output=True, text=True,
+                           timeout=600)
     assert child.returncode == 0, child.stderr
     return float(child.stdout.splitlines()[-1])
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -19,13 +20,20 @@ from seis.tensor_io import ResultRow, matricize, read_tensor, write_results, wri
 from seis.transforms import CONDITION_ORDER, AffineParams, apply_affine, make_stream
 
 from helpers import (
-    MALFORMED_NPY_HEADERS, fail_eigensolves, npy_bytes, permute_spatial, smooth_tensor,
-    write_malformed_npy, write_npy_independent,
+    MALFORMED_NPY_HEADERS, child_env, fail_eigensolves, npy_bytes, permute_spatial,
+    smooth_tensor, write_malformed_npy, write_npy_independent,
 )
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_strict(*argv):
+    """run_cli with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(*argv)
 
 
 @pytest.fixture()
@@ -66,17 +74,26 @@ class TestScore:
         s_equiv = float(re.search(r"s_equiv=(\d\.\d+)", out).group(1))
         assert s_equiv >= 0.999
 
-    def test_float32_file_scores_like_its_float64_widening(self, tmp_path, ref_file, capsys):
-        ref = read_tensor(ref_file).astype(np.float32)
+    @pytest.mark.parametrize("dims, exponents", [
+        ((4, 6, 10, 10), ()),
+        ((8, 16, 6, 6), ()),
+        ((4, 6, 10, 10), (600, -600)),
+    ], ids=["tall", "wide", "tall-float64-times-2**600-and-2**-600"])
+    def test_float32_file_scores_like_its_float64_widening(
+            self, tmp_path, capsys, dims, exponents):
+        # tall: d=100 cells > n=24 observations; wide: d=36 < n=128. Each side
+        # is scaled by an exact power of two before its Gram, so a float64
+        # copy scaled by 2**e prints the unscaled line
+        ref = smooth_tensor(dims, seed=1).astype(np.float32)
         alt = apply_affine(ref, AffineParams(angle_deg=30.0)).astype(np.float32)
         lines = []
-        for descr in ("<f4", "<f8"):
-            paths = [tmp_path / f"{name}_{descr[1:]}.npy" for name in ("ref", "alt")]
-            write_npy_independent(paths[0], ref, descr=descr)
-            write_npy_independent(paths[1], alt, descr=descr)
+        for descr, e in [("<f4", 0), ("<f8", 0), *(("<f8", e) for e in exponents)]:
+            paths = [tmp_path / f"{name}_{descr[1:]}_{e}.npy" for name in ("ref", "alt")]
+            for path, t in zip(paths, (ref, alt)):
+                write_npy_independent(path, np.ldexp(t.astype(np.float64), e), descr=descr)
             assert run_cli("score", *map(str, paths)) == 0
             lines.append(capsys.readouterr().out)
-        assert lines[0] == lines[1]
+        assert lines == lines[:1] * len(lines)
 
     def test_shape_mismatch_exit_1(self, tmp_path, ref_file, capsys):
         other = tmp_path / "other.npy"
@@ -150,12 +167,15 @@ class TestSynth:
         assert printed[1].startswith("identity ")
         assert printed[2].startswith("rotation ")
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        # every condition: each alternate's side is centered in place on the
+        # matrix the harness made, and the reference the warps read stays raw
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ("synth", "--trials", "2", "--seed", "42", "--dims", "4,8,10,10",
-                "--conditions", "identity,scaling")
+        args = ("synth", "--trials", "2", "--seed", "42", "--dims", "4,8,10,10")
         assert run_cli(*args, "--out", str(a)) == 0
+        summary = capsys.readouterr().out
         assert run_cli(*args, "--out", str(b)) == 0
+        assert capsys.readouterr().out == summary
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self, tmp_path):
@@ -518,12 +538,10 @@ class TestLayers:
         entries = self.make_pair_files(tmp_path, n=2)
         write_tensor(np.zeros((3, 4, 8, 8)), tmp_path / "l1_ref.npy")
         man = self.write_manifest(tmp_path, entries)
-        env = {**os.environ, "PYTHONPATH": str(Path(metrics.__file__).parents[1])}
-        env.pop("SEIS_LOG", None)
         child = subprocess.run(
             [sys.executable, "-m", "seis.cli", "layers", "--manifest", str(man),
              "--out", str(tmp_path / "rows.csv")],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
         )
         assert child.returncode == 2, child.stderr
         assert child.stderr.startswith(f"WARNING seis.cli: skipping entry 'layer1': {tmp_path}")
@@ -537,11 +555,9 @@ class TestLayers:
         entries[0]["alt"] = str(fifo)
         man = self.write_manifest(tmp_path, entries)
         out = tmp_path / "rows.csv"
-        env = {**os.environ, "PYTHONPATH": str(Path(metrics.__file__).parents[1])}
-        env.pop("SEIS_LOG", None)
         child = subprocess.run(
             [sys.executable, "-m", "seis.cli", "layers", "--manifest", str(man), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert child.returncode == 2, child.stderr
         assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["layer1"]
@@ -690,6 +706,7 @@ class TestLayersReuse:
         tensors = {
             "a": a, "a_rot": apply_affine(a, AffineParams(angle_deg=20.0)),
             "a_shift": apply_affine(a, AffineParams(tx=0.1)),
+            "a_zoom": apply_affine(a, AffineParams(scale=1.25)),
             "b": b, "b_rot": apply_affine(b, AffineParams(angle_deg=15.0)),
         }
         for name, t in tensors.items():
@@ -706,15 +723,17 @@ class TestLayersReuse:
 
     def test_rows_match_per_entry_seis_with_one_subspace_per_dump(
             self, dumps, capsys, monkeypatch):
+        # a_zoom keeps one dimension fewer than a (k_a 8, k_a_prime 7)
         pairs = [("a_rot", "a", "a_rot"), ("lost", "missing", "a_rot"),
-                 ("a_shift", "a", "a_shift"), ("b_rot", "b", "b_rot"), ("a_self", "a", "a")]
+                 ("a_shift", "a", "a_shift"), ("b_rot", "b", "b_rot"), ("a_self", "a", "a"),
+                 ("a_zoom", "a", "a_zoom")]
         man = self.manifest(dumps, pairs)
         calls = []
         build = metrics.spatial_subspace
         monkeypatch.setattr(metrics, "spatial_subspace", lambda c: calls.append(c) or build(c))
         out = dumps / "rows.csv"
         assert run_cli("layers", "--manifest", str(man), "--out", str(out)) == 2
-        assert len(calls) == 5  # a, a_rot, a_shift, b, b_rot
+        assert len(calls) == 6  # a, a_rot, a_shift, b, b_rot, a_zoom
         err = capsys.readouterr().err
         assert err.count("skipping entry") == 1 and "'lost'" in err
 
@@ -726,6 +745,13 @@ class TestLayersReuse:
             for label, ref, alt in pairs if label != "lost"
         ], want)
         assert out.read_bytes() == want.read_bytes()
+        # and each row reads as `score` prints its pair
+        rows = {row.pop("label"): row for row in csv.DictReader(out.read_text().splitlines())}
+        for label, ref, alt in (pair for pair in pairs if pair[0] != "lost"):
+            assert run_cli("score", str(dumps / f"{ref}.npy"), str(dumps / f"{alt}.npy")) == 0
+            assert capsys.readouterr().out == (
+                "s_equiv={s_equiv} s_inv={s_inv} k_a={k_a} k_a_prime={k_a_prime} r={r}\n"
+                .format(**rows[label]))
 
     def test_each_dump_released_before_its_gram(self, dumps, monkeypatch):
         # read_tensor maps each dump, and only its matrix reaches the side, so
@@ -842,12 +868,6 @@ class TestRepairedHeader:
         return old, new
 
     @staticmethod
-    def run_strict(*argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return run_cli(*argv)
-
-    @staticmethod
     def assert_one_log_line(err, path):
         assert err.startswith(f"WARNING seis.tensor_io: {path}: Reading "), err
         assert err.count("\n") == 1, err
@@ -856,7 +876,7 @@ class TestRepairedHeader:
         old, new = dumps
         assert run_cli("score", str(new), str(new)) == 0
         want = capsys.readouterr().out
-        assert self.run_strict("score", str(old), str(new)) == 0
+        assert run_strict("score", str(old), str(new)) == 0
         captured = capsys.readouterr()
         assert captured.out == want
         self.assert_one_log_line(captured.err, old)
@@ -869,10 +889,207 @@ class TestRepairedHeader:
             man.write_text(json.dumps({"entries": [{"label": "x", "ref": str(ref),
                                                      "alt": str(new)}]}))
             rows[ref] = tmp_path / f"{ref.stem}.csv"
-            assert self.run_strict("layers", "--manifest", str(man), "--out", str(rows[ref])) == 0
+            assert run_strict("layers", "--manifest", str(man), "--out", str(rows[ref])) == 0
         self.assert_one_log_line(capsys.readouterr().err, old)
         assert rows[old].read_bytes() == rows[new].read_bytes()
 
+
+def manifest_doc(*entries):
+    return {"entries": [{"label": label, "ref": ref, "alt": alt} for label, ref, alt in entries]}
+
+
+# Every bad input ends in exit code 1 and a one-line error, or in one warning
+# per skipped manifest entry, never in a traceback, a RuntimeWarning or a
+# written file. A row is an argv and the text its stderr starts with; {w} is
+# the directory of the files the argv names.
+BAD_INPUT = {
+    "manifest-entries-not-an-array": (
+        "layers --manifest {w}/entries5.json --out {w}/rows.csv",
+        "error: {w}/entries5.json: 'entries' must be an array, got 5\n"),
+    "manifest-not-utf8": (
+        "layers --manifest {w}/latin1.json --out {w}/rows.csv",
+        "error: {w}/latin1.json: not UTF-8 text ("),
+    "config-not-utf8": (
+        "synth --config {w}/latin1.json",
+        "error: {w}/latin1.json: not UTF-8 text ("),
+    "score-not-npy": (
+        "score {w}/rows.npy {w}/rows.npy",
+        "error: {w}/rows.npy: not a readable NPY file ("),
+    "score-npy-40-bytes-short": (
+        "score {w}/short.npy {w}/clean.npy",
+        "error: {w}/short.npy: not a readable NPY file ("),
+    "gen-two-warps": (
+        "gen --dims 2,2,8,8 --out {w}/g.npy --warp identity,rotation",
+        "error: unknown condition 'identity,rotation'; valid: "),
+    "synth-unknown-condition": (
+        "synth --trials 1 --dims 2,2,8,8 --conditions sideways --out {w}/s.csv",
+        "error: unknown condition 'sideways'; valid: "),
+    "manifest-label-not-a-string": (
+        "layers --manifest {w}/nolabel.json --out {w}/rows.csv",
+        "error: {w}/nolabel.json: entry 0 key 'label' must be a string, got null\n"),
+    "config-unknown-key": (
+        "synth --config {w}/trails.json",
+        "error: {w}/trails.json: unknown config key 'trails'; valid: "),
+    "config-value-of-wrong-type-under-its-flag": (
+        "synth --config {w}/trials_str.json --trials 1",
+        "error: {w}/trials_str.json: config key 'trials' must be int, got \"2\"\n"),
+    "synth-empty-conditions": (
+        "synth --conditions , --dims 2,2,8,8 --trials 1 --out {w}/e.csv",
+        "error: conditions must name at least one condition\n"),
+    "gen-warp-of-one-row-grid": (
+        "gen --dims 2,2,1,8 --out {w}/gen/a.npy --warp rotation",
+        "error: warping needs h >= 2 and w >= 2, got (1, 8)\n"),
+    "gen-negative-warp-seed": (
+        "gen --dims 2,2,8,8 --out {w}/gen/b.npy --warp rotation --warp-seed -1",
+        "error: --warp-seed: "),
+    "score-inf-reference": (
+        "score {w}/inf.npy {w}/clean.npy",
+        "error: {w}/inf.npy: reference tensor: non-finite value at flat index 27\n"),
+    "score-inf-alternate": (
+        "score {w}/clean.npy {w}/inf.npy",
+        "error: {w}/inf.npy: alternate tensor: non-finite value at flat index 27\n"),
+    "score-inf-and-minus-inf-in-one-cell": (
+        "score {w}/infs.npy {w}/clean.npy",
+        "error: {w}/infs.npy: reference tensor: non-finite value at flat index 27\n"),
+    "layers-nan-reference": (
+        "layers --manifest {w}/nanref.json --out {w}/rows.csv",
+        "WARNING seis.cli: skipping entry 'x': "
+        "{w}/nan.npy: reference tensor: non-finite value at flat index 27\n"),
+    "layers-flat-dump-in-both-roles": (
+        "layers --manifest {w}/flat.json --out {w}/rows.csv",
+        "WARNING seis.cli: skipping entry 'x': "
+        "{w}/flat.npy: alternate tensor: all singular values are zero\n"
+        "WARNING seis.cli: skipping entry 'y': {w}/flat.npy: reference tensor: "),
+    "config-array": (
+        "synth --config {w}/array.json",
+        "error: {w}/array.json: config must be a JSON object\n"),
+    "config-format-xml": (
+        "synth --config {w}/xml.json",
+        "error: unknown result format 'xml', "),
+    "manifest-entry-not-an-object": (
+        "layers --manifest {w}/entry5.json --out {w}/rows.csv",
+        "error: {w}/entry5.json: entry 1 is not an object\n"),
+    "synth-one-cell-grid": (
+        "synth --dims 2,2,1,1 --trials 1 --out {w}/one.csv",
+        "error: dims must give an h*w grid of at least 2 cells, got (2, 2, 1, 1)\n"),
+    "gen-one-cell-grid": (
+        "gen --dims 2,2,1,1 --out {w}/gen/one.npy",
+        "error: dims must give an h*w grid of at least 2 cells, got (2, 2, 1, 1)\n"),
+    "synth-smoothness-longer-than-grid": (
+        "synth --smoothness 1e20 --dims 2,2,8,8 --trials 1 --out {w}/sm.csv",
+        "error: smoothness must be in (0, max(h, w)], got 1e+20\n"),
+    "gen-smoothness-longer-than-grid": (
+        "gen --smoothness 1e20 --dims 2,2,8,8 --out {w}/gen/sm.npy",
+        "error: smoothness must be in (0, max(h, w)], got 1e+20\n"),
+    "manifest-ref-with-nul": (
+        "layers --manifest {w}/nulref.json --out {w}/nul.csv",
+        "error: {w}/nulref.json: entry 0 key 'ref' must hold no NUL or lone surrogate, "),
+    "manifest-label-with-lone-surrogate": (
+        "layers --manifest {w}/surlabel.json --out {w}/sur.csv",
+        "error: {w}/surlabel.json: entry 0 key 'label' must hold no NUL or lone surrogate, "),
+    "config-nested-200000-deep": (
+        "synth --config {w}/deep.json",
+        "error: {w}/deep.json: invalid JSON ("),
+    "synth-728-tib": (
+        "synth --dims 100000,100000,100,100 --trials 1 --out {w}/big.csv",
+        "error: Unable to allocate 728. TiB "),
+    "score-unclosed-header": (
+        "score {w}/unclosed.npy {w}/clean.npy",
+        "error: {w}/unclosed.npy: not a readable NPY file ("),
+    "score-negative-dim-header": (
+        "score {w}/negative-dim.npy {w}/clean.npy",
+        "error: {w}/negative-dim.npy: not a readable NPY file ("),
+    "score-bool-dim-header": (
+        "score {w}/bool-dim.npy {w}/clean.npy",
+        "error: {w}/bool-dim.npy: not a readable NPY file ("),
+}
+
+
+class TestBadInput:
+    """The CLI's bad-input contract, one row per input."""
+
+    @pytest.fixture()
+    def work(self, tmp_path, monkeypatch):
+        """The files the rows name, and an empty gen/ directory."""
+        monkeypatch.delenv("SEIS_LOG", raising=False)
+        (tmp_path / "gen").mkdir()
+        z = np.random.default_rng(0).standard_normal((2, 3, 4, 4))
+        np.save(tmp_path / "clean.npy", z)
+        for name, value in (("inf", np.inf), ("nan", np.nan)):
+            z[0, 1, 2, 3] = value  # flat index 16 + 8 + 3 = 27
+            np.save(tmp_path / f"{name}.npy", z)
+        z[0, 1, 2, 3], z[1, 1, 2, 3] = np.inf, -np.inf  # one cell's sum is inf - inf
+        np.save(tmp_path / "infs.npy", z)
+        np.save(tmp_path / "flat.npy", np.zeros_like(z))
+        (tmp_path / "short.npy").write_bytes((tmp_path / "clean.npy").read_bytes()[:-40])
+        (tmp_path / "rows.npy").write_text("label,ref\n")
+        for name in ("unclosed", "negative-dim", "bool-dim"):
+            write_malformed_npy(tmp_path / f"{name}.npy", name)
+        synth = {"dims": "2,2,8,8", "conditions": "identity", "out": str(tmp_path / "r.csv")}
+        docs = {
+            "entries5.json": {"entries": 5},
+            "nolabel.json": manifest_doc((None, "a.npy", "b.npy")),
+            "nanref.json": manifest_doc(("x", "nan.npy", "clean.npy")),
+            "flat.json": manifest_doc(("x", "clean.npy", "flat.npy"),
+                                      ("y", "flat.npy", "clean.npy")),
+            "entry5.json": {"entries": [{"label": "x", "ref": "clean.npy", "alt": "clean.npy"}, 5]},
+            "nulref.json": manifest_doc(("x", "\0", "clean.npy")),
+            "surlabel.json": manifest_doc(("\ud800", "clean.npy", "clean.npy")),
+            "trails.json": {**synth, "trails": 1},
+            "trials_str.json": {**synth, "trials": "2"},
+            "array.json": [1, 2],
+            "xml.json": {"format": "xml", "dims": "2,2,8,8", "trials": 1,
+                         "out": str(tmp_path / "x.csv")},
+        }
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        (tmp_path / "latin1.json").write_bytes(b'{"entries": [], "note": "\xff"}\n')
+        (tmp_path / "deep.json").write_text("[" * 200_000)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, want", BAD_INPUT.values(), ids=BAD_INPUT)
+    def test_exit_1_one_line_writes_nothing(self, work, capsys, argv, want):
+        before = set(work.rglob("*"))
+        assert run_strict(*(arg.format(w=work) for arg in argv.split())) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(want.format(w=work)), err
+        assert err.startswith(("error: ", "WARNING seis.cli: skipping entry "))
+        assert "Traceback" not in err
+        written = sorted(set(work.rglob("*")) - before)
+        if err.startswith("error: "):
+            assert err.count("\n") == 1, err
+            assert written == []
+        else:
+            # the table of the entries that scored, here none, is still written
+            assert all(line.startswith("WARNING seis.cli: ") for line in err.splitlines()), err
+            assert written == [work / "rows.csv"]
+
+    @staticmethod
+    def score_in_child(*paths, pass_fds=()):
+        # opening a pipe or a FIFO can block until a writer comes, so the CLI
+        # runs as a child under a timeout: a hang fails the test, not the run
+        child = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "seis.cli", "score", *map(str, paths)],
+            env=child_env(), capture_output=True, text=True, timeout=60, pass_fds=pass_fds,
+        )
+        assert child.returncode == 1, child.stderr
+        return child.stderr
+
+    def test_dump_read_through_a_pipe(self, work):
+        r, w = os.pipe()
+        try:
+            os.write(w, (work / "clean.npy").read_bytes())
+            err = self.score_in_child(f"/dev/fd/{r}", work / "clean.npy", pass_fds=(r,))
+        finally:
+            os.close(r)
+            os.close(w)
+        assert err == f"error: /dev/fd/{r}: not a readable NPY file (not a regular file)\n"
+
+    def test_dump_read_from_a_fifo(self, work):
+        fifo = work / "fifo.npy"
+        os.mkfifo(fifo)
+        err = self.score_in_child(fifo, fifo)
+        assert err == f"error: {fifo}: not a readable NPY file (not a regular file)\n"
 
 class TestParsing:
     def test_unknown_flag_exit_1(self, capsys):

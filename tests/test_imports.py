@@ -1,19 +1,24 @@
-"""What importing seis binds: no export shadows a submodule, and no part of
-the package loads scipy: scoring, field generation and warps need numpy only.
+"""What importing seis binds: no export shadows a submodule, no part of the
+package loads scipy (scoring, field generation and warps need numpy only),
+and the installed `seis` script is seis.cli.main.
 
 The test process has imported scipy already, so the scipy check runs in a
 fresh interpreter and reports the scipy modules it found loaded.
 """
 
 import importlib
+import importlib.metadata
 import json
-import os
 import pkgutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import seis
+from seis import cli
+
+from helpers import child_env
 
 CHILD = r"""
 import json, sys
@@ -46,14 +51,13 @@ codes += [
 ]
 print(json.dumps({"codes": codes, "scoring": scoring, "harness": scipy_modules(),
                   "conditions": [row.condition for row in rows],
-                  "written": sorted(p.name for p in work.iterdir())}))
+                  "written": sorted(p.name for p in work.iterdir() if p.stat().st_size)}))
 """
 
 
 def test_no_part_of_the_package_loads_scipy(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(seis.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], cwd=tmp_path,
-                           env=env, capture_output=True, text=True)
+                           env=child_env(), capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0, 0]
@@ -69,3 +73,11 @@ def test_no_export_shadows_a_submodule():
     assert submodules.isdisjoint(seis.__all__)
     assert callable(importlib.import_module("seis.linalg").center_rows)
     assert callable(importlib.import_module("seis.tensor_io").matricize)
+
+
+def test_console_script_is_cli_main():
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    scripts = pyproject["project"]["scripts"]
+    assert scripts == {"seis": "seis.cli:main"}
+    entry_point = importlib.metadata.EntryPoint("seis", scripts["seis"], "console_scripts")
+    assert entry_point.load() is cli.main

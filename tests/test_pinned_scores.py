@@ -6,10 +6,13 @@ and k_a_prime are pinned exactly, s_equiv at 1e-12 and s_inv at 1e-6. One BLAS
 thread against two moves s_inv here by at most 1.5e-8 and s_equiv by 2.2e-16,
 while a tenfold COVARIANCE_RIDGE moves s_inv by 5.8e-6 to 1.4e-3 on the
 translation, rotation and affine rows (the scaling rows move by under 5e-7).
-So the pin tells rounding from the ridge that defines s_inv. CI runs this
-file at 1 and at 2 BLAS threads.
+So the pin tells rounding from the ridge that defines s_inv. Tier-1 runs
+the pins at the default BLAS thread count and again, in a child interpreter,
+at one thread.
 """
 
+import subprocess
+import sys
 from functools import cache
 
 import pytest
@@ -23,6 +26,8 @@ from seis.harness import (
 )
 from seis.metrics import Side, seis
 from seis.transforms import make_stream
+
+from helpers import ONE_BLAS_THREAD, child_env
 
 # (seed, condition): (k_a, k_a_prime, s_equiv, s_inv), computed at 2 BLAS threads
 PINNED = {
@@ -53,3 +58,15 @@ def test_pinned_scores(seed, kind):
     assert (scores.k_a, scores.k_a_prime) == (k_a, k_a_prime)
     assert scores.s_equiv == pytest.approx(s_equiv, rel=0, abs=1e-12)
     assert scores.s_inv == pytest.approx(s_inv, rel=0, abs=1e-6)
+
+
+def test_pinned_scores_hold_at_one_blas_thread():
+    # BLAS takes its thread count when numpy loads, so the pins run again in a
+    # pytest child that starts with one thread
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "not one_blas_thread"],
+        env=child_env(**ONE_BLAS_THREAD), capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stdout
+    assert child.stdout.splitlines()[-1].startswith(f"{len(PINNED)} passed")

@@ -4,12 +4,10 @@ import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seis import tensor_io
 from seis.errors import (
     DtypeError,
     FormatError,
@@ -28,7 +26,7 @@ from seis.tensor_io import (
 )
 
 from helpers import (
-    MALFORMED_NPY_HEADERS, NON_REAL_KINDS, non_real_tensor, write_malformed_npy,
+    MALFORMED_NPY_HEADERS, NON_REAL_KINDS, child_env, non_real_tensor, write_malformed_npy,
     write_npy_independent,
 )
 
@@ -144,9 +142,8 @@ class TestReadWriteTensor:
         code = ("import sys\nfrom seis.errors import FormatError\n"
                 "from seis.tensor_io import read_tensor\n"
                 "try:\n    read_tensor(sys.argv[1])\nexcept FormatError as exc:\n    print(exc)\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(tensor_io.__file__).parents[1])}
         child = subprocess.run([sys.executable, "-c", code, str(path)],
-                               env=env, capture_output=True, text=True, timeout=60)
+                               env=child_env(), capture_output=True, text=True, timeout=60)
         assert child.returncode == 0, child.stderr
         assert child.stdout == f"{path}: not a readable NPY file (not a regular file)\n"
 
