@@ -176,13 +176,11 @@ def cmd_layers(args) -> int:
         for key in map(os.path.realpath, pair):
             if last[key] == i:
                 sides.pop(key, None)
-    write_results(rows, args.out, format=args.format)
     if failures and not rows:
         logger.warning("all %d manifest entries failed", failures)
         return 1
-    if failures:
-        return 2
-    return 0
+    write_results(rows, args.out, format=args.format)
+    return 2 if failures else 0
 
 
 def cmd_gen(args) -> int:

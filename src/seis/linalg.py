@@ -13,6 +13,7 @@ against a brute-force generalized eigenproblem that shares nothing with
 the whitening path beyond covariance formation.
 """
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,65 @@ def _truncation_rank(s):
     return k, float(frac[k - 1])
 
 
+def _bind_dsyevd():
+    """LAPACK's dsyevd from the library numpy's own eigh calls, or None where that
+    library does not export it: numpy's PyPI wheels link the ILP64 scipy-openblas
+    build, whose symbols carry the scipy_ prefix and the 64_ suffix."""
+    try:
+        dsyevd = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+    except (OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and the
+    # lengths of jobz and uplo that Fortran passes after the declared arguments
+    dsyevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, ptr, i64, ptr,
+                       ptr, i64, ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
+    dsyevd.restype = None
+    return dsyevd
+
+
+_DSYEVD = _bind_dsyevd()
+
+
 def _eigh(a, failure):
-    """np.linalg.eigh(a) through its own LAPACK gufunc, the eigenvectors written over a (C-order
-    float64); a solve that does not converge raises NumericalError(failure) and warns nothing."""
-    with np.errstate(all="ignore"):
-        w, v = _umath_linalg.eigh_lo(a, out=(np.empty(a.shape[0]), a), signature="d->dd")
+    """np.linalg.eigh(a) of a symmetric C-order float64 matrix, its eigenvectors written over a.
+
+    Where numpy's LAPACK exports dsyevd (see _bind_dsyevd), dsyevd('V', 'L')
+    runs on a's own buffer, which Fortran reads as a.T, equal to a; the
+    eigenvectors overwrite it, and v is the view a.T. numpy's eigh gufunc
+    copies a into a Fortran-order buffer, which for a symmetric a holds the
+    same bytes, and runs the same routine there after the same workspace
+    query, so w and v have its bits. The direct call skips that n x n copy
+    and holds only a and the workspace (2n^2 + 6n + 1 doubles for n > 13).
+    Elsewhere the gufunc runs, with a as its eigenvector output. A solve
+    that does not converge, or leaves an eigenvalue non-finite, raises
+    NumericalError(failure) and warns nothing.
+    """
+    n = a.shape[0]
+    w = np.empty(n)
+    if _DSYEVD is None:
+        with np.errstate(all="ignore"):
+            w, v = _umath_linalg.eigh_lo(a, out=(w, a), signature="d->dd")
+    else:
+        # LAPACK writes n * n doubles through a's raw pointer
+        if not (a.dtype == np.float64 and a.shape == (n, n) and a.flags.c_contiguous
+                and a.flags.writeable):
+            raise ValueError(f"_eigh needs a writable C-order float64 square matrix, "
+                             f"got {a.dtype} {a.shape}")
+        size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+        a_ptr, w_ptr = a.ctypes.data, w.ctypes.data
+
+        def dsyevd(work, lwork, iwork, liwork):
+            _DSYEVD(b"V", b"L", size, a_ptr, size, w_ptr, work.ctypes.data, ctypes.c_int64(lwork),
+                    iwork.ctypes.data, ctypes.c_int64(liwork), info, 1, 1)
+            if info.value:
+                raise NumericalError(failure)
+
+        work, iwork = np.empty(1), np.empty(1, np.int64)
+        dsyevd(work, -1, iwork, -1)  # the workspace query
+        work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), np.int64)
+        dsyevd(work, work.size, iwork, iwork.size)
+        v = a.T
     if not np.isfinite(w).all():
         raise NumericalError(failure)
     return w, v
@@ -156,10 +211,14 @@ def spatial_subspace(centered) -> tuple:
 
 def _whitener(x):
     """Symmetric inverse square root of the sample covariance of x's rows,
-    after adding COVARIANCE_RIDGE times its mean diagonal to the diagonal."""
+    after adding COVARIANCE_RIDGE times its mean diagonal to the diagonal.
+    A covariance that overflows, or whose ridge does, raises NumericalError
+    before its eigensolve."""
     k, n = x.shape
     c = x @ x.T / (n - 1)
     c[np.diag_indices(k)] += COVARIANCE_RIDGE * np.trace(c) / k
+    if not np.isfinite(c).all():
+        raise NumericalError("covariance is not finite")
     failure = "covariance is not positive definite even after regularization"
     w, v = _eigh(c, failure)
     if w[0] <= 0.0:

@@ -62,16 +62,28 @@ def child_env(**overrides) -> dict:
 
 
 def fail_eigensolves(monkeypatch):
-    """Make seis.linalg's symmetric eigensolves end as a LAPACK solve that does not
-    converge ends in numpy's gufunc: NaN in both outputs and the invalid-value flag
-    raised, which warns unless the caller's errstate ignores it."""
-    def eigh_lo(a, out, signature):
-        w, v = out
-        np.sqrt(np.full_like(w, -1.0), out=w)
-        v[...] = np.nan
-        return out
+    """Make seis.linalg's symmetric eigensolves fail as unconverged ones do, on
+    whichever solve it bound. The direct dsyevd answers its workspace query and
+    then reports info > 0; numpy's gufunc leaves NaN in both outputs and raises
+    the invalid-value flag, which warns unless the caller's errstate ignores it."""
+    dsyevd = linalg._DSYEVD
+    if dsyevd is None:
+        def eigh_lo(a, out, signature):
+            w, v = out
+            np.sqrt(np.full_like(w, -1.0), out=w)
+            v[...] = np.nan
+            return out
 
-    monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(eigh_lo=eigh_lo))
+        monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(eigh_lo=eigh_lo))
+        return
+
+    def unconverged(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, *lengths):
+        if lwork.value == -1:
+            dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, *lengths)
+        else:
+            info.value = n.value  # an eigenvalue that did not converge
+
+    monkeypatch.setattr(linalg, "_DSYEVD", unconverged)
 
 
 def run_condition(cfg: HarnessConfig, kind) -> list:

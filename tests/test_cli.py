@@ -954,12 +954,15 @@ BAD_INPUT = {
     "layers-nan-reference": (
         "layers --manifest {w}/nanref.json --out {w}/rows.csv",
         "WARNING seis.cli: skipping entry 'x': "
-        "{w}/nan.npy: reference tensor: non-finite value at flat index 27\n"),
+        "{w}/nan.npy: reference tensor: non-finite value at flat index 27\n"
+        "WARNING seis.cli: all 1 manifest entries failed\n"),
     "layers-flat-dump-in-both-roles": (
         "layers --manifest {w}/flat.json --out {w}/rows.csv",
         "WARNING seis.cli: skipping entry 'x': "
         "{w}/flat.npy: alternate tensor: all singular values are zero\n"
-        "WARNING seis.cli: skipping entry 'y': {w}/flat.npy: reference tensor: "),
+        "WARNING seis.cli: skipping entry 'y': {w}/flat.npy: reference tensor: "
+        "all singular values are zero\n"
+        "WARNING seis.cli: all 2 manifest entries failed\n"),
     "config-array": (
         "synth --config {w}/array.json",
         "error: {w}/array.json: config must be a JSON object\n"),
@@ -1053,16 +1056,13 @@ class TestBadInput:
         assert run_strict(*(arg.format(w=work) for arg in argv.split())) == 1
         err = capsys.readouterr().err
         assert err.startswith(want.format(w=work)), err
-        assert err.startswith(("error: ", "WARNING seis.cli: skipping entry "))
+        # one error line, or a warning per skipped manifest entry and one that all failed
+        *skipped, last = err.splitlines()
+        assert all(line.startswith("WARNING seis.cli: skipping entry ") for line in skipped), err
+        assert last.startswith("error: ") or last == (
+            f"WARNING seis.cli: all {len(skipped)} manifest entries failed"), err
         assert "Traceback" not in err
-        written = sorted(set(work.rglob("*")) - before)
-        if err.startswith("error: "):
-            assert err.count("\n") == 1, err
-            assert written == []
-        else:
-            # the table of the entries that scored, here none, is still written
-            assert all(line.startswith("WARNING seis.cli: ") for line in err.splitlines()), err
-            assert written == [work / "rows.csv"]
+        assert sorted(set(work.rglob("*")) - before) == []
 
     @staticmethod
     def score_in_child(*paths, pass_fds=()):

@@ -205,21 +205,66 @@ class TestSpatialSubspace:
         assert 0.5 <= np.abs(m).max() < 1.0
 
 
+def gram(shape, seed):
+    """The Gram spatial_subspace solves for centered noise of this shape, tall or wide."""
+    m = centered_noise(*shape, seed)
+    return m.T @ m if shape[0] > shape[1] else m @ m.T
+
+
+def whitener_covariance(k, n, seed):
+    """The ridged covariance _whitener solves, of k centered noise rows over n."""
+    x = centered_noise(k, n, seed)
+    c = x @ x.T / (n - 1)
+    c[np.diag_indices(k)] += linalg.COVARIANCE_RIDGE * np.trace(c) / k
+    return c
+
+
+# symmetric matrices _eigh solves: a tall and a wide side's Gram, a CCA covariance, n=1
+EIGH_INPUTS = {
+    "tall": lambda: gram((300, 120), seed=4),
+    "wide": lambda: gram((120, 300), seed=4),
+    "whitener-covariance": lambda: whitener_covariance(79, 400, seed=8),
+    "n=1": lambda: np.array([[0.75]]),
+}
+
+
 class TestInPlaceEigh:
-    @pytest.mark.parametrize("shape", [(60, 25), (25, 60)], ids=["tall", "wide"])
-    def test_bits_of_np_linalg_eigh_over_the_gram(self, shape):
-        m = centered_noise(*shape, seed=4)
-        gram = m.T @ m if shape[0] > shape[1] else m @ m.T
-        want_w, want_v = np.linalg.eigh(gram)
-        w, v = _eigh(gram, "unused")
-        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
-        assert np.shares_memory(v, gram)
+    @pytest.mark.parametrize("name", EIGH_INPUTS)
+    def test_bits_of_np_linalg_eigh_over_the_gram(self, monkeypatch, name):
+        # on the bound dsyevd, then on numpy's gufunc (twice where none is bound)
+        want_w, want_v = np.linalg.eigh(EIGH_INPUTS[name]())
+        for dsyevd in (linalg._DSYEVD, None):
+            monkeypatch.setattr(linalg, "_DSYEVD", dsyevd)
+            a = EIGH_INPUTS[name]()
+            w, v = _eigh(a, "unused")
+            assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+            assert np.shares_memory(v, a)
+
+    def test_bound_solve_takes_only_a_buffer_it_can_overwrite(self):
+        if linalg._DSYEVD is None:
+            pytest.skip("numpy's LAPACK exports no dsyevd to bind")
+        read_only = np.eye(3)
+        read_only.flags.writeable = False
+        for a in (np.eye(3, dtype=np.float32), np.asfortranarray(np.arange(9.0).reshape(3, 3)),
+                  np.ones((2, 3)), read_only):
+            before = a.copy()
+            with pytest.raises(ValueError, match="^_eigh needs a writable C-order float64"):
+                _eigh(a, "unused")
+            assert np.array_equal(a, before)
+
+    def test_bound_whenever_numpy_links_scipy_openblas(self):
+        # numpy's PyPI wheels link scipy-openblas and export scipy_dsyevd_64_;
+        # a release that renames it fails here rather than falling back
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        if lapack.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy links {lapack.get('name')!r}, not scipy-openblas")
+        assert linalg._DSYEVD is not None
 
     def test_tall_side_holds_one_gram(self):
-        # tracemalloc sees numpy's arrays but not LAPACK's own buffers (its copy
-        # of the Gram and the 2n^2 workspace of dsyevd), so the traced peak is the
-        # Gram, the eigenvalues and the lift of a rank-20 side; a separate
-        # eigenvector array would add another n^2
+        # tracemalloc sees numpy's arrays, dsyevd's 2n^2 + 6n + 1 doubles of
+        # workspace among them, but not LAPACK's own buffers, so the traced peak
+        # is the Gram, the workspace, the eigenvalues and the lift of a rank-20
+        # side; a separate eigenvector array would add another n^2
         rng = np.random.default_rng(5)
         m = center_rows(rng.standard_normal((1200, 20)) @ rng.standard_normal((20, 800)))
         tracemalloc.start()
@@ -229,18 +274,22 @@ class TestInPlaceEigh:
         finally:
             tracemalloc.stop()
         n = m.shape[1]
-        assert peak < 1.5 * n * n * 8 + basis.nbytes + projected.nbytes
+        workspace = 0 if linalg._DSYEVD is None else 2 * n * n + 6 * n + 1
+        assert peak < (1.5 * n * n + workspace) * 8 + basis.nbytes + projected.nbytes
 
     def test_nonconvergence_raises_naming_the_role(self, monkeypatch):
-        fail_eigensolves(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericalError,
-                               match="^alternate tensor: Gram eigensolve did not converge$"):
-                Side.of(smooth_tensor((2, 4, 6, 6), seed=1), "alternate")
-            x = centered_noise(3, 10, seed=2)
-            with pytest.raises(NumericalError, match="^covariance is not positive definite"):
-                cca(x, x)
+        # on the bound dsyevd, then on numpy's gufunc (twice where none is bound)
+        for dsyevd in (linalg._DSYEVD, None):
+            with monkeypatch.context() as patch, warnings.catch_warnings():
+                patch.setattr(linalg, "_DSYEVD", dsyevd)
+                fail_eigensolves(patch)
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError,
+                                   match="^alternate tensor: Gram eigensolve did not converge$"):
+                    Side.of(smooth_tensor((2, 4, 6, 6), seed=1), "alternate")
+                x = centered_noise(3, 10, seed=2)
+                with pytest.raises(NumericalError, match="^covariance is not positive definite"):
+                    cca(x, x)
 
 
 def duplicated_channels(z):
@@ -469,7 +518,7 @@ class TestCcaGuards:
         x = rng.standard_normal((2, 4))
         x[0] *= 1e200
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="^covariance is not positive definite"):
+            with pytest.raises(NumericalError, match="^covariance is not finite$"):
                 cca(x, rng.standard_normal((2, 4)))
 
     def test_all_zero_side_is_not_positive_definite(self):

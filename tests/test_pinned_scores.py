@@ -8,15 +8,19 @@ while a tenfold COVARIANCE_RIDGE moves s_inv by 5.8e-6 to 1.4e-3 on the
 translation, rotation and affine rows (the scaling rows move by under 5e-7).
 So the pin tells rounding from the ridge that defines s_inv. Tier-1 runs
 the pins at the default BLAS thread count and again, in a child interpreter,
-at one thread.
+at one thread. Where seis.linalg binds LAPACK's dsyevd directly, every pinned
+pair and a tall warped pair also score with the same bits on numpy's eigh
+gufunc, the solve that runs where numpy's LAPACK exports no dsyevd.
 """
 
 import subprocess
 import sys
 from functools import cache
 
+import numpy as np
 import pytest
 
+from seis import linalg
 from seis.harness import (
     ROLE_ALTERNATE,
     ROLE_REFERENCE,
@@ -27,7 +31,7 @@ from seis.harness import (
 from seis.metrics import Side, seis
 from seis.transforms import make_stream
 
-from helpers import ONE_BLAS_THREAD, child_env
+from helpers import ONE_BLAS_THREAD, child_env, smooth_tensor
 
 # (seed, condition): (k_a, k_a_prime, s_equiv, s_inv), computed at 2 BLAS threads
 PINNED = {
@@ -60,12 +64,34 @@ def test_pinned_scores(seed, kind):
     assert scores.s_inv == pytest.approx(s_inv, rel=0, abs=1e-6)
 
 
+def warped_pairs():
+    """Each pinned pair, then a tall (d=256 > n=16) pair warped by a rotation."""
+    for seed, kind in PINNED:
+        cfg, ref, _ = reference(seed)
+        yield ref, make_alternate(cfg, ref, kind, make_stream(seed, 0, ROLE_ALTERNATE))
+    tall = smooth_tensor((2, 8, 16, 16), seed=3)
+    cfg = HarnessConfig(dims=tall.shape)
+    yield tall, make_alternate(cfg, tall, "rotation", make_stream(3, 0, ROLE_ALTERNATE))
+
+
+def test_gufunc_solve_scores_with_the_same_bits(monkeypatch):
+    if linalg._DSYEVD is None:
+        pytest.skip("numpy's LAPACK exports no dsyevd to bind, so the gufunc is the one solve")
+    bound = [seis(ref, alt) for ref, alt in warped_pairs()]
+    monkeypatch.setattr(linalg, "_DSYEVD", None)
+    for want, (ref, alt) in zip(bound, warped_pairs(), strict=True):
+        got = seis(ref, alt)
+        assert (got.s_equiv, got.s_inv, got.k_a, got.k_a_prime) == (
+            want.s_equiv, want.s_inv, want.k_a, want.k_a_prime)
+        assert np.array_equal(got.correlations, want.correlations)
+
+
 def test_pinned_scores_hold_at_one_blas_thread():
     # BLAS takes its thread count when numpy loads, so the pins run again in a
     # pytest child that starts with one thread
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-         "-k", "not one_blas_thread"],
+         "-k", "not one_blas_thread and not gufunc"],
         env=child_env(**ONE_BLAS_THREAD), capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stdout
