@@ -81,43 +81,61 @@ def _truncation_rank(s):
     return k, float(frac[k - 1])
 
 
-def _bind_dsyevd():
-    """LAPACK's dsyevd from the library numpy's own eigh calls, or None where that
-    library does not export it: numpy's PyPI wheels link the ILP64 scipy-openblas
-    build, whose symbols carry the scipy_ prefix and the 64_ suffix."""
+def _bind_lapack(**signatures):
+    """LAPACK routines, by name, from the library numpy's own eigh calls, or None where that
+    library does not export them all: numpy's PyPI wheels link the ILP64 scipy-openblas
+    build, whose symbols carry the scipy_ prefix and the 64_ suffix. A signature spells
+    the declared arguments, c a character, i an integer and a an array. _lapack calls them."""
     try:
-        dsyevd = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        routines = {name: getattr(lib, f"scipy_{name}_64_") for name in signatures}
     except (OSError, AttributeError):
         return None
-    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and the
-    # lengths of jobz and uplo that Fortran passes after the declared arguments
-    dsyevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, ptr, i64, ptr,
-                       ptr, i64, ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
-    dsyevd.restype = None
-    return dsyevd
+    kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64), "a": ctypes.c_void_p}
+    for name, routine in routines.items():
+        # info follows the declared arguments, then each character's length
+        routine.argtypes = ([kinds[k] for k in signatures[name] + "i"]
+                            + [ctypes.c_size_t] * signatures[name].count("c"))
+        routine.restype = None
+    return routines
 
 
-_DSYEVD = _bind_dsyevd()
+_LAPACK = _bind_lapack(dsytrd="ciaiaaaai", dstedc="ciaaaiaiai", dormtr="ccciiaiaaiai")
+
+
+def _lapack(failure, name, *args):
+    """Call the bound LAPACK routine name on bytes as characters, ints as ILP64 integers
+    and arrays as their data pointers; a nonzero info raises NumericalError(failure)."""
+    info = ctypes.c_int64(0)
+    _LAPACK[name](*[ctypes.c_int64(x) if isinstance(x, int)
+                    else x.ctypes.data if isinstance(x, np.ndarray) else x for x in args],
+                  info, *[len(x) for x in args if isinstance(x, bytes)])
+    if info.value:
+        raise NumericalError(failure)
 
 
 def _eigh(a, failure):
     """np.linalg.eigh(a) of a symmetric C-order float64 matrix, its eigenvectors written over a.
 
-    Where numpy's LAPACK exports dsyevd (see _bind_dsyevd), dsyevd('V', 'L')
-    runs on a's own buffer, which Fortran reads as a.T, equal to a; the
-    eigenvectors overwrite it, and v is the view a.T. numpy's eigh gufunc
-    copies a into a Fortran-order buffer, which for a symmetric a holds the
-    same bytes, and runs the same routine there after the same workspace
-    query, so w and v have its bits. The direct call skips that n x n copy
-    and holds only a and the workspace (2n^2 + 6n + 1 doubles for n > 13).
-    Elsewhere the gufunc runs, with a as its eigenvector output. A solve
-    that does not converge, or leaves an eigenvalue non-finite, raises
+    numpy's eigh gufunc runs dsyevd('V', 'L') on a Fortran-order copy of a, which
+    for a symmetric a holds a's bytes. Where numpy's LAPACK exports them (see
+    _bind_lapack), the routines dsyevd calls run instead, in its order and with its
+    workspace lengths, on a's own buffer, which Fortran reads as a.T, equal to a:
+    dsytrd('L') reduces a to a tridiagonal, its reflectors are packed aside,
+    dstedc('I') writes the tridiagonal's eigenvectors over a, and dormtr('L', 'L',
+    'N') applies the reflectors, unpacked into dstedc's spent workspace, to them.
+    So w and v = a.T have dsyevd's bits, and the solve keeps about 2.5 n^2 doubles
+    resident, where dsyevd kept 3 n^2. Elsewhere, and for a matrix dsyevd would
+    rescale first, the gufunc runs, with a as its eigenvector output. A solve that
+    does not converge, or leaves an eigenvalue non-finite, raises
     NumericalError(failure) and warns nothing.
     """
     n = a.shape[0]
     w = np.empty(n)
-    if _DSYEVD is None:
+    # dsyevd rescales a peak outside [sqrt(safmin / eps), its reciprocal] before its
+    # stages, which alone would not
+    peak = float(max(a.max(), -a.min()))
+    if _LAPACK is None or 0.0 < peak < 2.0**-485 or peak > 2.0**485:
         with np.errstate(all="ignore"):
             w, v = _umath_linalg.eigh_lo(a, out=(w, a), signature="d->dd")
     else:
@@ -126,19 +144,26 @@ def _eigh(a, failure):
                 and a.flags.writeable):
             raise ValueError(f"_eigh needs a writable C-order float64 square matrix, "
                              f"got {a.dtype} {a.shape}")
-        size, info = ctypes.c_int64(n), ctypes.c_int64(0)
-        a_ptr, w_ptr = a.ctypes.data, w.ctypes.data
-
-        def dsyevd(work, lwork, iwork, liwork):
-            _DSYEVD(b"V", b"L", size, a_ptr, size, w_ptr, work.ctypes.data, ctypes.c_int64(lwork),
-                    iwork.ctypes.data, ctypes.c_int64(liwork), info, 1, 1)
-            if info.value:
-                raise NumericalError(failure)
-
-        work, iwork = np.empty(1), np.empty(1, np.int64)
-        dsyevd(work, -1, iwork, -1)  # the workspace query
-        work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), np.int64)
-        dsyevd(work, work.size, iwork, iwork.size)
+        # dsyevd's lwork for dstedc and dormtr (whose block size depends on it), n * n
+        # less than dsytrd's; numpy hands dsyevd more for n <= 13, where no stage blocks
+        lwork = 1 + 4 * n + n * n
+        e, tau, iwork = np.empty(n), np.empty(n), np.empty(3 + 5 * n, np.int64)
+        # dsytrd's workspace (it writes O(n) of it), then dstedc's, whose first n * n
+        # doubles then hold the unpacked reflectors while dormtr works in the last lwork
+        work = np.empty(n * n + lwork)
+        _lapack(failure, "dsytrd", b"L", n, a, n, w, e, tau, work, work.size)
+        # reflector i is a[i, i + 2:], flat i(n + 1) + 2 to (i + 1)n; memoryviews slice fast
+        starts = np.cumsum([0, *range(n - 2, 0, -1)]).tolist()
+        packed = memoryview(np.empty(starts[-1]))
+        flat = memoryview(a.reshape(-1))
+        for i in range(n - 2):
+            packed[starts[i]:starts[i + 1]] = flat[i * (n + 1) + 2:(i + 1) * n]
+        _lapack(failure, "dstedc", b"I", n, w, e, a, n, work, lwork, iwork, iwork.size)
+        flat = memoryview(work)
+        for i in range(n - 2):
+            flat[i * (n + 1) + 2:(i + 1) * n] = packed[starts[i]:starts[i + 1]]
+        del packed, flat
+        _lapack(failure, "dormtr", b"L", b"L", b"N", n, n, work, n, tau, a, n, work[n * n:], lwork)
         v = a.T
     if not np.isfinite(w).all():
         raise NumericalError(failure)
@@ -172,12 +197,12 @@ def spatial_subspace(centered) -> tuple:
     by the power of two that puts its peak magnitude in [0.5, 1), which is
     exact, so the Gram cannot overflow and a side whose values stay normal
     scores with the same bits at any power of two. An overflowed centering or an
-    all-zero matrix raises before the eigensolve, whose eigenvectors overwrite
-    the Gram. Faster than a thin SVD on the wide matrices the pipeline produces,
-    but it resolves singular values only down to about sqrt(eps) * sigma_max
-    (~1e-8); the noise directions below that carry ~1e-16 of sigma^2, and those
-    under 1e-12 * sigma_max under min(d, n) * 1e-24, too little to move the 99%
-    cut, which needs no rank floor.
+    all-zero matrix raises before the eigensolve, whose eigenvectors overwrite the
+    Gram; it holds about 1.5 n^2 doubles besides (see _eigh). Faster than a thin
+    SVD on the wide matrices the pipeline produces, but it resolves singular
+    values only down to about sqrt(eps) * sigma_max (~1e-8); the noise directions
+    below that carry ~1e-16 of sigma^2, and those under 1e-12 * sigma_max under
+    min(d, n) * 1e-24, too little to move the 99% cut, which needs no rank floor.
 
     A tall (d > n) matrix is eigendecomposed through its (n, n) Gram, and
     only the k retained eigenvectors are lifted to the spatial basis,

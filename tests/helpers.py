@@ -15,7 +15,8 @@ random_conv_stack is a small seeded CNN whose layers give a depth profile
 without trained weights. run_condition and GEOMETRIC_CONDITIONS are
 shorthands for running the harness one condition at a time, and
 permute_spatial is the lossless spatial warp the exactness tests use.
-fail_eigensolves makes seis.linalg's eigensolves fail as unconverged ones do.
+fail_eigensolves makes seis.linalg's eigensolves fail as unconverged ones do,
+at any one of the bound LAPACK stages.
 child_env is the environment of a child interpreter that imports this
 checkout's seis; with ONE_BLAS_THREAD it runs BLAS on one thread.
 """
@@ -61,13 +62,13 @@ def child_env(**overrides) -> dict:
     return env
 
 
-def fail_eigensolves(monkeypatch):
+def fail_eigensolves(monkeypatch, stage="dstedc"):
     """Make seis.linalg's symmetric eigensolves fail as unconverged ones do, on
-    whichever solve it bound. The direct dsyevd answers its workspace query and
-    then reports info > 0; numpy's gufunc leaves NaN in both outputs and raises
-    the invalid-value flag, which warns unless the caller's errstate ignores it."""
-    dsyevd = linalg._DSYEVD
-    if dsyevd is None:
+    whichever solve it bound. Where it bound LAPACK's stages, the routine named
+    stage reports info = 1, as dstedc does for an eigenvalue that did not
+    converge; numpy's gufunc leaves NaN in both outputs and raises the
+    invalid-value flag, which warns unless the caller's errstate ignores it."""
+    if linalg._LAPACK is None:
         def eigh_lo(a, out, signature):
             w, v = out
             np.sqrt(np.full_like(w, -1.0), out=w)
@@ -77,13 +78,11 @@ def fail_eigensolves(monkeypatch):
         monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(eigh_lo=eigh_lo))
         return
 
-    def unconverged(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, *lengths):
-        if lwork.value == -1:
-            dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, *lengths)
-        else:
-            info.value = n.value  # an eigenvalue that did not converge
+    def unconverged(*args):
+        # info follows the declared arguments, before one length per character argument
+        args[-1 - sum(isinstance(x, bytes) for x in args)].value = 1
 
-    monkeypatch.setattr(linalg, "_DSYEVD", unconverged)
+    monkeypatch.setitem(linalg._LAPACK, stage, unconverged)
 
 
 def run_condition(cfg: HarnessConfig, kind) -> list:

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -17,6 +19,7 @@ from seis.tensor_io import matricize
 from helpers import (
     OracleError,
     cca_oracle,
+    child_env,
     fail_eigensolves,
     full_lift_subspace,
     smooth_tensor,
@@ -227,22 +230,54 @@ EIGH_INPUTS = {
     "n=1": lambda: np.array([[0.75]]),
 }
 
+# orders on both sides of each switch inside the bound stages: dstedc hands n <= 25 to
+# dsteqr, dsyevd's workspace cuts dormtr's block size below n = 80, and dsytrd blocks
+# above n = 128
+SWEEP_ORDERS = (1, 2, 3, 25, 26, 79, 80, 128, 129, 512)
+
+
+def symmetric(n, seed):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return m + m.T
+
 
 class TestInPlaceEigh:
     @pytest.mark.parametrize("name", EIGH_INPUTS)
     def test_bits_of_np_linalg_eigh_over_the_gram(self, monkeypatch, name):
-        # on the bound dsyevd, then on numpy's gufunc (twice where none is bound)
+        # on the bound LAPACK stages, then on numpy's gufunc (twice where none is bound)
         want_w, want_v = np.linalg.eigh(EIGH_INPUTS[name]())
-        for dsyevd in (linalg._DSYEVD, None):
-            monkeypatch.setattr(linalg, "_DSYEVD", dsyevd)
+        for lapack in (linalg._LAPACK, None):
+            monkeypatch.setattr(linalg, "_LAPACK", lapack)
             a = EIGH_INPUTS[name]()
             w, v = _eigh(a, "unused")
             assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
             assert np.shares_memory(v, a)
 
+    @pytest.mark.parametrize("n", SWEEP_ORDERS)
+    def test_bound_stages_have_dsyevd_bits_at_every_switch(self, n):
+        # also run at one BLAS thread by test_pinned_scores.py's child
+        if linalg._LAPACK is None:
+            pytest.skip("numpy's LAPACK exports no dsytrd, dstedc and dormtr to bind")
+        want_w, want_v = np.linalg.eigh(symmetric(n, seed=n))
+        a = symmetric(n, seed=n)
+        w, v = _eigh(a, "unused")
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+        assert np.shares_memory(v, a)
+
+    @pytest.mark.parametrize("peak", [1.3 * 2.0**-600, 1.3 * 2.0**-486, 2.0**-485,
+                                      2.0**485, 1.3 * 2.0**485, 1.3 * 2.0**600])
+    def test_bits_where_dsyevd_scales(self, peak):
+        # dsyevd scales a matrix whose peak lies outside [2**-485, 2**485] by a factor
+        # that is no power of two here, and the bound stages alone would not
+        a = symmetric(40, seed=3)
+        a *= peak / np.abs(a).max()
+        want_w, want_v = np.linalg.eigh(a)
+        w, v = _eigh(a, "unused")
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
     def test_bound_solve_takes_only_a_buffer_it_can_overwrite(self):
-        if linalg._DSYEVD is None:
-            pytest.skip("numpy's LAPACK exports no dsyevd to bind")
+        if linalg._LAPACK is None:
+            pytest.skip("numpy's LAPACK exports no dsytrd, dstedc and dormtr to bind")
         read_only = np.eye(3)
         read_only.flags.writeable = False
         for a in (np.eye(3, dtype=np.float32), np.asfortranarray(np.arange(9.0).reshape(3, 3)),
@@ -253,18 +288,23 @@ class TestInPlaceEigh:
             assert np.array_equal(a, before)
 
     def test_bound_whenever_numpy_links_scipy_openblas(self):
-        # numpy's PyPI wheels link scipy-openblas and export scipy_dsyevd_64_;
-        # a release that renames it fails here rather than falling back
+        # numpy's PyPI wheels link scipy-openblas and export scipy_dsytrd_64_,
+        # scipy_dstedc_64_ and scipy_dormtr_64_; a release that renames one fails
+        # here rather than falling back
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
         if lapack.get("name") != "scipy-openblas":
             pytest.skip(f"numpy links {lapack.get('name')!r}, not scipy-openblas")
-        assert linalg._DSYEVD is not None
+        assert sorted(linalg._LAPACK) == ["dormtr", "dstedc", "dsytrd"]
 
     def test_tall_side_holds_one_gram(self):
-        # tracemalloc sees numpy's arrays, dsyevd's 2n^2 + 6n + 1 doubles of
-        # workspace among them, but not LAPACK's own buffers, so the traced peak
-        # is the Gram, the workspace, the eigenvalues and the lift of a rank-20
-        # side; a separate eigenvector array would add another n^2
+        # tracemalloc sees numpy's arrays and Python's objects, not LAPACK's own
+        # buffers, and counts an array at its length, not at the pages written.
+        # The bound stages hold one workspace of dsytrd's length, n^2 + lwork
+        # doubles with lwork = 1 + 4n + n^2, and the packed reflectors,
+        # (n-1)(n-2)/2, beside the Gram; their O(n) vectors and packing offsets fit
+        # in the allowance for the lift of a rank-20 side, which comes after. A
+        # separate eigenvector array would add another n^2. The next test checks
+        # what the solve keeps resident
         rng = np.random.default_rng(5)
         m = center_rows(rng.standard_normal((1200, 20)) @ rng.standard_normal((20, 800)))
         tracemalloc.start()
@@ -274,15 +314,51 @@ class TestInPlaceEigh:
         finally:
             tracemalloc.stop()
         n = m.shape[1]
-        workspace = 0 if linalg._DSYEVD is None else 2 * n * n + 6 * n + 1
-        assert peak < (1.5 * n * n + workspace) * 8 + basis.nbytes + projected.nbytes
+        lwork = 1 + 4 * n + n * n
+        workspace = 0 if linalg._LAPACK is None else n * n + lwork + (n - 1) * (n - 2) / 2
+        assert peak < (n * n + workspace) * 8 + basis.nbytes + projected.nbytes
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_bound_solve_keeps_two_and_a_half_grams_resident(self):
+        # beside the Gram, the bound stages write the packed reflectors,
+        # (n-1)(n-2)/2 doubles, dstedc's 1 + 4n + n^2 doubles of the workspace
+        # and O(n) more of it for dsytrd and dormtr; dsyevd wrote 2n^2 + 6n + 1.
+        # A child measures the resident peak beyond the tall matrix, after a Gram
+        # product has touched BLAS's own buffers; the slack covers a 2 MiB huge
+        # page at each end of the written parts
+        if linalg._LAPACK is None:
+            pytest.skip("numpy's LAPACK exports no dsytrd, dstedc and dormtr to bind")
+        n = 1536
+        child = subprocess.run([sys.executable, "-c", f"""
+import numpy as np
+from seis.linalg import center_rows, spatial_subspace
+
+
+def status_kib(key):  # this process's own, unlike getrusage's maxrss, which exec keeps
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(key))
+
+
+rng = np.random.default_rng(5)
+m = center_rows(rng.standard_normal((2 * {n}, 20)) @ rng.standard_normal((20, {n})))
+m.T @ m
+resident = status_kib("VmRSS:")
+spatial_subspace(m)
+print((status_kib("VmHWM:") - resident) * 1024)
+"""], env=child_env(), capture_output=True, text=True, timeout=120, check=True)
+        grown = int(child.stdout)
+        assert grown < (n * n + (n - 1) * (n - 2) / 2 + 1 + 4 * n + n * n) * 8 + 6 * 2**20, (
+            f"resident peak grew by {grown / 8 / n / n:.3f} n^2 doubles")
 
     def test_nonconvergence_raises_naming_the_role(self, monkeypatch):
-        # on the bound dsyevd, then on numpy's gufunc (twice where none is bound)
-        for dsyevd in (linalg._DSYEVD, None):
+        # a nonzero info from each bound stage, then numpy's gufunc (each time
+        # where none is bound)
+        bound = linalg._LAPACK
+        for lapack, stage in [(bound, "dsytrd"), (bound, "dstedc"), (bound, "dormtr"),
+                              (None, "dstedc")]:
             with monkeypatch.context() as patch, warnings.catch_warnings():
-                patch.setattr(linalg, "_DSYEVD", dsyevd)
-                fail_eigensolves(patch)
+                patch.setattr(linalg, "_LAPACK", lapack)
+                fail_eigensolves(patch, stage)
                 warnings.simplefilter("error")
                 with pytest.raises(NumericalError,
                                    match="^alternate tensor: Gram eigensolve did not converge$"):

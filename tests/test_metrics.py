@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -414,6 +416,32 @@ class TestSide:
                 seis(ref, alt)
             dims = [x.dims if isinstance(x, Side) else x.shape for x in (ref, alt)]
             assert str(exc.value) == f"tensor dims differ: {dims[0]} vs {dims[1]}"
+
+
+def test_concurrent_calls_score_with_the_serial_bits():
+    # seis() is safe to call concurrently: each call allocates its own eigensolve
+    # workspaces. The two pairs share dims, so a workspace kept between calls
+    # per size would be shared, and LAPACK releases the GIL while it works.
+    pairs = []
+    for seed in (60, 61):
+        z = smooth_tensor((4, 8, 6, 6), seed=seed)  # d=36 > n=32
+        pairs.append((z, apply_affine(z, AffineParams(angle_deg=20.0 + seed))))
+    want = [score_bits(seis(*pair)) for pair in pairs]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def score(i):
+        start.wait(timeout=60)
+        for _ in range(20):
+            got[i].append(score_bits(seis(*pairs[i])))
+
+    threads = [threading.Thread(target=score, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert got == [[bits] * 20 for bits in want]
 
 
 def test_every_exported_name_resolves():

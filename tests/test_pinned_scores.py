@@ -8,14 +8,17 @@ while a tenfold COVARIANCE_RIDGE moves s_inv by 5.8e-6 to 1.4e-3 on the
 translation, rotation and affine rows (the scaling rows move by under 5e-7).
 So the pin tells rounding from the ridge that defines s_inv. Tier-1 runs
 the pins at the default BLAS thread count and again, in a child interpreter,
-at one thread. Where seis.linalg binds LAPACK's dsyevd directly, every pinned
-pair and a tall warped pair also score with the same bits on numpy's eigh
-gufunc, the solve that runs where numpy's LAPACK exports no dsyevd.
+at one thread, and the child also reruns test_linalg.py's sweep of the bound
+eigensolve against np.linalg.eigh. Where seis.linalg binds LAPACK's dsyevd
+stages directly, every pinned pair and a tall warped pair also score with the
+same bits on numpy's eigh gufunc, the solve that runs where numpy's LAPACK
+exports no such routines.
 """
 
 import subprocess
 import sys
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from seis.metrics import Side, seis
 from seis.transforms import make_stream
 
 from helpers import ONE_BLAS_THREAD, child_env, smooth_tensor
+from test_linalg import SWEEP_ORDERS
 
 # (seed, condition): (k_a, k_a_prime, s_equiv, s_inv), computed at 2 BLAS threads
 PINNED = {
@@ -75,10 +79,10 @@ def warped_pairs():
 
 
 def test_gufunc_solve_scores_with_the_same_bits(monkeypatch):
-    if linalg._DSYEVD is None:
-        pytest.skip("numpy's LAPACK exports no dsyevd to bind, so the gufunc is the one solve")
+    if linalg._LAPACK is None:
+        pytest.skip("numpy's LAPACK exports no routines to bind, so the gufunc is the one solve")
     bound = [seis(ref, alt) for ref, alt in warped_pairs()]
-    monkeypatch.setattr(linalg, "_DSYEVD", None)
+    monkeypatch.setattr(linalg, "_LAPACK", None)
     for want, (ref, alt) in zip(bound, warped_pairs(), strict=True):
         got = seis(ref, alt)
         assert (got.s_equiv, got.s_inv, got.k_a, got.k_a_prime) == (
@@ -87,12 +91,14 @@ def test_gufunc_solve_scores_with_the_same_bits(monkeypatch):
 
 
 def test_pinned_scores_hold_at_one_blas_thread():
-    # BLAS takes its thread count when numpy loads, so the pins run again in a
-    # pytest child that starts with one thread
+    # BLAS takes its thread count when numpy loads, so the pins and the eigensolve
+    # sweep run again in a pytest child that starts with one thread
+    sweep = "test_linalg.py::TestInPlaceEigh::test_bound_stages_have_dsyevd_bits_at_every_switch"
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-         "-k", "not one_blas_thread and not gufunc"],
+         str(Path(__file__).with_name(sweep)), "-k", "not one_blas_thread and not gufunc"],
         env=child_env(**ONE_BLAS_THREAD), capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stdout
-    assert child.stdout.splitlines()[-1].startswith(f"{len(PINNED)} passed")
+    ran = len(PINNED) + (0 if linalg._LAPACK is None else len(SWEEP_ORDERS))
+    assert child.stdout.splitlines()[-1].startswith(f"{ran} passed")

@@ -7,14 +7,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seis.errors import (
     DtypeError,
     FormatError,
     ParseError,
+    SeisError,
     ShapeError,
     ValidationError,
 )
+from seis.metrics import Side
 from seis.tensor_io import (
     ManifestEntry,
     ResultRow,
@@ -215,6 +219,46 @@ class TestReadWriteTensor:
     def test_write_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_tensor(rand_tensor((1, 1, 2, 2)), tmp_path / "nodir" / "x.npy")
+
+
+# a valid (2, 3, 4, 5) float32 dump; its header fills the first 128 bytes
+FUZZ_DUMP = io.BytesIO()
+np.save(FUZZ_DUMP, rand_tensor((2, 3, 4, 5), seed=9).astype(np.float32))
+FUZZ_DUMP = FUZZ_DUMP.getvalue()
+
+
+@st.composite
+def fuzzed_dumps(draw):
+    """FUZZ_DUMP with 1 to 4 edits in its first 128 bytes: a byte flipped, a
+    byte inserted, or the file cut there."""
+    dump = bytearray(FUZZ_DUMP)
+    for _ in range(draw(st.integers(1, 4))):
+        if not dump:
+            break
+        at = draw(st.integers(0, min(127, len(dump) - 1)))
+        op = draw(st.sampled_from(("flip", "insert", "truncate")))
+        if op == "flip":
+            dump[at] ^= draw(st.integers(1, 255))
+        elif op == "insert":
+            dump[at:at] = bytes([draw(st.integers(0, 255))])
+        else:
+            del dump[at:]
+    return bytes(dump)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dump=fuzzed_dumps())
+def test_fuzzed_dump_raises_only_seis_or_os_errors(tmp_path_factory, dump):
+    # a new file each time: the previous example's copy-on-write map may still
+    # hold the old one
+    path = tmp_path_factory.mktemp("fuzz") / "fuzzed.npy"
+    path.write_bytes(dump)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            Side.of(read_tensor(path))
+        except (SeisError, OSError):
+            pass
 
 
 class TestValidateTensor:
