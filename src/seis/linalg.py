@@ -117,25 +117,22 @@ def _lapack(failure, name, *args):
 def _eigh(a, failure):
     """np.linalg.eigh(a) of a symmetric C-order float64 matrix, its eigenvectors written over a.
 
-    numpy's eigh gufunc runs dsyevd('V', 'L') on a Fortran-order copy of a, which
-    for a symmetric a holds a's bytes. Where numpy's LAPACK exports them (see
-    _bind_lapack), the routines dsyevd calls run instead, in its order and with its
-    workspace lengths, on a's own buffer, which Fortran reads as a.T, equal to a:
-    dsytrd('L') reduces a to a tridiagonal, its reflectors are packed aside,
-    dstedc('I') writes the tridiagonal's eigenvectors over a, and dormtr('L', 'L',
-    'N') applies the reflectors, unpacked into dstedc's spent workspace, to them.
-    So w and v = a.T have dsyevd's bits, and the solve keeps about 2.5 n^2 doubles
-    resident, where dsyevd kept 3 n^2. Elsewhere, and for a matrix dsyevd would
-    rescale first, the gufunc runs, with a as its eigenvector output. A solve that
-    does not converge, or leaves an eigenvalue non-finite, raises
-    NumericalError(failure) and warns nothing.
+    numpy's eigh gufunc runs dsyevd('V', 'L') on a Fortran-order copy of a, which for a
+    symmetric a holds a's bytes. Where numpy's LAPACK exports them (see _bind_lapack),
+    the routines dsyevd calls run instead, in its order and with its workspace lengths,
+    on a's own buffer, which Fortran reads as a.T, equal to a: dsytrd('L') reduces a to
+    a tridiagonal, its reflectors are packed aside, dstedc('I') writes the tridiagonal's
+    eigenvectors over a, and dormtr('L', 'L', 'N') applies the reflectors, unpacked into
+    dstedc's spent workspace, to them. So w and v = a.T have dsyevd's bits for a peak
+    magnitude in [2^-485, 2^485], where dsyevd does not rescale (see spatial_subspace),
+    and the solve keeps about 2.5 n^2 doubles resident, where dsyevd kept 3 n^2. The
+    gufunc runs only on numpy builds that export no such routines, with a as its
+    eigenvector output. A solve that does not converge, or leaves an eigenvalue
+    non-finite, raises NumericalError(failure) and warns nothing.
     """
     n = a.shape[0]
     w = np.empty(n)
-    # dsyevd rescales a peak outside [sqrt(safmin / eps), its reciprocal] before its
-    # stages, which alone would not
-    peak = float(max(a.max(), -a.min()))
-    if _LAPACK is None or 0.0 < peak < 2.0**-485 or peak > 2.0**485:
+    if _LAPACK is None:
         with np.errstate(all="ignore"):
             w, v = _umath_linalg.eigh_lo(a, out=(w, a), signature="d->dd")
     else:
@@ -176,7 +173,8 @@ def center_rows(a: np.ndarray) -> np.ndarray:
     a is a 2-D float64 matrix the caller owns, such as matricize's result;
     it is overwritten and returned. Centering happens here, before any
     SVD, so the truncated basis is a true principal subspace and the
-    canonical variates downstream come out centered. Idempotent. It needs
+    canonical variates downstream come out centered. Idempotent up to rounding:
+    a second pass subtracts means of order eps times each row's peak. It needs
     n >= 2 observations, and a NaN, an inf or an overflowing sum, which makes
     its row's mean non-finite, raises ValidationError before a is changed.
     """
@@ -193,16 +191,17 @@ def spatial_subspace(centered) -> tuple:
     """(basis, projected, retained_variance) of a centered matrix's Side, via the Gram route.
 
     centered is a 2-D float64 matrix with rows centered by center_rows, as
-    seis() builds it. Like center_rows, this works in place: it scales centered
-    by the power of two that puts its peak magnitude in [0.5, 1), which is
-    exact, so the Gram cannot overflow and a side whose values stay normal
-    scores with the same bits at any power of two. An overflowed centering or an
-    all-zero matrix raises before the eigensolve, whose eigenvectors overwrite the
-    Gram; it holds about 1.5 n^2 doubles besides (see _eigh). Faster than a thin
-    SVD on the wide matrices the pipeline produces, but it resolves singular
-    values only down to about sqrt(eps) * sigma_max (~1e-8); the noise directions
-    below that carry ~1e-16 of sigma^2, and those under 1e-12 * sigma_max under
-    min(d, n) * 1e-24, too little to move the 99% cut, which needs no rank floor.
+    seis() builds it. Like center_rows, this works in place: it scales centered by the
+    power of two that puts its peak magnitude in [0.5, 1), which is exact. So a side
+    whose values stay normal scores with the same bits at any power of two, and each
+    Gram's peak lies in [1/4, max(d, n)] and each CCA covariance's in
+    [1/(4(n - 1)), 2d], far inside the range _eigh needs. An overflowed centering or an
+    all-zero matrix raises before the eigensolve, whose eigenvectors overwrite the Gram;
+    it holds about 1.5 n^2 doubles besides (see _eigh). Faster than a thin SVD on the
+    wide matrices the pipeline produces, but it resolves singular values only down to
+    about sqrt(eps) * sigma_max (~1e-8); the noise directions below that carry ~1e-16 of
+    sigma^2, and those under 1e-12 * sigma_max under min(d, n) * 1e-24, too little to
+    move the 99% cut, which needs no rank floor.
 
     A tall (d > n) matrix is eigendecomposed through its (n, n) Gram, and
     only the k retained eigenvectors are lifted to the spatial basis,

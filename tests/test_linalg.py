@@ -264,17 +264,6 @@ class TestInPlaceEigh:
         assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
         assert np.shares_memory(v, a)
 
-    @pytest.mark.parametrize("peak", [1.3 * 2.0**-600, 1.3 * 2.0**-486, 2.0**-485,
-                                      2.0**485, 1.3 * 2.0**485, 1.3 * 2.0**600])
-    def test_bits_where_dsyevd_scales(self, peak):
-        # dsyevd scales a matrix whose peak lies outside [2**-485, 2**485] by a factor
-        # that is no power of two here, and the bound stages alone would not
-        a = symmetric(40, seed=3)
-        a *= peak / np.abs(a).max()
-        want_w, want_v = np.linalg.eigh(a)
-        w, v = _eigh(a, "unused")
-        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
-
     def test_bound_solve_takes_only_a_buffer_it_can_overwrite(self):
         if linalg._LAPACK is None:
             pytest.skip("numpy's LAPACK exports no dsytrd, dstedc and dormtr to bind")

@@ -8,11 +8,13 @@ directions inside the cluster are arbitrary and s_inv is not determined to
 better than rounding noise amplified by the cluster gaps. A non-finite
 entry put at a drawn position, on either route, must be named by its flat
 index whichever side holds it, and the error names that side. Scaling
-either side by its own power of two moves no bit of either score. A dump
-whose header bytes are mutated scores, or fails in one error line naming
-its path: `score` exits 0 or 1, and `layers` skips its entry. Neither
-score clamps: correlations and cosines are at most 1, and rounding is
-monotone, so a mean of values a few ulps below 1 never passes 1.
+either side by its own power of two moves no bit of either score, and at
+any such scale every matrix the eigensolver gets has its peak magnitude
+where dsyevd does not rescale. A dump whose header bytes are mutated
+scores, or fails in one error line naming its path: `score` exits 0 or 1,
+and `layers` skips its entry. Neither score clamps: correlations and
+cosines are at most 1, and rounding is monotone, so a mean of values a few
+ulps below 1 never passes 1.
 """
 
 import contextlib
@@ -26,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seis.cli import main
-from seis.errors import ValidationError
+from seis.errors import DegenerateRankError, ValidationError
+import seis.linalg as linalg
 from seis.linalg import CcaResult, center_rows
 from seis.tensor_io import matricize, write_tensor
 from seis.metrics import equivariance_score, invariance_score, seis
@@ -109,6 +112,30 @@ def test_power_of_two_scales_move_no_bit(pair, e_ref, e_alt):
     ref, alt = pair
     base = seis(ref, alt)
     assert_same_bits(seis(np.ldexp(ref, e_ref), np.ldexp(alt, e_alt)), base)
+
+
+@PROPERTY
+@given(tensor_pairs(), st.integers(-1070, 1015), st.integers(-1070, 1015))
+def test_every_eigensolve_input_lies_where_dsyevd_does_not_rescale(pair, e_ref, e_alt):
+    # _eigh's bound stages have dsyevd's bits only for a peak magnitude in
+    # [2**-485, 2**485], and spatial_subspace's power-of-two scaling keeps every
+    # Gram and CCA covariance there, whatever the scale of either side
+    peaks = []
+    eigh = linalg._eigh
+
+    def recording(a, failure):
+        peaks.append(float(np.abs(a).max()))
+        return eigh(a, failure)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_eigh", recording)
+        try:
+            seis(np.ldexp(pair[0], e_ref), np.ldexp(pair[1], e_alt))
+        except DegenerateRankError as exc:  # a side that underflowed to all zeros
+            assert str(exc).endswith("tensor: all singular values are zero")
+        else:
+            assert len(peaks) == 4  # each side's Gram and CCA covariance
+    assert all(2.0**-485 <= peak <= 2.0**485 for peak in peaks)
 
 
 @PROPERTY
