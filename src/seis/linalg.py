@@ -100,7 +100,8 @@ def _bind_lapack(**signatures):
     return routines
 
 
-_LAPACK = _bind_lapack(dsytrd="ciaiaaaai", dstedc="ciaaaiaiai", dormtr="ccciiaiaaiai")
+_LAPACK = _bind_lapack(dsytrd="ciaiaaaai", dstedc="ciaaaiaiai", dormtr="ccciiaiaaiai",
+                       dtrttp="ciaia", dtpttr="ciaai")
 
 
 def _lapack(failure, name, *args):
@@ -118,15 +119,14 @@ def _eigh(a, failure):
     """np.linalg.eigh(a) of a symmetric C-order float64 matrix, its eigenvectors written over a.
 
     numpy's eigh gufunc runs dsyevd('V', 'L') on a Fortran-order copy of a, which for a
-    symmetric a holds a's bytes. Where numpy's LAPACK exports them (see _bind_lapack),
-    the routines dsyevd calls run instead, in its order and with its workspace lengths,
-    on a's own buffer, which Fortran reads as a.T, equal to a: dsytrd('L') reduces a to
-    a tridiagonal, its reflectors are packed aside, dstedc('I') writes the tridiagonal's
-    eigenvectors over a, and dormtr('L', 'L', 'N') applies the reflectors, unpacked into
-    dstedc's spent workspace, to them. So w and v = a.T have dsyevd's bits for a peak
-    magnitude in [2^-485, 2^485], where dsyevd does not rescale (see spatial_subspace),
-    and the solve keeps about 2.5 n^2 doubles resident, where dsyevd kept 3 n^2. The
-    gufunc runs only on numpy builds that export no such routines, with a as its
+    symmetric a holds a's bytes. Where _LAPACK is bound, dsyevd's stages run instead, in
+    its order and with its workspace lengths, on a's own buffer, which Fortran reads as
+    a.T, equal to a: dsytrd('L') reduces a to a tridiagonal, dtrttp packs its reflectors
+    aside, dstedc('I') writes the tridiagonal's eigenvectors over a, dtpttr unpacks the
+    reflectors into dstedc's spent workspace, and dormtr('L', 'L', 'N') applies them. So
+    w and v = a.T have dsyevd's bits for a peak magnitude in [2^-485, 2^485], where
+    dsyevd does not rescale (see spatial_subspace), and the solve keeps about 2.5 n^2
+    doubles resident, where dsyevd kept 3 n^2. Elsewhere the gufunc runs, with a as its
     eigenvector output. A solve that does not converge, or leaves an eigenvalue
     non-finite, raises NumericalError(failure) and warns nothing.
     """
@@ -149,17 +149,13 @@ def _eigh(a, failure):
         # doubles then hold the unpacked reflectors while dormtr works in the last lwork
         work = np.empty(n * n + lwork)
         _lapack(failure, "dsytrd", b"L", n, a, n, w, e, tau, work, work.size)
-        # reflector i is a[i, i + 2:], flat i(n + 1) + 2 to (i + 1)n; memoryviews slice fast
-        starts = np.cumsum([0, *range(n - 2, 0, -1)]).tolist()
-        packed = memoryview(np.empty(starts[-1]))
-        flat = memoryview(a.reshape(-1))
-        for i in range(n - 2):
-            packed[starts[i]:starts[i + 1]] = flat[i * (n + 1) + 2:(i + 1) * n]
+        # reflector i is a[i, i + 2:], column i of the order n - 2 lower triangle two
+        # doubles into a with leading dimension n, which dtrttp packs by columns
+        packed = np.empty((n - 1) * (n - 2) // 2)
+        _lapack(failure, "dtrttp", b"L", max(n - 2, 0), a.reshape(-1)[2:], n, packed)
         _lapack(failure, "dstedc", b"I", n, w, e, a, n, work, lwork, iwork, iwork.size)
-        flat = memoryview(work)
-        for i in range(n - 2):
-            flat[i * (n + 1) + 2:(i + 1) * n] = packed[starts[i]:starts[i + 1]]
-        del packed, flat
+        _lapack(failure, "dtpttr", b"L", max(n - 2, 0), packed, work[2:], n)
+        del packed
         _lapack(failure, "dormtr", b"L", b"L", b"N", n, n, work, n, tau, a, n, work[n * n:], lwork)
         v = a.T
     if not np.isfinite(w).all():

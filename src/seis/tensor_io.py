@@ -15,6 +15,7 @@ import logging
 import os
 import re
 import stat
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -33,6 +34,7 @@ from .errors import (
 
 SCORE_FIELDS = ("s_equiv", "s_inv")
 RESULT_FORMATS = ("csv", "json")
+_WARNINGS_LOCK = threading.Lock()  # held by read_tensor while it swaps warning filters
 
 
 # dtype kinds with real values: bool, signed and unsigned int, float
@@ -98,13 +100,14 @@ def read_tensor(path) -> np.ndarray:
     a pipe, a device) is a FormatError before anything opens it, and so is a
     file numpy cannot map (a malformed header); a missing file or a directory
     keeps its OSError. Errors name the path, and so does the log line of each
-    numpy warning, such as on a Python 2 header.
+    numpy warning, such as on a Python 2 header. Concurrent reads map one file at
+    a time, so each logs its own warnings and leaves the warning filters as found.
     """
     try:
         # opening a FIFO would block until a writer came
         if stat.S_IFMT(os.stat(os.fspath(path)).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
             raise ValueError("not a regular file")
-        with warnings.catch_warnings(record=True, action="always") as caught:
+        with _WARNINGS_LOCK, warnings.catch_warnings(record=True, action="always") as caught:
             arr = np.lib.format.open_memmap(path, mode="c")
     except (ValueError, SyntaxError, TokenError, OverflowError, TypeError) as exc:
         # besides ValueError, numpy raises TokenError or IndentationError for an

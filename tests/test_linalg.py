@@ -257,7 +257,7 @@ class TestInPlaceEigh:
     def test_bound_stages_have_dsyevd_bits_at_every_switch(self, n):
         # also run at one BLAS thread by test_pinned_scores.py's child
         if linalg._LAPACK is None:
-            pytest.skip("numpy's LAPACK exports no dsytrd, dstedc and dormtr to bind")
+            pytest.skip("numpy's LAPACK does not export every routine _eigh binds")
         want_w, want_v = np.linalg.eigh(symmetric(n, seed=n))
         a = symmetric(n, seed=n)
         w, v = _eigh(a, "unused")
@@ -266,7 +266,7 @@ class TestInPlaceEigh:
 
     def test_bound_solve_takes_only_a_buffer_it_can_overwrite(self):
         if linalg._LAPACK is None:
-            pytest.skip("numpy's LAPACK exports no dsytrd, dstedc and dormtr to bind")
+            pytest.skip("numpy's LAPACK does not export every routine _eigh binds")
         read_only = np.eye(3)
         read_only.flags.writeable = False
         for a in (np.eye(3, dtype=np.float32), np.asfortranarray(np.arange(9.0).reshape(3, 3)),
@@ -278,20 +278,20 @@ class TestInPlaceEigh:
 
     def test_bound_whenever_numpy_links_scipy_openblas(self):
         # numpy's PyPI wheels link scipy-openblas and export scipy_dsytrd_64_,
-        # scipy_dstedc_64_ and scipy_dormtr_64_; a release that renames one fails
-        # here rather than falling back
+        # scipy_dstedc_64_, scipy_dormtr_64_, scipy_dtrttp_64_ and scipy_dtpttr_64_;
+        # a release that renames one fails here rather than falling back
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
         if lapack.get("name") != "scipy-openblas":
             pytest.skip(f"numpy links {lapack.get('name')!r}, not scipy-openblas")
-        assert sorted(linalg._LAPACK) == ["dormtr", "dstedc", "dsytrd"]
+        assert sorted(linalg._LAPACK) == ["dormtr", "dstedc", "dsytrd", "dtpttr", "dtrttp"]
 
     def test_tall_side_holds_one_gram(self):
         # tracemalloc sees numpy's arrays and Python's objects, not LAPACK's own
         # buffers, and counts an array at its length, not at the pages written.
         # The bound stages hold one workspace of dsytrd's length, n^2 + lwork
         # doubles with lwork = 1 + 4n + n^2, and the packed reflectors,
-        # (n-1)(n-2)/2, beside the Gram; their O(n) vectors and packing offsets fit
-        # in the allowance for the lift of a rank-20 side, which comes after. A
+        # (n-1)(n-2)/2, beside the Gram; their O(n) vectors fit in the allowance
+        # for the lift of a rank-20 side, which comes after. A
         # separate eigenvector array would add another n^2. The next test checks
         # what the solve keeps resident
         rng = np.random.default_rng(5)
@@ -316,7 +316,7 @@ class TestInPlaceEigh:
         # product has touched BLAS's own buffers; the slack covers a 2 MiB huge
         # page at each end of the written parts
         if linalg._LAPACK is None:
-            pytest.skip("numpy's LAPACK exports no dsytrd, dstedc and dormtr to bind")
+            pytest.skip("numpy's LAPACK does not export every routine _eigh binds")
         n = 1536
         child = subprocess.run([sys.executable, "-c", f"""
 import numpy as np
@@ -585,6 +585,15 @@ class TestCcaGuards:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="^covariance is not finite$"):
                 cca(x, rng.standard_normal((2, 4)))
+
+    def test_overflowing_whitened_cross_covariance_raises(self, monkeypatch):
+        # finite whiteners of 1e200 overflow the product they sandwich
+        monkeypatch.setattr(linalg, "_whitener", lambda x: 1e200 * np.eye(x.shape[0]))
+        rng = np.random.default_rng(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="^whitened cross covariance contains "
+                                                     "non-finite entries$"):
+                cca(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)))
 
     def test_all_zero_side_is_not_positive_definite(self):
         # the ridge is relative to the mean diagonal, so a zero covariance stays zero

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -165,6 +167,38 @@ class TestReadWriteTensor:
         assert isinstance(back.base, np.memmap)
         back[0, 1, 2, 2] = 7.0  # the write stays in memory
         assert np.array_equal(read_tensor(path), t)
+
+    def test_concurrent_reads_log_their_own_warnings_and_restore_filters(
+            self, tmp_path, monkeypatch, caplog):
+        # each map warns as numpy does on a Python 2 header, then holds on; the
+        # second read starts halfway through the first's hold, so an unserialized
+        # second read would enter its catch_warnings inside the first's and leave
+        # after it
+        open_memmap = np.lib.format.open_memmap
+        warned = threading.Event()
+
+        def repairing(*args, **kwargs):
+            warnings.warn("Reading `.npy` or `.npz` file required additional header parsing "
+                          "as it was created on Python 2.", UserWarning)
+            warned.set()
+            time.sleep(0.2)
+            return open_memmap(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "open_memmap", repairing)
+        paths = [tmp_path / "a.npy", tmp_path / "b.npy"]
+        for seed, path in enumerate(paths):
+            write_tensor(rand_tensor((1, 2, 3, 3), seed), path)
+        filters = list(warnings.filters)
+        threads = [threading.Thread(target=read_tensor, args=(path,)) for path in paths]
+        threads[0].start()
+        assert warned.wait(timeout=10)
+        time.sleep(0.1)
+        threads[1].start()
+        for thread in threads:
+            thread.join()
+        assert warnings.filters == filters
+        assert sorted(record.getMessage().split(": ")[0] for record in caplog.records) == [
+            str(path) for path in paths]
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 0, 2, 2)])
     def test_shape_errors_name_path(self, tmp_path, shape):

@@ -103,10 +103,23 @@ MUTANTS = [
      '        _lapack(failure, "dormtr", b"L", b"L", b"N", n, n, work, n, tau, a, n, '
      'work[n * n:], 32 * n)',
      (SWEEP,)),
-    ("linalg's pack loop drops the last reflector", "src/seis/linalg.py",
-     "        for i in range(n - 2):",
-     "        for i in range(n - 3):",
+    ("linalg's dtrttp packs one reflector short", "src/seis/linalg.py",
+     '        _lapack(failure, "dtrttp", b"L", max(n - 2, 0), a.reshape(-1)[2:], n, packed)',
+     '        _lapack(failure, "dtrttp", b"L", max(n - 3, 0), a.reshape(-1)[2:], n, packed)',
      (SWEEP,)),
+    ("linalg's dtpttr unpacks one double late", "src/seis/linalg.py",
+     '        _lapack(failure, "dtpttr", b"L", max(n - 2, 0), packed, work[2:], n)',
+     '        _lapack(failure, "dtpttr", b"L", max(n - 2, 0), packed, work[3:], n)',
+     (SWEEP,)),
+    ("linalg.cca without its whitened finiteness check", "src/seis/linalg.py",
+     "    if not np.all(np.isfinite(whitened)):",
+     "    if False:",
+     ("tests/test_linalg.py::TestCcaGuards::test_overflowing_whitened_cross_covariance_raises",)),
+    ("tensor_io.read_tensor maps without its warnings lock", "src/seis/tensor_io.py",
+     '        with _WARNINGS_LOCK, warnings.catch_warnings(record=True, action="always") as caught:',
+     '        with warnings.catch_warnings(record=True, action="always") as caught:',
+     ("tests/test_tensor_io.py::TestReadWriteTensor::"
+      "test_concurrent_reads_log_their_own_warnings_and_restore_filters",)),
     ("linalg.spatial_subspace without its power-of-two scaling", "src/seis/linalg.py",
      "    np.ldexp(centered, -np.frexp(peak)[1], out=centered)",
      "    pass",
