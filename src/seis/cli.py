@@ -83,6 +83,9 @@ def _harness_config(settings) -> HarnessConfig:
 
 
 def _check_out_path(path):
+    # "", "d/", "d/." and "d/.." name a directory, whether or not one exists there
+    if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):
+        raise ValidationError(f"output path is a directory: {path!r}")
     parent = Path(path).resolve().parent
     if not parent.is_dir():
         raise ValidationError(f"output directory does not exist: {parent}")

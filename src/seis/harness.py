@@ -110,9 +110,11 @@ class ConditionSummary:
 
 
 def _gaussian_taps(sigma: float) -> np.ndarray:
-    """Taps 0..r of ndimage's normalized Gaussian kernel for sigma,
-    r = int(4 * sigma + 0.5); tap j weighs the values j cells either side."""
+    """Taps 0..r of ndimage's normalized Gaussian kernel for sigma, r = int(4 * sigma + 0.5):
+    tap j weighs the values j cells either side, and radius 0 is the identity [1.0]."""
     r = int(4.0 * sigma + 0.5)
+    if r == 0:
+        return np.ones(1)  # before sigma is squared, which is 0 below about 1e-154
     x = np.arange(-r, r + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
     return (phi / phi.sum())[r:]
@@ -140,8 +142,8 @@ def gen_synthetic_activations(cfg: HarnessConfig, rng: np.random.Generator) -> n
     White noise is blurred per slice with an isotropic Gaussian kernel
     (sigma = cfg.smoothness pixels), then each (batch, channel) slice is
     standardized to zero mean and unit variance so covariances stay well
-    conditioned and scores are comparable across seeds. As smoothness
-    approaches zero the output approaches plain white noise.
+    conditioned and scores are comparable across seeds. Below smoothness
+    0.125 the kernel has radius 0, the identity: white noise, standardized.
 
     The bits are those of ndimage.gaussian_filter along h, then w, on
     one (b, c, h, w) draw, with the slice-wise standardization after it.
@@ -150,15 +152,13 @@ def gen_synthetic_activations(cfg: HarnessConfig, rng: np.random.Generator) -> n
     (b, c, h, w) view of that matrix.
     """
     b, c, h, w = cfg.dims
-    # like ndimage, no blur at sigma <= 1e-15, where the kernel could divide by zero
-    taps = _gaussian_taps(cfg.smoothness) if cfg.smoothness > 1e-15 else None
+    taps = _gaussian_taps(cfg.smoothness)
     m = np.empty((h * w, b * c))
     for start in range(0, b * c, FIELD_BLOCK):
         x = rng.standard_normal((min(FIELD_BLOCK, b * c - start), h, w))
-        if taps is not None:
-            # the blurred axis leads, so each tap's slices are contiguous
-            x = _blur(x.transpose(1, 0, 2), taps)
-            x = _blur(x.transpose(2, 0, 1), taps).transpose(2, 1, 0)
+        # the blurred axis leads, so each tap's slices are contiguous
+        x = _blur(x.transpose(1, 0, 2), taps)
+        x = _blur(x.transpose(2, 0, 1), taps).transpose(2, 1, 0)
         x = np.ascontiguousarray(x).reshape(len(x), h * w)
         # in place, and bit-equal to (x - x.mean(...)) / x.std(...)
         x -= x.mean(axis=1, keepdims=True)

@@ -148,10 +148,6 @@ class WarpOperator:
     sources: np.ndarray
     weights: np.ndarray
 
-    @property
-    def shape(self) -> tuple:
-        return (len(self.sources),) * 2
-
     def __matmul__(self, m) -> np.ndarray:
         """The (h*w, n) float64 product with an (h*w, n) matrix m, bit for bit
         that of a CSR matrix of the stored corners.

@@ -172,9 +172,10 @@ def gaussian_field_oracle(cfg: HarnessConfig, rng) -> np.ndarray:
 def csr_of(op) -> sparse.csr_array:
     """The CSR matrix of a WarpOperator's stored corners: each row's slots
     whose source is a grid cell, in slot order."""
-    kept = op.sources < op.shape[0]
+    d = len(op.sources)
+    kept = op.sources < d
     return sparse.csr_array((op.weights[kept], (np.nonzero(kept)[0], op.sources[kept])),
-                            shape=op.shape)
+                            shape=(d, d))
 
 
 def smooth_tensor(dims, sigma=1.5, seed=0):

@@ -1005,6 +1005,33 @@ BAD_INPUT = {
     "score-bool-dim-header": (
         "score {w}/bool-dim.npy {w}/clean.npy",
         "error: {w}/bool-dim.npy: not a readable NPY file ("),
+    "synth-out-directory": (
+        "synth --trials 1 --dims 2,2,8,8 --conditions identity --out {w}/gen",
+        "error: output path is a directory: '{w}/gen'\n"),
+    "synth-out-empty": (
+        "synth --trials 1 --dims 2,2,8,8 --conditions identity --out=",
+        "error: output path is a directory: ''\n"),
+    "synth-out-trailing-separator": (
+        "synth --trials 1 --dims 2,2,8,8 --conditions identity --out {w}/new/",
+        "error: output path is a directory: '{w}/new/'\n"),
+    "layers-out-directory": (
+        "layers --manifest {w}/pair.json --out {w}/gen",
+        "error: output path is a directory: '{w}/gen'\n"),
+    "layers-out-empty": (
+        "layers --manifest {w}/pair.json --out=",
+        "error: output path is a directory: ''\n"),
+    "layers-out-trailing-separator": (
+        "layers --manifest {w}/pair.json --out {w}/new/",
+        "error: output path is a directory: '{w}/new/'\n"),
+    "gen-out-directory": (
+        "gen --dims 2,2,8,8 --out {w}/gen",
+        "error: output path is a directory: '{w}/gen'\n"),
+    "gen-out-empty": (
+        "gen --dims 2,2,8,8 --out=",
+        "error: output path is a directory: ''\n"),
+    "gen-out-trailing-separator": (
+        "gen --dims 2,2,8,8 --out {w}/new/",
+        "error: output path is a directory: '{w}/new/'\n"),
 }
 
 
@@ -1033,6 +1060,7 @@ class TestBadInput:
             "entries5.json": {"entries": 5},
             "nolabel.json": manifest_doc((None, "a.npy", "b.npy")),
             "nanref.json": manifest_doc(("x", "nan.npy", "clean.npy")),
+            "pair.json": manifest_doc(("x", "clean.npy", "clean.npy")),
             "flat.json": manifest_doc(("x", "clean.npy", "flat.npy"),
                                       ("y", "flat.npy", "clean.npy")),
             "entry5.json": {"entries": [{"label": "x", "ref": "clean.npy", "alt": "clean.npy"}, 5]},

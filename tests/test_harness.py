@@ -194,10 +194,10 @@ class TestSyntheticFields:
         b, c, h, w = cfg.dims
         assert z.base.shape == (h * w, b * c) and z.base.flags["C_CONTIGUOUS"]
 
-    @pytest.mark.parametrize("smoothness", [1e-300, 1e-15, 1.1e-15])
+    @pytest.mark.parametrize("smoothness", [1e-300, 1e-15, 1.1e-15, 0.1249, 0.125])
     def test_smoothness_at_ndimage_floor(self, smoothness):
         # ndimage skips the blur at sigma <= 1e-15, where 1e-300 squared would
-        # divide by zero; just above, its kernel is the one tap 1.0
+        # divide by zero; above that, its kernel is the one tap 1.0 until radius 1 at 0.125
         cfg = HarnessConfig(dims=(2, 3, 4, 5), smoothness=smoothness)
         z = gen_synthetic_activations(cfg, make_stream(6))
         assert z.tobytes() == gaussian_field_oracle(cfg, make_stream(6)).tobytes()

@@ -214,7 +214,6 @@ class TestExactRemaps:
     ])
     def test_one_stored_one_per_in_grid_cell(self, h, w, params, stored):
         op = affine_operator(h, w, params)
-        assert op.shape == (h * w, h * w)
         assert op.sources.shape == op.weights.shape == (h * w, 4)
         kept = op.sources < h * w
         assert np.all(op.weights[kept] == 1.0)

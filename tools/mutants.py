@@ -120,6 +120,19 @@ MUTANTS = [
      '        with warnings.catch_warnings(record=True, action="always") as caught:',
      ("tests/test_tensor_io.py::TestReadWriteTensor::"
       "test_concurrent_reads_log_their_own_warnings_and_restore_filters",)),
+    ("cli._check_out_path takes a directory for a file", "src/seis/cli.py",
+     '    if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):',
+     '    if os.path.basename(path) in ("", ".", ".."):',
+     tuple(f"{BAD_INPUT}[{command}-out-directory]" for command in ("synth", "layers", "gen"))),
+    ("cli._check_out_path takes a path that ends in a separator", "src/seis/cli.py",
+     '    if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):',
+     "    if os.path.isdir(path):",
+     tuple(f"{BAD_INPUT}[{command}-out-{case}]" for command in ("synth", "layers", "gen")
+           for case in ("empty", "trailing-separator"))),
+    ("harness._gaussian_taps squares a sigma of radius 0", "src/seis/harness.py",
+     "    if r == 0:",
+     "    if False:",
+     ("tests/test_harness.py::TestSyntheticFields::test_smoothness_at_ndimage_floor[1e-300]",)),
     ("linalg.spatial_subspace without its power-of-two scaling", "src/seis/linalg.py",
      "    np.ldexp(centered, -np.frexp(peak)[1], out=centered)",
      "    pass",
