@@ -190,6 +190,10 @@ def cmd_gen(args) -> int:
     cfg = _harness_config(vars(args))
     kind = None if args.warp is None else ConditionKind(args.warp)
     _check_out_path(args.out)
+    if kind is not None:
+        out = Path(args.out)
+        alt_path = str(out.with_name(out.stem + "_alt" + out.suffix))
+        _check_out_path(alt_path)
     ref = gen_synthetic_activations(cfg, make_stream(cfg.master_seed, 0, ROLE_REFERENCE))
     # build every tensor before writing any, so a failed warp leaves no file
     tensors = [(args.out, ref)]
@@ -199,9 +203,7 @@ def cmd_gen(args) -> int:
             rng = make_stream(warp_seed, 0, ROLE_ALTERNATE)
         except ValidationError as exc:
             raise ValidationError(f"--warp-seed: {exc}") from exc
-        out = Path(args.out)
-        tensors.append((out.with_name(out.stem + "_alt" + out.suffix),
-                        make_alternate(cfg, ref, kind, rng)))
+        tensors.append((alt_path, make_alternate(cfg, ref, kind, rng)))
     for path, t in tensors:
         write_tensor(t, path)
         logger.info("wrote %s with dims %s", path, cfg.dims)

@@ -81,6 +81,11 @@ def _truncation_rank(s):
     return k, float(frac[k - 1])
 
 
+def _singular_values(lam):
+    """A Gram's singular values, largest first, from its ascending eigenvalues lam."""
+    return np.sqrt(np.clip(lam[::-1], 0.0, None))
+
+
 def _bind_lapack(**signatures):
     """LAPACK routines, by name, from the library numpy's own eigh calls, or None where that
     library does not export them all: numpy's PyPI wheels link the ILP64 scipy-openblas
@@ -101,7 +106,15 @@ def _bind_lapack(**signatures):
 
 
 _LAPACK = _bind_lapack(dsytrd="ciaiaaaai", dstedc="ciaaaiaiai", dormtr="ccciiaiaaiai",
-                       dtrttp="ciaia", dtpttr="ciaai")
+                       dtrttp="ciaia", dtpttr="ciaai", dsterf="iaa",
+                       dstemr="cciaaaaiiaaaiiaaaiai")
+
+# spatial_subspace solves a Gram of order n above PARTIAL_SOLVE_ORDER for its k kept
+# eigenvectors alone where k * PARTIAL_SOLVE_RATIO <= n (see _gram_eigh), which holds about
+# 1.5 n^2 fewer doubles; at lower orders, or at larger k, the full solve took less time
+# (2 vCPU, 2 BLAS threads)
+PARTIAL_SOLVE_ORDER = 1024
+PARTIAL_SOLVE_RATIO = 5
 
 
 def _lapack(failure, name, *args):
@@ -115,52 +128,114 @@ def _lapack(failure, name, *args):
         raise NumericalError(failure)
 
 
+def _finite(w, failure):
+    """w, unless an eigenvalue in it is not finite, which raises NumericalError(failure)."""
+    if not np.isfinite(w).all():
+        raise NumericalError(failure)
+    return w
+
+
+def _tridiagonalize(a, failure):
+    """(w, e, tau) of dsytrd('L') run in place on a, as dsyevd runs it: the tridiagonal's
+    diagonal and subdiagonal, and the scales of the reflectors it leaves in a's buffer,
+    which Fortran reads as a.T, equal to a, so reflector i is a[i, i + 2:]."""
+    n = a.shape[0]
+    # LAPACK writes n * n doubles through a's raw pointer
+    if not (a.dtype == np.float64 and a.shape == (n, n) and a.flags.c_contiguous
+            and a.flags.writeable):
+        raise ValueError(f"_eigh needs a writable C-order float64 square matrix, "
+                         f"got {a.dtype} {a.shape}")
+    w, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    # dsytrd blocks, and so rounds, by its workspace length only below the length its
+    # query returns, O(n), which dsyevd's 2n^2 + 4n + 1 never is
+    work = np.empty(1)
+    _lapack(failure, "dsytrd", b"L", n, a, n, w, e, tau, work, -1)
+    work = np.empty(int(work[0]))
+    _lapack(failure, "dsytrd", b"L", n, a, n, w, e, tau, work, work.size)
+    return w, e, tau
+
+
+def _all_vectors(a, w, e, tau, failure):
+    """(w, v) of a from _tridiagonalize's output, by dsyevd's last two stages, the
+    eigenvectors written over a: dtrttp packs the reflectors aside, dstedc('I') writes the
+    tridiagonal's eigenvectors over a, dtpttr unpacks the reflectors into dstedc's spent
+    workspace, and dormtr('L', 'L', 'N') applies them, with dsyevd's workspace lengths."""
+    n = a.shape[0]
+    # dsyevd's lwork for dstedc and dormtr (whose block size depends on it), n * n
+    # less than dsytrd's; numpy hands dsyevd more for n <= 13, where no stage blocks
+    lwork = 1 + 4 * n + n * n
+    iwork = np.empty(3 + 5 * n, np.int64)
+    # the order n - 2 lower triangle two doubles into a with leading dimension n holds the
+    # reflectors by columns, which dtrttp packs
+    packed = np.empty((n - 1) * (n - 2) // 2)
+    _lapack(failure, "dtrttp", b"L", max(n - 2, 0), a.reshape(-1)[2:], n, packed)
+    # dstedc's workspace, whose first n * n doubles then hold the unpacked reflectors
+    # while dormtr works in the last lwork
+    work = np.empty(n * n + lwork)
+    _lapack(failure, "dstedc", b"I", n, w, e, a, n, work, lwork, iwork, iwork.size)
+    _lapack(failure, "dtpttr", b"L", max(n - 2, 0), packed, work[2:], n)
+    del packed
+    _lapack(failure, "dormtr", b"L", b"L", b"N", n, n, work, n, tau, a, n, work[n * n:], lwork)
+    return _finite(w, failure), a.T
+
+
 def _eigh(a, failure):
     """np.linalg.eigh(a) of a symmetric C-order float64 matrix, its eigenvectors written over a.
 
     numpy's eigh gufunc runs dsyevd('V', 'L') on a Fortran-order copy of a, which for a
     symmetric a holds a's bytes. Where _LAPACK is bound, dsyevd's stages run instead, in
-    its order and with its workspace lengths, on a's own buffer, which Fortran reads as
-    a.T, equal to a: dsytrd('L') reduces a to a tridiagonal, dtrttp packs its reflectors
-    aside, dstedc('I') writes the tridiagonal's eigenvectors over a, dtpttr unpacks the
-    reflectors into dstedc's spent workspace, and dormtr('L', 'L', 'N') applies them. So
-    w and v = a.T have dsyevd's bits for a peak magnitude in [2^-485, 2^485], where
+    its order and with its workspace lengths, on a's own buffer: _tridiagonalize reduces a
+    with dsytrd, and _all_vectors writes the eigenvectors over a with dstedc and dormtr.
+    So w and v = a.T have dsyevd's bits for a peak magnitude in [2^-485, 2^485], where
     dsyevd does not rescale (see spatial_subspace), and the solve keeps about 2.5 n^2
-    doubles resident, where dsyevd kept 3 n^2. Elsewhere the gufunc runs, with a as its
-    eigenvector output. A solve that does not converge, or leaves an eigenvalue
-    non-finite, raises NumericalError(failure) and warns nothing.
+    doubles resident, the matrix included, where dsyevd kept 3 n^2. Elsewhere the gufunc
+    runs, with a as its eigenvector output. A solve that does not converge, or leaves an
+    eigenvalue non-finite, raises NumericalError(failure) and warns nothing.
     """
-    n = a.shape[0]
-    w = np.empty(n)
     if _LAPACK is None:
+        w = np.empty(a.shape[0])
         with np.errstate(all="ignore"):
             w, v = _umath_linalg.eigh_lo(a, out=(w, a), signature="d->dd")
-    else:
-        # LAPACK writes n * n doubles through a's raw pointer
-        if not (a.dtype == np.float64 and a.shape == (n, n) and a.flags.c_contiguous
-                and a.flags.writeable):
-            raise ValueError(f"_eigh needs a writable C-order float64 square matrix, "
-                             f"got {a.dtype} {a.shape}")
-        # dsyevd's lwork for dstedc and dormtr (whose block size depends on it), n * n
-        # less than dsytrd's; numpy hands dsyevd more for n <= 13, where no stage blocks
-        lwork = 1 + 4 * n + n * n
-        e, tau, iwork = np.empty(n), np.empty(n), np.empty(3 + 5 * n, np.int64)
-        # dsytrd's workspace (it writes O(n) of it), then dstedc's, whose first n * n
-        # doubles then hold the unpacked reflectors while dormtr works in the last lwork
-        work = np.empty(n * n + lwork)
-        _lapack(failure, "dsytrd", b"L", n, a, n, w, e, tau, work, work.size)
-        # reflector i is a[i, i + 2:], column i of the order n - 2 lower triangle two
-        # doubles into a with leading dimension n, which dtrttp packs by columns
-        packed = np.empty((n - 1) * (n - 2) // 2)
-        _lapack(failure, "dtrttp", b"L", max(n - 2, 0), a.reshape(-1)[2:], n, packed)
-        _lapack(failure, "dstedc", b"I", n, w, e, a, n, work, lwork, iwork, iwork.size)
-        _lapack(failure, "dtpttr", b"L", max(n - 2, 0), packed, work[2:], n)
-        del packed
-        _lapack(failure, "dormtr", b"L", b"L", b"N", n, n, work, n, tau, a, n, work[n * n:], lwork)
-        v = a.T
-    if not np.isfinite(w).all():
-        raise NumericalError(failure)
-    return w, v
+        return _finite(w, failure), v
+    return _all_vectors(a, *_tridiagonalize(a, failure), failure)
+
+
+def _gram_eigh(a, failure):
+    """(w, v) of a Gram a: all its eigenvalues, ascending, and at least the eigenvectors of
+    its k largest, in v's last k columns, k being the 99% rule's cut (_truncation_rank).
+
+    At order n <= PARTIAL_SOLVE_ORDER, or where _LAPACK is not bound, this is _eigh(a),
+    which keeps about 2.5 n^2 doubles resident. Above it, dsytrd reduces a as _eigh does,
+    and dsterf computes every eigenvalue from a copy of the tridiagonal, from which the
+    99% rule picks k. Where k * PARTIAL_SOLVE_RATIO > n, _all_vectors finishes the solve,
+    so w and v keep dsyevd's bits. Otherwise, w is dsterf's, MRRR (dstemr('V', 'I');
+    Dhillon & Parlett 2004) writes the top k eigenvectors of the tridiagonal into an n x k
+    block, and dormtr applies the reflectors left in a to those k columns alone: v is that
+    block, which holds no reference to a, so the solve keeps a, n k doubles and O(n)
+    workspace resident. Its basis then differs from dsyevd's by rounding alone. Failures
+    raise as in _eigh.
+    """
+    n = a.shape[0]
+    if _LAPACK is None or n <= PARTIAL_SOLVE_ORDER:
+        return _eigh(a, failure)
+    w, e, tau = _tridiagonalize(a, failure)
+    lam, off = w.copy(), e.copy()
+    _lapack(failure, "dsterf", n, lam, off)
+    k, _ = _truncation_rank(_singular_values(_finite(lam, failure)))
+    if k * PARTIAL_SOLVE_RATIO > n:
+        return _all_vectors(a, w, e, tau, failure)
+    # z's rows are the top k eigenvectors, column-major n x k for Fortran, ascending;
+    # dstemr's range 'I' ignores vl and vu, finds exactly k, and tryrac = 1 is dsyevr's choice
+    z, vl_vu, tryrac = np.empty((k, n)), np.zeros(1), np.ones(1, np.int64)
+    lwork, liwork = 18 * n, 10 * n
+    _lapack(failure, "dstemr", b"V", b"I", n, w, e, vl_vu, vl_vu, n - k + 1, n,
+            np.empty(1, np.int64), np.empty(n), z, n, k, np.empty(2 * k, np.int64), tryrac,
+            np.empty(lwork), lwork, np.empty(liwork, np.int64), liwork)
+    work = np.empty(1)
+    _lapack(failure, "dormtr", b"L", b"L", b"N", n, k, a, n, tau, z, n, work, -1)
+    work = np.empty(int(work[0]))
+    _lapack(failure, "dormtr", b"L", b"L", b"N", n, k, a, n, tau, z, n, work, work.size)
+    return lam, z.T
 
 
 def center_rows(a: np.ndarray) -> np.ndarray:
@@ -192,8 +267,13 @@ def spatial_subspace(centered) -> tuple:
     whose values stay normal scores with the same bits at any power of two, and each
     Gram's peak lies in [1/4, max(d, n)] and each CCA covariance's in
     [1/(4(n - 1)), 2d], far inside the range _eigh needs. An overflowed centering or an
-    all-zero matrix raises before the eigensolve, whose eigenvectors overwrite the Gram;
-    it holds about 1.5 n^2 doubles besides (see _eigh). Faster than a thin SVD on the
+    all-zero matrix raises before the eigensolve (see _gram_eigh). At Gram order
+    n <= PARTIAL_SOLVE_ORDER, and above it where the 99% cut keeps k > n / 5 directions,
+    that is dsyevd's full solve, bit for bit: its eigenvectors overwrite the Gram, and it
+    holds about 1.5 n^2 doubles besides. Above that order with k <= n / 5, only the k
+    kept eigenvectors are solved for, into n k doubles, with O(n) workspace besides the
+    Gram, which is freed before the lift; their basis carries that solve's rounding
+    (see README, Determinism and conventions). Faster than a thin SVD on the
     wide matrices the pipeline produces, but it resolves singular values only down to
     about sqrt(eps) * sigma_max (~1e-8); the noise directions below that carry ~1e-16 of
     sigma^2, and those under 1e-12 * sigma_max under min(d, n) * 1e-24, too little to
@@ -214,8 +294,9 @@ def spatial_subspace(centered) -> tuple:
     d, n = centered.shape
     tall = d > n
     gram = centered.T @ centered if tall else centered @ centered.T
-    lam, vecs = _eigh(gram, "Gram eigensolve did not converge")
-    s = np.sqrt(np.clip(lam[::-1], 0.0, None))
+    lam, vecs = _gram_eigh(gram, "Gram eigensolve did not converge")
+    del gram  # a partial solve's vectors hold no reference to it, and the lift comes next
+    s = _singular_values(lam)
     vecs = vecs[:, ::-1]
     k, retained = _truncation_rank(s)
     if tall:

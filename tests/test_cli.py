@@ -1032,6 +1032,12 @@ BAD_INPUT = {
     "gen-out-trailing-separator": (
         "gen --dims 2,2,8,8 --out {w}/new/",
         "error: output path is a directory: '{w}/new/'\n"),
+    "gen-warp-companion-directory": (
+        "gen --dims 2,2,8,8 --out {w}/a.npy --warp rotation",
+        "error: output path is a directory: '{w}/a_alt.npy'\n"),
+    "gen-warp-companion-directory-without-suffix": (
+        "gen --dims 2,2,8,8 --out {w}/b --warp identity",
+        "error: output path is a directory: '{w}/b_alt'\n"),
 }
 
 
@@ -1040,9 +1046,12 @@ class TestBadInput:
 
     @pytest.fixture()
     def work(self, tmp_path, monkeypatch):
-        """The files the rows name, and an empty gen/ directory."""
+        """The files the rows name, an empty gen/ directory, and directories where
+        gen --warp would write the companions of a.npy and b."""
         monkeypatch.delenv("SEIS_LOG", raising=False)
         (tmp_path / "gen").mkdir()
+        (tmp_path / "a_alt.npy").mkdir()
+        (tmp_path / "b_alt").mkdir()
         z = np.random.default_rng(0).standard_normal((2, 3, 4, 4))
         np.save(tmp_path / "clean.npy", z)
         for name, value in (("inf", np.inf), ("nan", np.nan)):

@@ -1,3 +1,4 @@
+import ctypes
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from seis.errors import (
 from seis.linalg import _eigh, _truncation_rank, cca, center_rows, row_cosines, spatial_subspace
 from seis.metrics import Side, seis
 from seis.tensor_io import matricize
+from seis.transforms import AffineParams, apply_affine
 
 from helpers import (
     OracleError,
@@ -278,46 +280,60 @@ class TestInPlaceEigh:
 
     def test_bound_whenever_numpy_links_scipy_openblas(self):
         # numpy's PyPI wheels link scipy-openblas and export scipy_dsytrd_64_,
-        # scipy_dstedc_64_, scipy_dormtr_64_, scipy_dtrttp_64_ and scipy_dtpttr_64_;
-        # a release that renames one fails here rather than falling back
+        # scipy_dstedc_64_, scipy_dormtr_64_, scipy_dtrttp_64_, scipy_dtpttr_64_,
+        # scipy_dsterf_64_ and scipy_dstemr_64_; a release that renames one fails
+        # here rather than falling back
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
         if lapack.get("name") != "scipy-openblas":
             pytest.skip(f"numpy links {lapack.get('name')!r}, not scipy-openblas")
-        assert sorted(linalg._LAPACK) == ["dormtr", "dstedc", "dsytrd", "dtpttr", "dtrttp"]
+        assert sorted(linalg._LAPACK) == ["dormtr", "dstedc", "dstemr", "dsterf", "dsytrd",
+                                          "dtpttr", "dtrttp"]
 
-    def test_tall_side_holds_one_gram(self):
+    @pytest.mark.parametrize("d, n, rank", [(1200, 800, 20), (2200, 1100, 150)])
+    def test_tall_side_holds_one_gram(self, d, n, rank):
         # tracemalloc sees numpy's arrays and Python's objects, not LAPACK's own
         # buffers, and counts an array at its length, not at the pages written.
-        # The bound stages hold one workspace of dsytrd's length, n^2 + lwork
-        # doubles with lwork = 1 + 4n + n^2, and the packed reflectors,
-        # (n-1)(n-2)/2, beside the Gram; their O(n) vectors fit in the allowance
-        # for the lift of a rank-20 side, which comes after. A
-        # separate eigenvector array would add another n^2. The next test checks
-        # what the solve keeps resident
+        # At order n <= 1024 the bound stages hold the workspace of dstedc and
+        # dormtr, n^2 + lwork doubles with lwork = 1 + 4n + n^2, and the packed
+        # reflectors, (n-1)(n-2)/2, beside the Gram; their O(n) vectors fit in
+        # the allowance for the lift of a rank-20 side, which comes after. A
+        # separate eigenvector array would add another n^2. Above order 1024 a
+        # rank-150 side keeps k <= n/5, and the partial solve holds the k
+        # eigenvectors and under 64n doubles of vectors and workspace beside the
+        # Gram. The Gram is freed before the lift, whose k-column copy, (k, d)
+        # product and (d, k) quotient hold less than it did; with the Gram alive
+        # they would pass the bound. The next test checks what the solve keeps resident
+        if linalg._LAPACK is None and n > linalg.PARTIAL_SOLVE_ORDER:
+            pytest.skip("numpy's LAPACK does not export every routine _eigh binds")
         rng = np.random.default_rng(5)
-        m = center_rows(rng.standard_normal((1200, 20)) @ rng.standard_normal((20, 800)))
+        m = center_rows(rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n)))
         tracemalloc.start()
         try:
             basis, projected, _ = spatial_subspace(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n = m.shape[1]
-        lwork = 1 + 4 * n + n * n
-        workspace = 0 if linalg._LAPACK is None else n * n + lwork + (n - 1) * (n - 2) / 2
-        assert peak < (n * n + workspace) * 8 + basis.nbytes + projected.nbytes
+        if n > linalg.PARTIAL_SOLVE_ORDER:
+            assert 5 * basis.shape[1] <= n
+            assert peak < (n * n + n * basis.shape[1] + 64 * n) * 8
+        else:
+            lwork = 1 + 4 * n + n * n
+            workspace = 0 if linalg._LAPACK is None else n * n + lwork + (n - 1) * (n - 2) / 2
+            assert peak < (n * n + workspace) * 8 + basis.nbytes + projected.nbytes
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-    def test_bound_solve_keeps_two_and_a_half_grams_resident(self):
-        # beside the Gram, the bound stages write the packed reflectors,
-        # (n-1)(n-2)/2 doubles, dstedc's 1 + 4n + n^2 doubles of the workspace
-        # and O(n) more of it for dsytrd and dormtr; dsyevd wrote 2n^2 + 6n + 1.
+    @pytest.mark.parametrize("n", [1024, 1536])
+    def test_bound_solve_keeps_two_and_a_half_grams_resident(self, n):
+        # at order n <= 1024, beside the Gram, the bound stages write the packed
+        # reflectors, (n-1)(n-2)/2 doubles, dstedc's 1 + 4n + n^2 doubles of the
+        # workspace and O(n) more of it for dsytrd and dormtr; dsyevd wrote
+        # 2n^2 + 6n + 1. Above it, a rank-20 side keeps k <= n/5, and the partial
+        # solve writes the k eigenvectors and O(n) doubles of vectors and workspace.
         # A child measures the resident peak beyond the tall matrix, after a Gram
         # product has touched BLAS's own buffers; the slack covers a 2 MiB huge
         # page at each end of the written parts
         if linalg._LAPACK is None:
             pytest.skip("numpy's LAPACK does not export every routine _eigh binds")
-        n = 1536
         child = subprocess.run([sys.executable, "-c", f"""
 import numpy as np
 from seis.linalg import center_rows, spatial_subspace
@@ -336,7 +352,11 @@ spatial_subspace(m)
 print((status_kib("VmHWM:") - resident) * 1024)
 """], env=child_env(), capture_output=True, text=True, timeout=120, check=True)
         grown = int(child.stdout)
-        assert grown < (n * n + (n - 1) * (n - 2) / 2 + 1 + 4 * n + n * n) * 8 + 6 * 2**20, (
+        if n <= linalg.PARTIAL_SOLVE_ORDER:
+            workspace = (n - 1) * (n - 2) / 2 + 1 + 4 * n + n * n
+        else:
+            workspace = n * 20 + 64 * n
+        assert grown < (n * n + workspace) * 8 + 6 * 2**20, (
             f"resident peak grew by {grown / 8 / n / n:.3f} n^2 doubles")
 
     def test_nonconvergence_raises_naming_the_role(self, monkeypatch):
@@ -355,6 +375,108 @@ print((status_kib("VmHWM:") - resident) * 1024)
                 x = centered_noise(3, 10, seed=2)
                 with pytest.raises(NumericalError, match="^covariance is not positive definite"):
                     cca(x, x)
+
+
+# tensors whose Gram sits on each side of _gram_eigh's two selections: order 1024, where
+# dsyevd always runs, and orders above it, where the partial solve runs if the 99% cut
+# keeps k <= n/5; a smooth field keeps about 105 directions and white noise over 800
+PARTIAL_CASES = {
+    "tall-1024-smooth": ((2, 512, 33, 33), 2.0),
+    "wide-1024-smooth": ((2, 550, 32, 32), 2.0),
+    "tall-1040-white": ((2, 520, 33, 33), None),
+    "wide-1056-white": ((2, 550, 32, 33), None),
+    "tall-1040-smooth": ((2, 520, 33, 33), 2.0),
+    "wide-1056-smooth": ((2, 550, 32, 33), 2.0),
+}
+
+
+def partial_case(name, seed=1):
+    dims, sigma = PARTIAL_CASES[name]
+    if sigma is None:
+        return np.random.default_rng(seed).standard_normal(dims)
+    return smooth_tensor(dims, sigma=sigma, seed=seed)
+
+
+def gram_order(z):
+    b, c, h, w = z.shape
+    return min(b * c, h * w)
+
+
+def dsyevd_side(monkeypatch, z):
+    """Side.of(z) through numpy's eigh gufunc, whose dsyevd has the full solve's bits."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_LAPACK", None)
+        return Side.of(z)
+
+
+class TestPartialGramSolve:
+    @pytest.fixture(autouse=True)
+    def bound(self):
+        if linalg._LAPACK is None:
+            pytest.skip("numpy's LAPACK does not export every routine _eigh binds")
+
+    @pytest.mark.parametrize("name", ["tall-1024-smooth", "wide-1024-smooth",
+                                      "tall-1040-white", "wide-1056-white"])
+    def test_order_1024_and_more_than_n_over_5_directions_keep_dsyevd_bits(
+            self, monkeypatch, name):
+        z = partial_case(name)
+        n = gram_order(z)
+        got, want = Side.of(z), dsyevd_side(monkeypatch, z)
+        assert n <= linalg.PARTIAL_SOLVE_ORDER or 5 * want.k > n
+        assert got.k == want.k and got.retained_variance == want.retained_variance
+        assert np.array_equal(got.basis, want.basis)
+        assert np.array_equal(got.projected, want.projected)
+
+    @pytest.mark.parametrize("name", ["tall-1040-smooth", "wide-1056-smooth"])
+    def test_partial_solve_spans_dsyevd_subspace_and_reruns_bit_for_bit(
+            self, monkeypatch, name):
+        z = partial_case(name)
+        n = gram_order(z)
+        got, want = Side.of(z), dsyevd_side(monkeypatch, z)
+        assert n > linalg.PARTIAL_SOLVE_ORDER and 5 * want.k <= n
+        assert got.k == want.k
+        assert got.retained_variance == pytest.approx(want.retained_variance, rel=0, abs=1e-15)
+        cosines = np.linalg.svd(got.basis.T @ want.basis, compute_uv=False)
+        assert cosines.min() >= 1.0 - 1e-12
+        assert np.allclose(got.basis.T @ got.basis, np.eye(got.k), rtol=0, atol=1e-12)
+        again = Side.of(z)
+        assert np.array_equal(again.basis, got.basis)
+        assert np.array_equal(again.projected, got.projected)
+        assert again.retained_variance == got.retained_variance
+
+    @pytest.mark.parametrize("name", ["tall-1040-smooth", "wide-1056-smooth"])
+    def test_partial_solve_scores_agree_with_dsyevd(self, monkeypatch, name):
+        ref = partial_case(name)
+        alt = apply_affine(ref, AffineParams(tx=0.05, angle_deg=20.0))
+        got = seis(Side.of(ref), Side.of(alt))
+        want = seis(dsyevd_side(monkeypatch, ref), dsyevd_side(monkeypatch, alt))
+        assert (got.k_a, got.k_a_prime) == (want.k_a, want.k_a_prime)
+        assert 5 * max(got.k_a, got.k_a_prime) <= gram_order(ref)
+        assert got.s_equiv == pytest.approx(want.s_equiv, rel=0, abs=1e-12)
+        assert got.s_inv == pytest.approx(want.s_inv, rel=0, abs=1e-6)
+
+    @pytest.mark.parametrize("stage", ["dsytrd", "dsterf", "dstemr", "dormtr"])
+    def test_failed_stage_raises_naming_the_role(self, monkeypatch, stage):
+        z = partial_case("tall-1040-smooth")
+        fail_eigensolves(monkeypatch, stage)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match="^alternate tensor: Gram eigensolve did not converge$"):
+                Side.of(z, "alternate")
+
+    def test_non_finite_spectrum_raises(self, monkeypatch):
+        # dsterf returning a NaN eigenvalue with info = 0 is caught before the 99% rule
+        dsterf = linalg._LAPACK["dsterf"]
+
+        def nan_spectrum(n, d, e, info):
+            dsterf(n, d, e, info)
+            np.ctypeslib.as_array(ctypes.cast(d, ctypes.POINTER(ctypes.c_double)),
+                                  (1,))[0] = np.nan
+
+        monkeypatch.setitem(linalg._LAPACK, "dsterf", nan_spectrum)
+        with pytest.raises(NumericalError, match="^reference tensor: Gram eigensolve"):
+            Side.of(partial_case("tall-1040-smooth"))
 
 
 def duplicated_channels(z):

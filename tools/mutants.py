@@ -33,6 +33,8 @@ CLI_TESTS = "tests/test_cli.py"
 BAD_INPUT = f"{CLI_TESTS}::TestBadInput::test_exit_1_one_line_writes_nothing"
 EIGH_TESTS = "tests/test_linalg.py::TestInPlaceEigh"
 SWEEP = f"{EIGH_TESTS}::test_bound_stages_have_dsyevd_bits_at_every_switch"
+PARTIAL_TESTS = "tests/test_linalg.py::TestPartialGramSolve"
+DSYEVD_BITS = f"{PARTIAL_TESTS}::test_order_1024_and_more_than_n_over_5_directions_keep_dsyevd_bits"
 
 # (name, file, old line, new line, pytest selection)
 MUTANTS = [
@@ -77,8 +79,8 @@ MUTANTS = [
      '            w, v = _umath_linalg.eigh_lo(a, out=(w, a.copy()), signature="d->dd")',
      (f"{EIGH_TESTS}::test_bits_of_np_linalg_eigh_over_the_gram",)),
     ("linalg._eigh reduces the upper triangle", "src/seis/linalg.py",
-     '        _lapack(failure, "dsytrd", b"L", n, a, n, w, e, tau, work, work.size)',
-     '        _lapack(failure, "dsytrd", b"U", n, a, n, w, e, tau, work, work.size)',
+     '    _lapack(failure, "dsytrd", b"L", n, a, n, w, e, tau, work, work.size)',
+     '    _lapack(failure, "dsytrd", b"U", n, a, n, w, e, tau, work, work.size)',
      (SWEEP,)),
     ("linalg._lapack ignores info", "src/seis/linalg.py",
      "    if info.value:",
@@ -98,18 +100,18 @@ MUTANTS = [
      '        routines = {name: getattr(lib, f"scipy_{name}_64") for name in signatures}',
      (f"{EIGH_TESTS}::test_bound_whenever_numpy_links_scipy_openblas",)),
     ("linalg dormtr gets its own query's lwork", "src/seis/linalg.py",
-     '        _lapack(failure, "dormtr", b"L", b"L", b"N", n, n, work, n, tau, a, n, '
+     '    _lapack(failure, "dormtr", b"L", b"L", b"N", n, n, work, n, tau, a, n, '
      'work[n * n:], lwork)',
-     '        _lapack(failure, "dormtr", b"L", b"L", b"N", n, n, work, n, tau, a, n, '
+     '    _lapack(failure, "dormtr", b"L", b"L", b"N", n, n, work, n, tau, a, n, '
      'work[n * n:], 32 * n)',
      (SWEEP,)),
     ("linalg's dtrttp packs one reflector short", "src/seis/linalg.py",
-     '        _lapack(failure, "dtrttp", b"L", max(n - 2, 0), a.reshape(-1)[2:], n, packed)',
-     '        _lapack(failure, "dtrttp", b"L", max(n - 3, 0), a.reshape(-1)[2:], n, packed)',
+     '    _lapack(failure, "dtrttp", b"L", max(n - 2, 0), a.reshape(-1)[2:], n, packed)',
+     '    _lapack(failure, "dtrttp", b"L", max(n - 3, 0), a.reshape(-1)[2:], n, packed)',
      (SWEEP,)),
     ("linalg's dtpttr unpacks one double late", "src/seis/linalg.py",
-     '        _lapack(failure, "dtpttr", b"L", max(n - 2, 0), packed, work[2:], n)',
-     '        _lapack(failure, "dtpttr", b"L", max(n - 2, 0), packed, work[3:], n)',
+     '    _lapack(failure, "dtpttr", b"L", max(n - 2, 0), packed, work[2:], n)',
+     '    _lapack(failure, "dtpttr", b"L", max(n - 2, 0), packed, work[3:], n)',
      (SWEEP,)),
     ("linalg.cca without its whitened finiteness check", "src/seis/linalg.py",
      "    if not np.all(np.isfinite(whitened)):",
@@ -138,6 +140,27 @@ MUTANTS = [
      "    pass",
      ("tests/test_properties.py::"
       "test_every_eigensolve_input_lies_where_dsyevd_does_not_rescale",)),
+    ("linalg._gram_eigh without its order gate", "src/seis/linalg.py",
+     "    if _LAPACK is None or n <= PARTIAL_SOLVE_ORDER:",
+     "    if _LAPACK is None:",
+     tuple(f"{DSYEVD_BITS}[{route}-1024-smooth]" for route in ("tall", "wide"))),
+    ("linalg._gram_eigh's k/n guard inverted", "src/seis/linalg.py",
+     "    if k * PARTIAL_SOLVE_RATIO > n:",
+     "    if k * PARTIAL_SOLVE_RATIO <= n:",
+     (f"{DSYEVD_BITS}[tall-1040-white]", f"{DSYEVD_BITS}[wide-1056-white]")),
+    ("linalg.spatial_subspace keeps the Gram alive through the lift", "src/seis/linalg.py",
+     "    del gram  # a partial solve's vectors hold no reference to it, and the lift comes next",
+     "    pass",
+     (f"{EIGH_TESTS}::test_tall_side_holds_one_gram[2200-1100-150]",)),
+    ("linalg._gram_eigh takes a non-finite spectrum", "src/seis/linalg.py",
+     "    k, _ = _truncation_rank(_singular_values(_finite(lam, failure)))",
+     "    k, _ = _truncation_rank(_singular_values(lam))",
+     (f"{PARTIAL_TESTS}::test_non_finite_spectrum_raises",)),
+    ("cli.cmd_gen checks only --out, not its companion", "src/seis/cli.py",
+     "        _check_out_path(alt_path)",
+     "        pass",
+     tuple(f"{BAD_INPUT}[gen-warp-companion-directory{case}]"
+           for case in ("", "-without-suffix"))),
 ]
 
 
