@@ -110,11 +110,11 @@ _LAPACK = _bind_lapack(dsytrd="ciaiaaaai", dstedc="ciaaaiaiai", dormtr="ccciiaia
                        dstemr="cciaaaaiiaaaiiaaaiai")
 
 # spatial_subspace solves a Gram of order n above PARTIAL_SOLVE_ORDER for its k kept
-# eigenvectors alone where k * PARTIAL_SOLVE_RATIO <= n (see _gram_eigh), which holds about
-# 1.5 n^2 fewer doubles; at lower orders, or at larger k, the full solve took less time
-# (2 vCPU, 2 BLAS threads)
+# eigenvectors alone (see _gram_eigh), which holds about 1.5 n^2 fewer doubles. That is
+# chosen for memory, not time: on smooth fields it took 13% more time than the full
+# solve at order 1280, 2% more at 1536 and 13% less at 2048 (2 vCPU, 2 BLAS threads);
+# at orders 512-1024 it took 18-51% more, and those orders keep dsyevd's bits
 PARTIAL_SOLVE_ORDER = 1024
-PARTIAL_SOLVE_RATIO = 5
 
 
 def _lapack(failure, name, *args):
@@ -207,13 +207,14 @@ def _gram_eigh(a, failure):
     At order n <= PARTIAL_SOLVE_ORDER, or where _LAPACK is not bound, this is _eigh(a),
     which keeps about 2.5 n^2 doubles resident. Above it, dsytrd reduces a as _eigh does,
     and dsterf computes every eigenvalue from a copy of the tridiagonal, from which the
-    99% rule picks k. Where k * PARTIAL_SOLVE_RATIO > n, _all_vectors finishes the solve,
-    so w and v keep dsyevd's bits. Otherwise, w is dsterf's, MRRR (dstemr('V', 'I');
-    Dhillon & Parlett 2004) writes the top k eigenvectors of the tridiagonal into an n x k
-    block, and dormtr applies the reflectors left in a to those k columns alone: v is that
-    block, which holds no reference to a, so the solve keeps a, n k doubles and O(n)
-    workspace resident. Its basis then differs from dsyevd's by rounding alone. Failures
-    raise as in _eigh.
+    99% rule picks k; w is dsterf's. MRRR (dstemr('V', 'I'); Dhillon & Parlett 2004)
+    writes the top k eigenvectors of the tridiagonal into an n x k block, and dormtr
+    applies the reflectors left in a to those k columns alone: v is that block, which
+    holds no reference to a, so the solve keeps a, n k doubles and O(n) workspace
+    resident. Its basis differs from dsyevd's by rounding alone. Where dstemr reports a
+    failure, _all_vectors finishes the solve from the untouched tridiagonal and
+    reflectors, as dsyevr falls back on dstebz and dstein, and w and v keep dsyevd's bits.
+    Any other stage's failure raises as in _eigh.
     """
     n = a.shape[0]
     if _LAPACK is None or n <= PARTIAL_SOLVE_ORDER:
@@ -222,15 +223,19 @@ def _gram_eigh(a, failure):
     lam, off = w.copy(), e.copy()
     _lapack(failure, "dsterf", n, lam, off)
     k, _ = _truncation_rank(_singular_values(_finite(lam, failure)))
-    if k * PARTIAL_SOLVE_RATIO > n:
-        return _all_vectors(a, w, e, tau, failure)
     # z's rows are the top k eigenvectors, column-major n x k for Fortran, ascending;
-    # dstemr's range 'I' ignores vl and vu, finds exactly k, and tryrac = 1 is dsyevr's choice
+    # dstemr's range 'I' ignores vl and vu, finds exactly k, and tryrac = 1 is dsyevr's
+    # choice. It overwrites its diagonal and subdiagonal, so it gets copies
     z, vl_vu, tryrac = np.empty((k, n)), np.zeros(1), np.ones(1, np.int64)
     lwork, liwork = 18 * n, 10 * n
-    _lapack(failure, "dstemr", b"V", b"I", n, w, e, vl_vu, vl_vu, n - k + 1, n,
-            np.empty(1, np.int64), np.empty(n), z, n, k, np.empty(2 * k, np.int64), tryrac,
-            np.empty(lwork), lwork, np.empty(liwork, np.int64), liwork)
+    try:
+        _lapack(failure, "dstemr", b"V", b"I", n, w.copy(), e.copy(), vl_vu, vl_vu,
+                n - k + 1, n, np.empty(1, np.int64), np.empty(n), z, n, k,
+                np.empty(2 * k, np.int64), tryrac, np.empty(lwork), lwork,
+                np.empty(liwork, np.int64), liwork)
+    except NumericalError:
+        del z
+        return _all_vectors(a, w, e, tau, failure)
     work = np.empty(1)
     _lapack(failure, "dormtr", b"L", b"L", b"N", n, k, a, n, tau, z, n, work, -1)
     work = np.empty(int(work[0]))
@@ -268,12 +273,11 @@ def spatial_subspace(centered) -> tuple:
     Gram's peak lies in [1/4, max(d, n)] and each CCA covariance's in
     [1/(4(n - 1)), 2d], far inside the range _eigh needs. An overflowed centering or an
     all-zero matrix raises before the eigensolve (see _gram_eigh). At Gram order
-    n <= PARTIAL_SOLVE_ORDER, and above it where the 99% cut keeps k > n / 5 directions,
-    that is dsyevd's full solve, bit for bit: its eigenvectors overwrite the Gram, and it
-    holds about 1.5 n^2 doubles besides. Above that order with k <= n / 5, only the k
-    kept eigenvectors are solved for, into n k doubles, with O(n) workspace besides the
-    Gram, which is freed before the lift; their basis carries that solve's rounding
-    (see README, Determinism and conventions). Faster than a thin SVD on the
+    n <= PARTIAL_SOLVE_ORDER that is dsyevd's full solve, bit for bit: its eigenvectors
+    overwrite the Gram, and it holds about 1.5 n^2 doubles besides. Above that order,
+    only the k kept eigenvectors are solved for, into n k doubles, with O(n) workspace
+    besides the Gram, which is freed before the lift; their basis carries that solve's
+    rounding (see README, Determinism and conventions). Faster than a thin SVD on the
     wide matrices the pipeline produces, but it resolves singular values only down to
     about sqrt(eps) * sigma_max (~1e-8); the noise directions below that carry ~1e-16 of
     sigma^2, and those under 1e-12 * sigma_max under min(d, n) * 1e-24, too little to

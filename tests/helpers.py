@@ -16,8 +16,8 @@ without trained weights. run_condition and GEOMETRIC_CONDITIONS are
 shorthands for running the harness one condition at a time, and
 permute_spatial is the lossless spatial warp the exactness tests use.
 fail_eigensolves makes seis.linalg's eigensolves fail as unconverged ones do,
-at any one of the bound LAPACK stages, the partial Gram solve's dsterf and
-dstemr included.
+at any one of the bound LAPACK stages, the partial Gram solve's dsterf
+included.
 child_env is the environment of a child interpreter that imports this
 checkout's seis; with ONE_BLAS_THREAD it runs BLAS on one thread.
 """
@@ -67,8 +67,9 @@ def fail_eigensolves(monkeypatch, stage="dstedc"):
     """Make seis.linalg's symmetric eigensolves fail as unconverged ones do, on
     whichever solve it bound. Where it bound LAPACK's stages, the routine named
     stage reports info = 1, as dstedc does for an eigenvalue that did not
-    converge, dsterf for one it did not find, and dstemr for an internal
-    failure; a workspace query of dsytrd or dormtr fails the same way. numpy's
+    converge and dsterf for one it did not find; a workspace query of dsytrd
+    or dormtr fails the same way. A failed dstemr does not fail the Gram
+    solve, which falls back to dsyevd's stages. numpy's
     gufunc leaves NaN in both outputs and raises the invalid-value flag, which
     warns unless the caller's errstate ignores it."""
     if linalg._LAPACK is None:

@@ -297,10 +297,9 @@ class TestInPlaceEigh:
         # dormtr, n^2 + lwork doubles with lwork = 1 + 4n + n^2, and the packed
         # reflectors, (n-1)(n-2)/2, beside the Gram; their O(n) vectors fit in
         # the allowance for the lift of a rank-20 side, which comes after. A
-        # separate eigenvector array would add another n^2. Above order 1024 a
-        # rank-150 side keeps k <= n/5, and the partial solve holds the k
-        # eigenvectors and under 64n doubles of vectors and workspace beside the
-        # Gram. The Gram is freed before the lift, whose k-column copy, (k, d)
+        # separate eigenvector array would add another n^2. Above order 1024 the
+        # partial solve holds the k eigenvectors of a rank-150 side and under 64n
+        # doubles of vectors and workspace beside the Gram. The Gram is freed before the lift, whose k-column copy, (k, d)
         # product and (d, k) quotient hold less than it did; with the Gram alive
         # they would pass the bound. The next test checks what the solve keeps resident
         if linalg._LAPACK is None and n > linalg.PARTIAL_SOLVE_ORDER:
@@ -314,7 +313,6 @@ class TestInPlaceEigh:
         finally:
             tracemalloc.stop()
         if n > linalg.PARTIAL_SOLVE_ORDER:
-            assert 5 * basis.shape[1] <= n
             assert peak < (n * n + n * basis.shape[1] + 64 * n) * 8
         else:
             lwork = 1 + 4 * n + n * n
@@ -327,8 +325,8 @@ class TestInPlaceEigh:
         # at order n <= 1024, beside the Gram, the bound stages write the packed
         # reflectors, (n-1)(n-2)/2 doubles, dstedc's 1 + 4n + n^2 doubles of the
         # workspace and O(n) more of it for dsytrd and dormtr; dsyevd wrote
-        # 2n^2 + 6n + 1. Above it, a rank-20 side keeps k <= n/5, and the partial
-        # solve writes the k eigenvectors and O(n) doubles of vectors and workspace.
+        # 2n^2 + 6n + 1. Above it, the partial solve writes the k <= 20
+        # eigenvectors of a rank-20 side and O(n) doubles of vectors and workspace.
         # A child measures the resident peak beyond the tall matrix, after a Gram
         # product has touched BLAS's own buffers; the slack covers a 2 MiB huge
         # page at each end of the written parts
@@ -377,9 +375,9 @@ print((status_kib("VmHWM:") - resident) * 1024)
                     cca(x, x)
 
 
-# tensors whose Gram sits on each side of _gram_eigh's two selections: order 1024, where
-# dsyevd always runs, and orders above it, where the partial solve runs if the 99% cut
-# keeps k <= n/5; a smooth field keeps about 105 directions and white noise over 800
+# tensors whose Gram sits on each side of _gram_eigh's order gate: order 1024, where
+# dsyevd runs, and orders above it, where the partial solve runs; a smooth field keeps
+# about 105 directions and white noise over 800
 PARTIAL_CASES = {
     "tall-1024-smooth": ((2, 512, 33, 33), 2.0),
     "wide-1024-smooth": ((2, 550, 32, 32), 2.0),
@@ -415,30 +413,29 @@ class TestPartialGramSolve:
         if linalg._LAPACK is None:
             pytest.skip("numpy's LAPACK does not export every routine _eigh binds")
 
-    @pytest.mark.parametrize("name", ["tall-1024-smooth", "wide-1024-smooth",
-                                      "tall-1040-white", "wide-1056-white"])
-    def test_order_1024_and_more_than_n_over_5_directions_keep_dsyevd_bits(
-            self, monkeypatch, name):
+    @pytest.mark.parametrize("name", ["tall-1024-smooth", "wide-1024-smooth"])
+    def test_order_1024_keeps_dsyevd_bits(self, monkeypatch, name):
         z = partial_case(name)
-        n = gram_order(z)
         got, want = Side.of(z), dsyevd_side(monkeypatch, z)
-        assert n <= linalg.PARTIAL_SOLVE_ORDER or 5 * want.k > n
+        assert gram_order(z) <= linalg.PARTIAL_SOLVE_ORDER
         assert got.k == want.k and got.retained_variance == want.retained_variance
         assert np.array_equal(got.basis, want.basis)
         assert np.array_equal(got.projected, want.projected)
 
-    @pytest.mark.parametrize("name", ["tall-1040-smooth", "wide-1056-smooth"])
+    @pytest.mark.parametrize("name", ["tall-1040-smooth", "wide-1056-smooth",
+                                      "tall-1040-white", "wide-1056-white"])
     def test_partial_solve_spans_dsyevd_subspace_and_reruns_bit_for_bit(
             self, monkeypatch, name):
         z = partial_case(name)
-        n = gram_order(z)
         got, want = Side.of(z), dsyevd_side(monkeypatch, z)
-        assert n > linalg.PARTIAL_SOLVE_ORDER and 5 * want.k <= n
+        assert gram_order(z) > linalg.PARTIAL_SOLVE_ORDER
         assert got.k == want.k
         assert got.retained_variance == pytest.approx(want.retained_variance, rel=0, abs=1e-15)
         cosines = np.linalg.svd(got.basis.T @ want.basis, compute_uv=False)
         assert cosines.min() >= 1.0 - 1e-12
-        assert np.allclose(got.basis.T @ got.basis, np.eye(got.k), rtol=0, atol=1e-12)
+        # MRRR keeps its vectors orthogonal to O(n eps) with a larger constant than
+        # dstedc: 1.8e-12 here at n = 1056 and k = 831, where dsyevd's reach 4e-15
+        assert np.allclose(got.basis.T @ got.basis, np.eye(got.k), rtol=0, atol=1e-11)
         again = Side.of(z)
         assert np.array_equal(again.basis, got.basis)
         assert np.array_equal(again.projected, got.projected)
@@ -451,11 +448,11 @@ class TestPartialGramSolve:
         got = seis(Side.of(ref), Side.of(alt))
         want = seis(dsyevd_side(monkeypatch, ref), dsyevd_side(monkeypatch, alt))
         assert (got.k_a, got.k_a_prime) == (want.k_a, want.k_a_prime)
-        assert 5 * max(got.k_a, got.k_a_prime) <= gram_order(ref)
+        assert gram_order(ref) > linalg.PARTIAL_SOLVE_ORDER
         assert got.s_equiv == pytest.approx(want.s_equiv, rel=0, abs=1e-12)
         assert got.s_inv == pytest.approx(want.s_inv, rel=0, abs=1e-6)
 
-    @pytest.mark.parametrize("stage", ["dsytrd", "dsterf", "dstemr", "dormtr"])
+    @pytest.mark.parametrize("stage", ["dsytrd", "dsterf", "dormtr"])
     def test_failed_stage_raises_naming_the_role(self, monkeypatch, stage):
         z = partial_case("tall-1040-smooth")
         fail_eigensolves(monkeypatch, stage)
@@ -464,6 +461,27 @@ class TestPartialGramSolve:
             with pytest.raises(NumericalError,
                                match="^alternate tensor: Gram eigensolve did not converge$"):
                 Side.of(z, "alternate")
+
+    @pytest.mark.parametrize("name", ["tall-1040-smooth", "wide-1056-smooth"])
+    def test_failed_dstemr_falls_back_to_dsyevd_bits(self, monkeypatch, name):
+        # dstemr overwrites its diagonal and subdiagonal before it reports a failure,
+        # so the fallback to dsyevd's stages needs the tridiagonal dsytrd left
+        dstemr = linalg._LAPACK["dstemr"]
+
+        def failed_after_writing(*args):
+            dstemr(*args)
+            # info follows the declared arguments, before one length per character argument
+            args[-1 - sum(isinstance(x, bytes) for x in args)].value = 2
+
+        z = partial_case(name)
+        want = dsyevd_side(monkeypatch, z)
+        monkeypatch.setitem(linalg._LAPACK, "dstemr", failed_after_writing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Side.of(z)
+        assert got.k == want.k and got.retained_variance == want.retained_variance
+        assert np.array_equal(got.basis, want.basis)
+        assert np.array_equal(got.projected, want.projected)
 
     def test_non_finite_spectrum_raises(self, monkeypatch):
         # dsterf returning a NaN eigenvalue with info = 0 is caught before the 99% rule

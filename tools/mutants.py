@@ -34,7 +34,8 @@ BAD_INPUT = f"{CLI_TESTS}::TestBadInput::test_exit_1_one_line_writes_nothing"
 EIGH_TESTS = "tests/test_linalg.py::TestInPlaceEigh"
 SWEEP = f"{EIGH_TESTS}::test_bound_stages_have_dsyevd_bits_at_every_switch"
 PARTIAL_TESTS = "tests/test_linalg.py::TestPartialGramSolve"
-DSYEVD_BITS = f"{PARTIAL_TESTS}::test_order_1024_and_more_than_n_over_5_directions_keep_dsyevd_bits"
+DSYEVD_BITS = f"{PARTIAL_TESTS}::test_order_1024_keeps_dsyevd_bits"
+FALLBACK = f"{PARTIAL_TESTS}::test_failed_dstemr_falls_back_to_dsyevd_bits"
 
 # (name, file, old line, new line, pytest selection)
 MUTANTS = [
@@ -144,10 +145,14 @@ MUTANTS = [
      "    if _LAPACK is None or n <= PARTIAL_SOLVE_ORDER:",
      "    if _LAPACK is None:",
      tuple(f"{DSYEVD_BITS}[{route}-1024-smooth]" for route in ("tall", "wide"))),
-    ("linalg._gram_eigh's k/n guard inverted", "src/seis/linalg.py",
-     "    if k * PARTIAL_SOLVE_RATIO > n:",
-     "    if k * PARTIAL_SOLVE_RATIO <= n:",
-     (f"{DSYEVD_BITS}[tall-1040-white]", f"{DSYEVD_BITS}[wide-1056-white]")),
+    ("linalg._gram_eigh hands dstemr the tridiagonal, not copies", "src/seis/linalg.py",
+     '        _lapack(failure, "dstemr", b"V", b"I", n, w.copy(), e.copy(), vl_vu, vl_vu,',
+     '        _lapack(failure, "dstemr", b"V", b"I", n, w, e, vl_vu, vl_vu,',
+     (FALLBACK,)),
+    ("linalg._gram_eigh raises on dstemr's failure", "src/seis/linalg.py",
+     "    except NumericalError:",
+     "    except ValueError:",
+     (FALLBACK,)),
     ("linalg.spatial_subspace keeps the Gram alive through the lift", "src/seis/linalg.py",
      "    del gram  # a partial solve's vectors hold no reference to it, and the lift comes next",
      "    pass",
